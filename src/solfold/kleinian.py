@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -286,82 +286,61 @@ class LimitLine:
 @dataclass(frozen=True)
 class LimitKernelResult:
     lines: List[LimitLine]
-    points: List[Tuple[ProjectivePoint, int]]
-    nonconverged: List[Tuple[int, int, int]]
+    points: List[Tuple[ProjectivePoint, int]]      # always empty; kept for the export schema
+    nonconverged: List[Tuple[int, int, int]]       # always empty; kept for the export schema
 
 
-def _power_limit(M: np.ndarray, cluster_eps: float,
-                 max_iter: int = 120) -> Tuple[Optional[np.ndarray], float]:
-    """Accumulation matrix of the powers of M in pseudo-projective space.
+def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
+    """Kernel lines of the accumulation maps of the word ball, in closed form.
 
-    Normalized repeated squaring; the sequence clusters when successive
-    lifts agree within cluster_eps.  Returns (limit, final gap).
+    In conjugated coordinates the powers of word (k, x, y), with translation
+    (u, v) = P^{-1}(x, y), accumulate on a rank-one map whose kernel is the
+    pencil-1 line z1 = -u / (lam^k - 1) z3 for k > 0, the pencil-2 line
+    z2 = -v / (lam^-k - 1) z3 for k < 0, and the line at infinity for k = 0.
+    Each parameter lies in Q(sqrt D), D = tr^2 - 4, so lines are merged by an
+    exact integer key and the counts hold at every n.  Lines keep the order of
+    their first word in the sorted ball; no kernel is a point and no power
+    sequence fails to converge, so points and nonconverged stay empty.
     """
-    L = _normalize_homogeneous(M)
-    stop = min(cluster_eps, 1e-14)
-    gap = math.inf
-    for _ in range(max_iter):
-        L2 = _normalize_homogeneous(L @ L)
-        gap = float(np.abs(L2 - L).max())
-        L = L2
-        if gap <= stop:
-            break
-    return (L if gap <= cluster_eps else None), gap
-
-
-def pseudo_limit_kernels(spec: ToralGroupSpec, n: int,
-                         cluster_eps: float = 1e-6,
-                         rank_tol: float = 1e-8) -> LimitKernelResult:
-    """Kernel lines and points of accumulation maps of the word ball.
-
-    Every nonidentity element's normalized power sequence clusters on a
-    singular pseudo-projective map; kernels come from singular values below
-    rank_tol, two-dimensional ones projectivized to lines.  Finite word
-    balls never carry near-singular lifts themselves at these tolerances,
-    so accumulation is what produces the kernels.
-    """
-    if cluster_eps <= 0 or rank_tol <= 0:
-        raise ValueError("clustering parameters must be positive")
-    ball = word_ball(spec, n)
-    if len(ball) <= 1:
-        return LimitKernelResult([], [], [])
+    (a, _), (c, d) = spec.A
+    t = a + d
+    D = t * t - 4
+    powers = [(2, 0)]                   # lam^k = (X + Y sqrt D) / 2, k = 0..n
+    for _ in range(n):
+        X, Y = powers[-1]
+        powers.append(((t * X + D * Y) // 2, (X + t * Y) // 2))
+    index = {}
     lines: List[ProjectiveLine] = []
-    line_weights: List[int] = []
-    points: List[ProjectivePoint] = []
-    point_weights: List[int] = []
-    bad: List[Tuple[int, int, int]] = []
-    for kmn in ball:
-        if kmn == (0, 0, 0):
-            continue
-        M = toral_element(spec, *kmn, form="conjugated")
-        limit, _ = _power_limit(M, cluster_eps)
-        if limit is None:
-            bad.append(kmn)
-            continue
-        ker = PseudoProjectiveMap(limit).kernel_projective(rank_tol)
-        if ker is None:
-            bad.append(kmn)
-        elif isinstance(ker, ProjectiveLine):
-            for i, known in enumerate(lines):
-                if known.gap(ker) < 1e-9:
-                    line_weights[i] += 1
-                    break
-            else:
-                lines.append(ker)
-                line_weights.append(1)
+    weights: List[int] = []
+    for (k, x, y) in word_ball(spec, n):
+        if k == 0:
+            if x == 0 and y == 0:
+                continue
+            key = (0,)
         else:
-            for i, known in enumerate(points):
-                if known.gap(ker) < 1e-9:
-                    point_weights[i] += 1
-                    break
-            else:
-                points.append(ker)
-                point_weights.append(1)
-    return LimitKernelResult(
-        [LimitLine(l, w) for l, w in zip(lines, line_weights)],
-        list(zip(points, point_weights)),
-        bad,
-    )
+            # the parameter is a fixed multiple, per pencil, of (c x + (ev - a) y)
+            # / (lam^|k| - 1), ev = lam or 1/lam by the sign of k; doubled, that is
+            # (alpha + beta sqrt D) / (gamma + delta sqrt D) = (p + q sqrt D) / r
+            alpha = 2 * c * x + (t - 2 * a) * y
+            beta = y if k > 0 else -y
+            X, Y = powers[abs(k)]
+            gamma, delta = X - 2, Y
+            p = alpha * gamma - beta * delta * D
+            q = beta * gamma - alpha * delta
+            r = gamma * gamma - D * delta * delta
+            g = math.gcd(p, q, r) if r > 0 else -math.gcd(p, q, r)
+            key = (1 if k > 0 else -1, p // g, q // g, r // g)
+        i = index.get(key)
+        if i is not None:
+            weights[i] += 1
+            continue
+        index[key] = len(lines)
+        weights.append(1)
+        u, v = spec.P_inv @ np.array([x, y], dtype=float)
+        lines.append(ProjectiveLine([1.0, 0.0, u / (spec.lam ** k - 1.0)] if k > 0 else
+                                    [0.0, 1.0, v / (spec.lam ** -k - 1.0)] if k < 0 else
+                                    [0.0, 0.0, 1.0]))
+    return LimitKernelResult([LimitLine(l, w) for l, w in zip(lines, weights)], [], [])
 
 
 def classify_limit_line(line: ProjectiveLine, tol: float = 1e-8):
@@ -407,9 +386,14 @@ class GeneralPositionResult:
 
 
 def _dedupe_lines(lines: Sequence[ProjectiveLine]) -> List[ProjectiveLine]:
+    """Lines in input order, keeping each whose sup-gap to every kept line is
+    at least 1e-9."""
     kept: List[ProjectiveLine] = []
+    duals = np.empty((len(lines), 3), dtype=complex)
     for l in lines:
-        if all(l.gap(k) >= 1e-9 for k in kept):
+        m = len(kept)
+        if m == 0 or np.abs(duals[:m] - l.dual).max(axis=1).min() >= 1e-9:
+            duals[m] = l.dual
             kept.append(l)
     return kept
 
@@ -435,12 +419,25 @@ def general_position_max(lines: Sequence[ProjectiveLine],
         return all(not concurrent(a, b, idx)
                    for a, b in itertools.combinations(chosen, 2))
 
-    def greedy(start: Tuple[int, ...], order: Iterable[int]) -> Tuple[int, ...]:
-        chosen = tuple(start)
-        for i in order:
-            if i not in chosen and compatible(i, chosen):
-                chosen = chosen + (i,)
-        return chosen
+    def greedy(start: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The start lines, then each line in index order that is concurrent
+        with no chosen pair.  The triple determinant is d_i . (d_a x d_b), so
+        each new pair prunes every candidate in one product."""
+        ok = np.ones(nl, dtype=bool)
+        chosen: List[int] = []
+
+        def add(i: int) -> None:
+            if chosen:
+                cross = np.cross(duals[chosen], duals[i])
+                ok[:] &= (np.abs(duals @ cross.T) > tol).all(axis=1)
+            chosen.append(i)
+            ok[i] = False
+
+        for i in start:
+            add(i)
+        while ok.any():
+            add(int(np.argmax(ok)))
+        return tuple(chosen)
 
     if nl <= 20:
         best: Tuple[int, ...] = ()
@@ -458,12 +455,12 @@ def general_position_max(lines: Sequence[ProjectiveLine],
         extend((), 0)
         return GeneralPositionResult(len(best), best, True)
 
-    best = greedy((), range(nl))
+    best = greedy(())
     improved = True
     while improved:
         improved = False
         for drop in range(len(best)):
-            trial = greedy(tuple(x for i, x in enumerate(best) if i != drop), range(nl))
+            trial = greedy(tuple(x for i, x in enumerate(best) if i != drop))
             if len(trial) > len(best):
                 best = trial
                 improved = True

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from solfold import (
     projective_act,
     word_ball,
 )
+from solfold.kleinian import _dedupe_lines
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 SPEC_B = ToralGroupSpec.from_matrix([[3, 2], [1, 1]])
@@ -249,8 +251,123 @@ def test_limit_kernels_match_fixed_point_oracle():
 def test_limit_kernels_trivial_ball():
     res = pseudo_limit_kernels(SPEC, 0)
     assert res.lines == [] and res.points == [] and res.nonconverged == []
-    with pytest.raises(ValueError):
-        pseudo_limit_kernels(SPEC, 2, cluster_eps=0.0)
+
+
+def _power_limit(M):
+    """Accumulation matrix of the powers of M in pseudo-projective space.
+
+    Normalized repeated squaring, at most 120 times, stopping once successive
+    lifts agree within 1e-14; None unless they end within 1e-6.
+    """
+    L = PseudoProjectiveMap(M).matrix
+    gap = math.inf
+    for _ in range(120):
+        L2 = PseudoProjectiveMap(L @ L).matrix
+        gap = float(np.abs(L2 - L).max())
+        L = L2
+        if gap <= 1e-14:
+            break
+    return L if gap <= 1e-6 else None
+
+
+def _power_limit_lines(spec, n):
+    """Second route to the limit lines: the power limit of each conjugated
+    word, its SVD kernel, and a linear-scan dedupe at sup-gap 1e-9, in ball
+    order."""
+    lines, weights = [], []
+    for g in word_ball(spec, n):
+        if g == (0, 0, 0):
+            continue
+        limit = _power_limit(toral_element(spec, *g, form="conjugated"))
+        assert limit is not None, g
+        ker = PseudoProjectiveMap(limit).kernel_projective()
+        assert isinstance(ker, ProjectiveLine), g
+        for i, known in enumerate(lines):
+            if known.gap(ker) < 1e-9:
+                weights[i] += 1
+                break
+        else:
+            lines.append(ker)
+            weights.append(1)
+    return lines, weights
+
+
+def test_limit_kernels_match_power_iteration():
+    for spec in (SPEC, SPEC_B):
+        res = pseudo_limit_kernels(spec, 5)
+        lines, weights = _power_limit_lines(spec, 5)
+        assert [ll.weight for ll in res.lines] == weights
+        for ll, line in zip(res.lines, lines):
+            assert np.abs(ll.line.dual - line.dual).max() < 1e-9
+
+
+def _decimal_limit_lines(A, n):
+    """Limit lines by 60-digit arithmetic: {family: [(parameter, weight)]}.
+
+    Rebuilds the conjugating eigenbasis of ToralGroupSpec in decimal
+    (columns (b, ev - a), which needs b != 0, scaled to sup norm one with the
+    leading entry positive), evaluates -u / (lam^k - 1) and -v / (lam^-k - 1)
+    for every word, and merges sorted parameters closer than 1e-40.
+    """
+    (a, b), (c, d) = A
+    with localcontext() as ctx:
+        ctx.prec = 60
+        root = Decimal((a + d) ** 2 - 4).sqrt()
+        lam = (a + d + root) / 2
+
+        def eigvec(ev):
+            v = [Decimal(b), ev - a]
+            top = max(abs(v[0]), abs(v[1]))
+            v = [x / top for x in v]
+            return v if (v[0] if v[0] != 0 else v[1]) > 0 else [-x for x in v]
+
+        (p0, p1), (q0, q1) = eigvec(lam), eigvec(1 / lam)
+        det = p0 * q1 - q0 * p1
+        params = {"pencil1": [], "pencil2": []}
+        infinity = 0
+        for k, x, y in itertools.product(range(-n, n + 1), repeat=3):
+            if abs(k) + abs(x) + abs(y) > n or (k, x, y) == (0, 0, 0):
+                continue
+            if k == 0:
+                infinity += 1
+            elif k > 0:
+                u = (q1 * x - q0 * y) / det
+                params["pencil1"].append(-u / (lam ** k - 1))
+            else:
+                v = (p0 * y - p1 * x) / det
+                params["pencil2"].append(-v / (lam ** -k - 1))
+        out = {"infinity": [(None, infinity)]}
+        for family, values in params.items():
+            clusters = []
+            for r in sorted(values):
+                if clusters and r - clusters[-1][0] < Decimal("1e-40"):
+                    clusters[-1][1] += 1
+                else:
+                    clusters.append([r, 1])
+            out[family] = [(float(r), w) for r, w in clusters]
+        return out
+
+
+@pytest.mark.parametrize("n,totals", [(8, (627, 627)), (12, (2147, 2187)),
+                                      (16, (5099, 5235))])
+def test_limit_line_counts_are_exact(n, totals):
+    got_totals = []
+    for A, spec in (([[2, 1], [1, 1]], SPEC), ([[3, 2], [1, 1]], SPEC_B)):
+        exact = _decimal_limit_lines(A, n)
+        res = pseudo_limit_kernels(spec, n)
+        got = {"infinity": [], "pencil1": [], "pencil2": []}
+        for ll in res.lines:
+            family, r = classify_limit_line(ll.line)
+            got[family].append((r, ll.weight))
+        assert got["infinity"] == exact["infinity"]
+        for family in ("pencil1", "pencil2"):
+            lib = sorted(got[family])
+            assert len(lib) == len(exact[family])
+            for (r, w), (r_exact, w_exact) in zip(lib, exact[family]):
+                assert w == w_exact
+                assert abs(r - r_exact) <= 1e-12 * max(1.0, abs(r_exact))
+        got_totals.append(len(res.lines))
+    assert tuple(got_totals) == totals
 
 
 def test_classify_reference_lines():
@@ -301,6 +418,114 @@ def test_general_position_empty_and_small():
     two = [ProjectiveLine([1, 0, 0]), ProjectiveLine([0, 1, 0])]
     res = general_position_max(two)
     assert res.size == 2 and res.exhaustive
+
+
+def _dedupe_reference(lines):
+    """Scalar form of the general-position dedupe: keep a line iff its sup-gap
+    to every kept line is at least 1e-9, in input order.  Python complex
+    numbers take the same hypot modulus as numpy, at a fraction of the cost
+    per pair."""
+    kept, duals = [], []
+    for l in lines:
+        a, b, c = l.dual.tolist()
+        if all(max(abs(a - p), abs(b - q), abs(c - r)) >= 1e-9 for p, q, r in duals):
+            kept.append(l)
+            duals.append((a, b, c))
+    return kept
+
+
+def _general_position_reference(lines, tol=1e-8):
+    """Scalar form of general_position_max: one determinant per triple, and a
+    greedy scan that takes each compatible line in index order."""
+    ls = _dedupe_reference(lines)
+    nl = len(ls)
+    if nl == 0:
+        return GeneralPositionResult(0, (), True)
+    duals = np.array([l.dual for l in ls])
+
+    def compatible(idx, chosen):
+        return all(abs(np.linalg.det(duals[[a, b, idx]])) > tol
+                   for a, b in itertools.combinations(chosen, 2))
+
+    def greedy(start):
+        chosen = tuple(start)
+        for i in range(nl):
+            if i not in chosen and compatible(i, chosen):
+                chosen = chosen + (i,)
+        return chosen
+
+    if nl <= 20:
+        best = ()
+
+        def extend(chosen, start):
+            nonlocal best
+            if len(chosen) > len(best):
+                best = chosen
+            if len(chosen) + (nl - start) <= len(best):
+                return
+            for i in range(start, nl):
+                if compatible(i, chosen):
+                    extend(chosen + (i,), i + 1)
+
+        extend((), 0)
+        return GeneralPositionResult(len(best), best, True)
+    best = greedy(())
+    improved = True
+    while improved:
+        improved = False
+        for drop in range(len(best)):
+            trial = greedy(tuple(x for i, x in enumerate(best) if i != drop))
+            if len(trial) > len(best):
+                best, improved = trial, True
+                break
+    return GeneralPositionResult(len(best), best, False)
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_general_position_matches_scalar_reference(n):
+    for spec in (SPEC, SPEC_B):
+        lines = [ll.line for ll in pseudo_limit_kernels(spec, n).lines]
+        assert general_position_max(lines) == _general_position_reference(lines)
+
+
+_grid = st.integers(-9, 9)
+
+
+@st.composite
+def _planted_lines(draw):
+    """Distinct lines (1, z2, z3) on a dyadic grid, which normalization leaves
+    as drawn, and near-duplicates of some of them: z3 moved by 5e-10, which
+    must merge, or by 2e-9, which must stay.  Most lines pass through one of
+    a few centres, so concurrent triples abound; grid determinants are zero
+    or far above the concurrency tolerance."""
+    centres = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                            min_size=1, max_size=3, unique=True))
+    through = draw(st.lists(st.tuples(st.sampled_from(centres), _grid, _grid),
+                            min_size=21, max_size=40))
+    free = draw(st.lists(st.tuples(_grid, _grid, _grid, _grid), max_size=3))
+    duals = [(1, complex(a, b) / 16, -(x + complex(a, b) / 16 * y) / 4)
+             for (x, y), a, b in through]
+    duals += [(1, complex(a, b) / 16, complex(c, e) / 16) for a, b, c, e in free]
+    duals = list(dict.fromkeys(duals))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(duals) - 1),
+                                    st.sampled_from([5e-10, 2e-9])),
+                          max_size=10, unique_by=lambda t: t[0]))
+    near = [duals[i][:2] + (duals[i][2] + gap,) for i, gap in picks]
+    return duals, near, sum(1 for _, gap in picks if gap > 1e-9)
+
+
+@given(planted=_planted_lines(), order=st.randoms(use_true_random=False))
+def test_general_position_matches_scalar_reference_on_planted_lines(planted, order):
+    duals, near, staying = planted
+    lines = [ProjectiveLine(d) for d in duals + near]
+    assert len(_dedupe_lines(lines)) == len(duals) + staying
+    order.shuffle(lines)
+    kept = _dedupe_lines(lines)
+    assert [id(l) for l in kept] == [id(l) for l in _dedupe_reference(lines)]
+    res = general_position_max(lines)
+    assert res == _general_position_reference(lines)
+    for i, j, k in itertools.combinations(res.witness, 3):
+        assert not lines_concurrent(kept[i], kept[j], kept[k])
 
 
 def test_membership_quadrants():
