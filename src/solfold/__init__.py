@@ -30,7 +30,7 @@ from .kleinian import (GeneralPositionResult, LatticeIsoResult,
                        pseudo_limit_kernels, reference_limit_lines,
                        sol_lattice_embed, toral_act, toral_compose,
                        toral_element, word_ball)
-from .quotient import (QuotientCheck, QuotientReport, StructuralNote,
+from .quotient import (CheckRow, QuotientReport, StructuralNote,
                        heis_quotient_check, sol_quotient_check,
                        structural_notes)
 from .sol import (STANDARD, SeparationResult, ShapeOperatorResult, SolElement,

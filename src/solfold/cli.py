@@ -11,14 +11,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _fd
 from .geometry import (MetricSpec, MixedPoint, ProductPoint, UpperHalfPoint,
-                       geodesic_residual, metric_norm)
+                       geodesic_residual, metric_norm, rand_mixed, rand_product)
 from .heisenberg import (HeisElement, UNIT_CUBE,
                          factored_proper_discontinuity_check, heis_act,
                          heis_commutator, heis_leaf_jacobian,
@@ -31,7 +31,8 @@ from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
                        proper_discontinuity_count, projective_act,
                        pseudo_limit_kernels, sol_lattice_embed, toral_act,
                        toral_element, word_ball)
-from .quotient import heis_quotient_check, sol_quotient_check
+from .quotient import (CheckRow, check_row, heis_quotient_check,
+                       sol_quotient_check)
 from .sol import (SolElement, SolParams, flow_equivariance_defect, leaf_embed,
                   leaf_metric, leaf_separation_numeric, normal_flow,
                   normal_flow_velocity, rectify, rectify_inverse,
@@ -83,19 +84,10 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (bool,)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt_float(float(v))
-    return str(v)
-
-
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    # every cell is a number, written exactly as in the JSON exports
     lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+    lines.extend(",".join(_json_text(c) for c in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -221,53 +213,77 @@ def _load_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-def _resolve(ns: argparse.Namespace, table: Dict[str, Tuple[Callable, object]],
-             dests: Dict[str, str]) -> Dict[str, object]:
+def _spec_or_error(A) -> ToralGroupSpec:
+    try:
+        return ToralGroupSpec.from_matrix(A)
+    except ValueError as e:
+        raise ConfigError("A", str(e))
+
+
+# Flags of each command and export target: key -> (parser, default).  The key
+# is at once the long flag without its "--", the config-file key, and the
+# argparse dest; a table's order is the order in which its values are parsed.
+_FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
+    "verify": {"suite": (str, "all"),
+               "seed": (_parse_int("seed"), 0),
+               "samples": (_parse_int("samples", lo=1), 500),
+               "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
+               "A": (_parse_matrix, ((2, 1), (1, 1))),
+               "lambda": (_parse_pos_float("lambda"), None),
+               "N": (_parse_int("N", lo=0), 6),
+               "out": (str, None), "format": (str, "json")},
+    "flow": {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
+             "s-range": (_parse_range("s-range"), (-2.0, 2.0, 0.1)),
+             "out": (str, None), "format": (str, "csv")},
+    "leaf-metric": {"y1": (_parse_pos_float("y1"), 1.0 / math.sqrt(2.0)),
+                    "y2": (_parse_pos_float("y2"), 1.0 / math.sqrt(2.0)),
+                    "t-range": (_parse_range("t-range"), (-2.0, 2.0, 0.25)),
+                    "out": (str, None), "format": (str, "csv")},
+    "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
+                  "N": (_parse_int("N", lo=0), 8),
+                  "seed": (_parse_int("seed"), 0),
+                  "out": (str, None), "format": (str, "json")},
+    "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
+              "N": (_parse_int("N", lo=0), 4),
+              "base": (_parse_base, (1j, 1j)),
+              "out": (str, None), "format": (str, "csv")},
+    "domain": {"A": (_parse_matrix, ((2, 1), (1, 1))),
+               "seed": (_parse_int("seed"), 0),
+               "out": (str, None), "format": (str, "json")},
+    "report": {"in": (str, None), "out": (str, None)},
+}
+_EXPORTS = ("flow", "leaf-metric", "limit-set", "orbit", "domain")
+
+# Flags whose values may begin with a minus sign without being a plain
+# negative integer (ranges, points, matrices, floats such as -1e-3), which
+# argparse would take for an option; string and integer flags are left out.
+_VALUE_FLAGS = {"--" + key for table in _FLAGS.values()
+                for key, (cast, default) in table.items()
+                if cast is not str and not isinstance(default, int)}
+
+
+def _resolve(ns: argparse.Namespace,
+             table: Dict[str, Tuple[Callable, object]]) -> Dict[str, object]:
     """Merge flag values, config-file values, and defaults; flags win."""
-    cfg_file = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+    cfg_file = _load_config_file(ns.config) if ns.config else {}
     for key in cfg_file:
         if key not in table:
             raise ConfigError(key, f"unknown config key {key!r}")
     resolved: Dict[str, object] = {}
     for key, (cast, default) in table.items():
-        flag_val = getattr(ns, dests[key])
-        if flag_val is not None:
-            resolved[key] = cast(flag_val) if isinstance(flag_val, str) else flag_val
-        elif key in cfg_file:
-            resolved[key] = cast(cfg_file[key])
-        else:
-            resolved[key] = default
+        raw = getattr(ns, key)
+        if raw is None:
+            raw = cfg_file.get(key)
+        resolved[key] = default if raw is None else cast(raw)
     return resolved
 
 
 # ---------------------------------------------------------------------------
 # verification suites
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    residual: float
-    threshold: float
-    passed: bool
-    claim: str
-
-
-def _row(name: str, residual: float, threshold: float, claim: str,
-         scale: float) -> CheckRow:
-    thr = threshold * scale
-    res = float(abs(residual))
-    return CheckRow(name, res, thr, res <= thr, claim)
-
-
-def _rand_product(rng: np.random.Generator) -> ProductPoint:
-    x1, x2 = rng.uniform(-3.0, 3.0, size=2)
-    y1, y2 = rng.uniform(0.3, 4.0, size=2)
-    return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
-
-
-def _suite_sol(seed: int, samples: int, scale: float,
-               lam: Optional[float]) -> List[CheckRow]:
-    rng = np.random.default_rng(seed)
+def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
+    rng = np.random.default_rng(cfg["seed"])
+    samples, scale, lam = cfg["samples"], cfg["tol-scale"], cfg["lambda"]
     try:
         params = SolParams.standard() if lam is None else SolParams(lam)
     except ValueError as e:
@@ -277,28 +293,28 @@ def _suite_sol(seed: int, samples: int, scale: float,
 
     worst = 0.0
     for _ in range(samples):
-        z = _rand_product(rng)
+        z = rand_product(rng, 0.3, 4.0)
         g = SolElement(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-3, 3))
         worst = max(worst, flow_equivariance_defect(params, z, g, rng.uniform(-2, 2)))
-    rows.append(_row("flow-equivariance", worst, 1e-12,
-                     "the normal flow commutes with every leaf action", scale))
+    rows.append(check_row("flow-equivariance", worst, 1e-12,
+                          "the normal flow commutes with every leaf action", scale))
 
     worst = 0.0
     for _ in range(min(samples, 100)):
-        z = _rand_product(rng)
+        z = rand_product(rng, 0.3, 4.0)
         curve = lambda u: normal_flow(z, u).coords()
         worst = max(worst, geodesic_residual(ghyp, curve, rng.uniform(-1.5, 1.5)))
-    rows.append(_row("flow-geodesic", worst, 1e-6,
-                     "flow lines are geodesics of the product metric", scale))
+    rows.append(check_row("flow-geodesic", worst, 1e-6,
+                          "flow lines are geodesics of the product metric", scale))
 
     worst = 0.0
     for _ in range(min(samples, 200)):
-        z = _rand_product(rng)
+        z = rand_product(rng, 0.3, 4.0)
         s = rng.uniform(-2, 2)
         speed = metric_norm(ghyp, normal_flow(z, s), normal_flow_velocity(z, s))
         worst = max(worst, abs(speed - 1.0))
-    rows.append(_row("flow-unit-speed", worst, 1e-10,
-                     "the normal field has unit length everywhere", scale))
+    rows.append(check_row("flow-unit-speed", worst, 1e-10,
+                          "the normal field has unit length everywhere", scale))
 
     worst = 0.0
     for _ in range(min(samples, 60)):
@@ -309,22 +325,22 @@ def _suite_sol(seed: int, samples: int, scale: float,
                                      SolElement(c[0], c[1], c[2])).coords()
         num = _fd.pullback(ghyp.matrix, embed, txy)
         worst = max(worst, float(np.abs(num - leaf_metric(base, txy[0])).max()))
-    rows.append(_row("leaf-metric", worst, 1e-10,
-                     "each leaf inherits the solvable model metric", scale))
+    rows.append(check_row("leaf-metric", worst, 1e-10,
+                          "each leaf inherits the solvable model metric", scale))
 
     worst = 0.0
     for t in (-1.0, 0.0, 1.0):
         for s in (-1.0, 0.0, 1.0):
             ev = np.sort(shape_operator(t, s).eigenvalues)
             worst = max(worst, float(np.abs(ev - np.array([-1.0, -1.0, 0.0])).max()))
-    rows.append(_row("shape-spectrum", worst, 1e-6,
-                     "principal curvatures of every leaf are -1, -1, 0", scale))
+    rows.append(check_row("shape-spectrum", worst, 1e-6,
+                          "principal curvatures of every leaf are -1, -1, 0", scale))
 
     sep = leaf_separation_numeric(0.0, 1.0)
     res = abs(sep.value - 1.0) + (0.0 if sep.converged else 1.0)
-    rows.append(_row("leaf-separation", res, 1e-4,
-                     "distance between leaves equals the gap of their parameters",
-                     scale))
+    rows.append(check_row("leaf-separation", res, 1e-4,
+                          "distance between leaves equals the gap of their parameters",
+                          scale))
 
     worst = 0.0
     for _ in range(samples):
@@ -333,16 +349,17 @@ def _suite_sol(seed: int, samples: int, scale: float,
         worst = max(worst, float(np.abs(np.array(back) - np.array([t, x, y, s])).max()))
         backi = rectify_isometric_inverse(rectify_isometric(t, x, y, s))
         worst = max(worst, float(np.abs(np.array(backi) - np.array([t, x, y, s])).max()))
-        z = _rand_product(rng)
+        z = rand_product(rng, 0.3, 4.0)
         again = rectify(*rectify_inverse(z))
         worst = max(worst, float(np.abs(again.coords() - z.coords()).max()))
-    rows.append(_row("rectify-roundtrip", worst, 1e-12,
-                     "the straightening charts invert exactly", scale))
+    rows.append(check_row("rectify-roundtrip", worst, 1e-12,
+                          "the straightening charts invert exactly", scale))
     return rows
 
 
-def _suite_heis(seed: int, samples: int, scale: float) -> List[CheckRow]:
-    rng = np.random.default_rng(seed)
+def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
+    rng = np.random.default_rng(cfg["seed"])
+    samples, scale = cfg["samples"], cfg["tol-scale"]
     rows: List[CheckRow] = []
 
     worst = 0.0
@@ -353,16 +370,16 @@ def _suite_heis(seed: int, samples: int, scale: float) -> List[CheckRow]:
         worst = max(worst, abs(lhs.a - rhs.a), abs(lhs.b - rhs.b), abs(lhs.c - rhs.c))
         e = heis_mul(g, g.inverse())
         worst = max(worst, abs(e.a), abs(e.b), abs(e.c))
-    rows.append(_row("group-axioms", worst, 1e-14,
-                     "associativity and inverses hold to machine precision", scale))
+    rows.append(check_row("group-axioms", worst, 1e-14,
+                          "associativity and inverses hold to machine precision", scale))
 
     bad = 0
     for _ in range(min(samples, 200)):
-        m = _rand_mixed(rng)
+        m = rand_mixed(rng, 0.3, 4.0)
         if np.linalg.matrix_rank(heis_leaf_jacobian(m)) != 3:
             bad += 1
-    rows.append(_row("jacobian-rank", float(bad), 0.0,
-                     "every orbit map is an immersion of rank 3", scale))
+    rows.append(check_row("jacobian-rank", float(bad), 0.0,
+                          "every orbit map is an immersion of rank 3", scale))
 
     worst = 0.0
     for _ in range(samples):
@@ -371,25 +388,25 @@ def _suite_heis(seed: int, samples: int, scale: float) -> List[CheckRow]:
         g2, s2 = heis_rectify_inverse(heis_rectify(g, s))
         worst = max(worst, abs(g2.a - g.a), abs(g2.b - g.b), abs(g2.c - g.c),
                     abs(s2 - s))
-    rows.append(_row("rectify-roundtrip", worst, 1e-12,
-                     "the group-times-height chart inverts exactly", scale))
+    rows.append(check_row("rectify-roundtrip", worst, 1e-12,
+                          "the group-times-height chart inverts exactly", scale))
 
     worst = 0.0
     geh = MetricSpec.euclidean_times_hyperbolic()
     for _ in range(min(samples, 50)):
         y0 = rng.uniform(0.4, 2.5)
         abc = rng.uniform(-2, 2, size=3)
-        embed = lambda c: heis_act(HeisElement(c[0], c[1], c[2]),
-                                   _MIXED_BASE(y0)).coords()
+        base = MixedPoint(0j, UpperHalfPoint(0.0, y0))
+        embed = lambda c: heis_act(HeisElement(c[0], c[1], c[2]), base).coords()
         num = _fd.pullback(geh.matrix, embed, abc)
         worst = max(worst, float(np.abs(num - heis_pullback_metric(y0)).max()))
-    rows.append(_row("pullback-metric", worst, 1e-10,
-                     "orbit metric is flat left-invariant with height weights", scale))
+    rows.append(check_row("pullback-metric", worst, 1e-10,
+                          "orbit metric is flat left-invariant with height weights", scale))
 
     comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
-    rows.append(_row("commutator", max(abs(comm.a), abs(comm.b), abs(comm.c - 1)),
-                     0.0, "the horizontal generators commute to the central one",
-                     scale))
+    rows.append(check_row("commutator", max(abs(comm.a), abs(comm.b), abs(comm.c - 1)),
+                          0.0, "the horizontal generators commute to the central one",
+                          scale))
 
     worst = 0.0
     for _ in range(samples):
@@ -402,68 +419,55 @@ def _suite_heis(seed: int, samples: int, scale: float) -> List[CheckRow]:
         lat2, rep2 = heis_reduce_mod_integer_lattice(rep)
         worst = max(worst, abs(lat2.a), abs(lat2.b), abs(lat2.c),
                     abs(rep2.a - rep.a), abs(rep2.b - rep.b), abs(rep2.c - rep.c))
-    rows.append(_row("cube-reduction", worst, 1e-12,
-                     "unit-cube representatives are unique and consistent", scale))
+    rows.append(check_row("cube-reduction", worst, 1e-12,
+                          "unit-cube representatives are unique and consistent", scale))
 
     diff = 0
     for n in range(1, 5):
         cg, ca = factored_proper_discontinuity_check(heis_word_ball(n), UNIT_CUBE, 0.0)
         diff = max(diff, abs(cg - ca))
-    rows.append(_row("factored-counts", float(diff), 0.0,
-                     "group-side and ambient-side intersection counts agree", scale))
+    rows.append(check_row("factored-counts", float(diff), 0.0,
+                          "group-side and ambient-side intersection counts agree", scale))
 
     sep = heis_leaf_separation_numeric(0.0, 1.0)
     res = abs(sep.value - 1.0) + (0.0 if sep.converged else 1.0)
-    rows.append(_row("leaf-separation", res, 1e-4,
-                     "distance between orbit leaves equals the height gap", scale))
+    rows.append(check_row("leaf-separation", res, 1e-4,
+                          "distance between orbit leaves equals the height gap", scale))
     return rows
-
-
-def _MIXED_BASE(y0: float) -> MixedPoint:
-    return MixedPoint(0j, UpperHalfPoint(0.0, y0))
-
-
-def _rand_mixed(rng: np.random.Generator) -> MixedPoint:
-    zr, zi, wx = rng.uniform(-3.0, 3.0, size=3)
-    return MixedPoint(complex(zr, zi), UpperHalfPoint(wx, rng.uniform(0.3, 4.0)))
 
 
 _TEST_BOX = ((0.1, 0.9), (1.0, 2.0), (0.1, 0.9), (1.0, 2.0))
 
 
-def _suite_kleinian(seed: int, samples: int, scale: float,
-                    A: Tuple[Tuple[int, int], Tuple[int, int]],
-                    n_ball: int) -> List[CheckRow]:
-    rng = np.random.default_rng(seed)
-    try:
-        spec = ToralGroupSpec.from_matrix(A)
-    except ValueError as e:
-        raise ConfigError("A", str(e))
+def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
+    rng = np.random.default_rng(cfg["seed"])
+    samples, scale, A = cfg["samples"], cfg["tol-scale"], cfg["A"]
+    spec = _spec_or_error(A)
     rows: List[CheckRow] = []
 
     expected = 1 + sum(4 * r * r + 2 for r in range(1, 5))
-    rows.append(_row("word-ball-size", float(abs(len(word_ball(spec, 4)) - expected)),
-                     0.0, "the radius-4 ball has 129 elements", scale))
+    rows.append(check_row("word-ball-size", float(abs(len(word_ball(spec, 4)) - expected)),
+                          0.0, "the radius-4 ball has 129 elements", scale))
 
-    kres = pseudo_limit_kernels(spec, min(n_ball, 6))
+    kres = pseudo_limit_kernels(spec, min(cfg["N"], 6))
     unclassified = sum(1 for l in kres.lines
                        if classify_limit_line(l.line)[0] == "unclassified")
     has_inf = any(classify_limit_line(l.line)[0] == "infinity" for l in kres.lines)
     res = unclassified + len(kres.nonconverged) + len(kres.points) + (0 if has_inf else 1)
-    rows.append(_row("limit-kernels", float(res), 0.0,
-                     "every accumulation kernel is a line in the two real pencils "
-                     "or the line at infinity", scale))
+    rows.append(check_row("limit-kernels", float(res), 0.0,
+                          "every accumulation kernel is a line in the two real pencils "
+                          "or the line at infinity", scale))
 
     gp = general_position_max([l.line for l in kres.lines])
-    rows.append(_row("general-position", float(abs(gp.size - 4)), 0.0,
-                     "at most four of the limit lines are in general position",
-                     scale))
+    rows.append(check_row("general-position", float(abs(gp.size - 4)), 0.0,
+                          "at most four of the limit lines are in general position",
+                          scale))
 
     c1 = proper_discontinuity_count(spec, _TEST_BOX, 4)
     c2 = proper_discontinuity_count(spec, _TEST_BOX, 8)
-    rows.append(_row("discontinuity-stable", float(abs(c1 - c2)), 0.0,
-                     "only finitely many elements move the test box onto itself",
-                     scale))
+    rows.append(check_row("discontinuity-stable", float(abs(c1 - c2)), 0.0,
+                          "only finitely many elements move the test box onto itself",
+                          scale))
 
     iso_bad = 0
     r1 = lattice_iso_test(A, A)
@@ -474,15 +478,15 @@ def _suite_kleinian(seed: int, samples: int, scale: float,
     r3 = lattice_iso_test(A, ((3, 2), (1, 1)) if (A[0][0] + A[1][1]) != 4
                           else ((2, 1), (1, 1)))
     iso_bad += 0 if r3.status == "refuted" else 1
-    rows.append(_row("lattice-iso", float(iso_bad), 0.0,
-                     "conjugacy search certifies matches and trace refutes "
-                     "mismatches", scale))
+    rows.append(check_row("lattice-iso", float(iso_bad), 0.0,
+                          "conjugacy search certifies matches and trace refutes "
+                          "mismatches", scale))
 
     worst = 0.0
     ball = word_ball(spec, 2)
     for _ in range(min(samples, 300)):
         g = ball[int(rng.integers(0, len(ball)))]
-        z = _rand_product(rng)
+        z = rand_product(rng, 0.3, 4.0)
         direct = toral_act(spec, g, z).coords()
         via_sol = sol_act(SolParams.standard(), sol_lattice_embed(spec, *g), z).coords()
         M = toral_element(spec, *g, form="conjugated")
@@ -491,50 +495,36 @@ def _suite_kleinian(seed: int, samples: int, scale: float,
         via_proj = np.array([w1.real, w1.imag, w2.real, w2.imag])
         worst = max(worst, float(np.abs(direct - via_sol).max()),
                     float(np.abs(direct - via_proj).max()))
-    rows.append(_row("embed-agreement", worst, 1e-10,
-                     "projective, affine, and solvable descriptions of the "
-                     "action coincide", scale))
+    rows.append(check_row("embed-agreement", worst, 1e-10,
+                          "projective, affine, and solvable descriptions of the "
+                          "action coincide", scale))
     return rows
 
 
-def _suite_quotient(seed: int, samples: int, scale: float,
-                    A: Tuple[Tuple[int, int], Tuple[int, int]]) -> List[CheckRow]:
-    try:
-        spec = ToralGroupSpec.from_matrix(A)
-    except ValueError as e:
-        raise ConfigError("A", str(e))
-    rows: List[CheckRow] = []
-    rep = sol_quotient_check(spec, samples=min(samples, 300), seed=seed)
-    for c in rep.checks:
-        rows.append(_row("sol-" + c.name, c.residual, c.threshold, c.claim, scale))
-    hrep = heis_quotient_check((1, 1, 1), samples=min(samples, 300), seed=seed)
-    for c in hrep.checks:
-        rows.append(_row("heis-" + c.name, c.residual, c.threshold, c.claim, scale))
-    return rows
+def _suite_quotient(cfg: Dict[str, object]) -> List[CheckRow]:
+    spec = _spec_or_error(cfg["A"])
+    n, seed = min(cfg["samples"], 300), cfg["seed"]
+    reports = (("sol", sol_quotient_check(spec, samples=n, seed=seed)),
+               ("heis", heis_quotient_check((1, 1, 1), samples=n, seed=seed)))
+    # the reports hold unscaled rows; prefix and scale them for verify
+    return [check_row(f"{tag}-{c.name}", c.residual, c.threshold, c.claim,
+                      cfg["tol-scale"])
+            for tag, rep in reports for c in rep.checks]
 
 
-_SUITES = ("sol", "heis", "kleinian", "quotient")
+_SUITES: Dict[str, Callable[[Dict[str, object]], List[CheckRow]]] = {
+    "sol": _suite_sol, "heis": _suite_heis,
+    "kleinian": _suite_kleinian, "quotient": _suite_quotient,
+}
 
 
-def run_suite(suite: str, seed: int, samples: int, tol_scale: float,
-              A: Tuple[Tuple[int, int], Tuple[int, int]],
-              lam: Optional[float], n_ball: int) -> List[CheckRow]:
-    """Execute one named suite (or all) and return its check rows."""
-    rows: List[CheckRow] = []
-    selected = _SUITES if suite == "all" else (suite,)
-    for name in selected:
-        prefix = (name + "/") if suite == "all" else ""
-        if name == "sol":
-            batch = _suite_sol(seed, samples, tol_scale, lam)
-        elif name == "heis":
-            batch = _suite_heis(seed, samples, tol_scale)
-        elif name == "kleinian":
-            batch = _suite_kleinian(seed, samples, tol_scale, A, n_ball)
-        else:
-            batch = _suite_quotient(seed, samples, tol_scale, A)
-        rows.extend(CheckRow(prefix + r.name, r.residual, r.threshold,
-                             r.passed, r.claim) for r in batch)
-    return rows
+def run_suite(cfg: Dict[str, object]) -> List[CheckRow]:
+    """Execute the suite cfg["suite"] and return its check rows; "all" runs
+    every suite in turn and prefixes each row name with its suite."""
+    if cfg["suite"] != "all":
+        return _SUITES[cfg["suite"]](cfg)
+    return [replace(r, name=f"{name}/{r.name}")
+            for name, suite in _SUITES.items() for r in suite(cfg)]
 
 
 def _report_json(suite: str, seed: int, rows: Sequence[CheckRow]) -> str:
@@ -554,51 +544,25 @@ def _report_json(suite: str, seed: int, rows: Sequence[CheckRow]) -> str:
 # commands
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    table = {
-        "suite": (str, "all"),
-        "seed": (_parse_int("seed"), 0),
-        "samples": (_parse_int("samples", lo=1), 500),
-        "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
-        "A": (_parse_matrix, ((2, 1), (1, 1))),
-        "lambda": (_parse_pos_float("lambda"), None),
-        "N": (_parse_int("N", lo=0), 6),
-        "out": (str, None),
-        "format": (str, "json"),
-    }
-    dests = {"suite": "suite", "seed": "seed", "samples": "samples",
-             "tol-scale": "tol_scale", "A": "A", "lambda": "lam", "N": "N",
-             "out": "out", "format": "format"}
-    cfg = _resolve(ns, table, dests)
-    if cfg["suite"] not in _SUITES + ("all",):
+    cfg = _resolve(ns, _FLAGS["verify"])
+    if cfg["suite"] != "all" and cfg["suite"] not in _SUITES:
         raise ConfigError("suite", f"unknown suite {cfg['suite']!r}")
     if cfg["format"] != "json":
         raise ConfigError("format", "verify reports are json only")
-    rows = run_suite(cfg["suite"], cfg["seed"], cfg["samples"], cfg["tol-scale"],
-                     cfg["A"], cfg["lambda"], cfg["N"])
+    rows = run_suite(cfg)
     _emit(_report_json(cfg["suite"], cfg["seed"], rows), cfg["out"])
     return 0 if all(r.passed for r in rows) else 1
 
 
 def _cmd_export(ns: argparse.Namespace) -> int:
     sub = ns.target
+    cfg = _resolve(ns, _FLAGS[sub])
     if sub == "flow":
-        table = {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
-                 "s-range": (_parse_range("s-range"), (-2.0, 2.0, 0.1)),
-                 "out": (str, None), "format": (str, "csv")}
-        dests = {"z": "z", "s-range": "s_range", "out": "out", "format": "format"}
-        cfg = _resolve(ns, table, dests)
         z = ProductPoint.from_coords(cfg["z"])
         rows = [[s, *normal_flow(z, s).coords()] for s in _range_values(cfg["s-range"])]
         header = ["s", "x1", "y1", "x2", "y2"]
         return _emit_table(cfg, header, rows)
     if sub == "leaf-metric":
-        table = {"y1": (_parse_pos_float("y1"), 1.0 / math.sqrt(2.0)),
-                 "y2": (_parse_pos_float("y2"), 1.0 / math.sqrt(2.0)),
-                 "t-range": (_parse_range("t-range"), (-2.0, 2.0, 0.25)),
-                 "out": (str, None), "format": (str, "csv")}
-        dests = {"y1": "y1", "y2": "y2", "t-range": "t_range",
-                 "out": "out", "format": "format"}
-        cfg = _resolve(ns, table, dests)
         base = ProductPoint(UpperHalfPoint(0.0, cfg["y1"]),
                             UpperHalfPoint(0.0, cfg["y2"]))
         rows = []
@@ -607,13 +571,6 @@ def _cmd_export(ns: argparse.Namespace) -> int:
             rows.append([t, g[0, 0], g[1, 1], g[2, 2]])
         return _emit_table(cfg, ["t", "g_tt", "g_xx", "g_yy"], rows)
     if sub == "limit-set":
-        table = {"A": (_parse_matrix, ((2, 1), (1, 1))),
-                 "N": (_parse_int("N", lo=0), 8),
-                 "seed": (_parse_int("seed"), 0),
-                 "out": (str, None), "format": (str, "json")}
-        dests = {"A": "A", "N": "N", "seed": "seed", "out": "out",
-                 "format": "format"}
-        cfg = _resolve(ns, table, dests)
         if cfg["format"] != "json":
             raise ConfigError("format", "limit-set export is json only")
         spec = _spec_or_error(cfg["A"])
@@ -642,13 +599,6 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         _emit(_json_text(doc) + "\n", cfg["out"])
         return 0
     if sub == "orbit":
-        table = {"A": (_parse_matrix, ((2, 1), (1, 1))),
-                 "N": (_parse_int("N", lo=0), 4),
-                 "base": (_parse_base, (1j, 1j)),
-                 "out": (str, None), "format": (str, "csv")}
-        dests = {"A": "A", "N": "N", "base": "base", "out": "out",
-                 "format": "format"}
-        cfg = _resolve(ns, table, dests)
         spec = _spec_or_error(cfg["A"])
         b1, b2 = cfg["base"]
         if b1.imag <= 0 or b2.imag <= 0:
@@ -660,35 +610,22 @@ def _cmd_export(ns: argparse.Namespace) -> int:
             c = toral_act(spec, g, z).coords()
             rows.append([g[0], g[1], g[2], *c])
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
-    if sub == "domain":
-        table = {"A": (_parse_matrix, ((2, 1), (1, 1))),
-                 "seed": (_parse_int("seed"), 0),
-                 "out": (str, None), "format": (str, "json")}
-        dests = {"A": "A", "seed": "seed", "out": "out", "format": "format"}
-        cfg = _resolve(ns, table, dests)
-        if cfg["format"] != "json":
-            raise ConfigError("format", "domain export is json only")
-        spec = _spec_or_error(cfg["A"])
-        doc = {
-            "A": [list(r) for r in cfg["A"]],
-            "seed": cfg["seed"],
-            "lam": spec.lam,
-            "height_interval": [1.0, spec.lam],
-            "lattice_basis_columns": [[spec.P_inv[0, 0], spec.P_inv[1, 0]],
-                                      [spec.P_inv[0, 1], spec.P_inv[1, 1]]],
-            "description": "first height in [1, lam); horizontal pair in the "
-                           "half-open unit cell spanned by the basis columns",
-        }
-        _emit(_json_text(doc) + "\n", cfg["out"])
-        return 0
-    raise ConfigError("export", f"unknown export target {sub!r}")
-
-
-def _spec_or_error(A) -> ToralGroupSpec:
-    try:
-        return ToralGroupSpec.from_matrix(A)
-    except ValueError as e:
-        raise ConfigError("A", str(e))
+    # domain
+    if cfg["format"] != "json":
+        raise ConfigError("format", "domain export is json only")
+    spec = _spec_or_error(cfg["A"])
+    doc = {
+        "A": [list(r) for r in cfg["A"]],
+        "seed": cfg["seed"],
+        "lam": spec.lam,
+        "height_interval": [1.0, spec.lam],
+        "lattice_basis_columns": [[spec.P_inv[0, 0], spec.P_inv[1, 0]],
+                                  [spec.P_inv[0, 1], spec.P_inv[1, 1]]],
+        "description": "first height in [1, lam); horizontal pair in the "
+                       "half-open unit cell spanned by the basis columns",
+    }
+    _emit(_json_text(doc) + "\n", cfg["out"])
+    return 0
 
 
 def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> int:
@@ -703,9 +640,7 @@ def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> 
 
 
 def _cmd_report(ns: argparse.Namespace) -> int:
-    table = {"in": (str, None), "out": (str, None)}
-    dests = {"in": "infile", "out": "out"}
-    cfg = _resolve(ns, table, dests)
+    cfg = _resolve(ns, _FLAGS["report"])
     if cfg["in"] is None:
         raise ConfigError("in", "report needs --in FILE")
     try:
@@ -737,47 +672,19 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="verify and export the foliation "
                                             "and limit-set computations")
     subs = p.add_subparsers(dest="command", required=True)
-
     v = subs.add_parser("verify", help="run verification suites")
-    v.add_argument("--suite", default=None)
-    v.add_argument("--seed", default=None)
-    v.add_argument("--samples", default=None)
-    v.add_argument("--tol-scale", dest="tol_scale", default=None)
-    v.add_argument("--A", dest="A", default=None)
-    v.add_argument("--lambda", dest="lam", default=None)
-    v.add_argument("--N", dest="N", default=None)
-    v.add_argument("--out", default=None)
-    v.add_argument("--format", default=None)
-    v.add_argument("--config", default=None)
-    v.set_defaults(func=_cmd_verify)
-
     e = subs.add_parser("export", help="export curves, grids, and limit data")
-    e.add_argument("target", choices=["flow", "leaf-metric", "limit-set",
-                                      "orbit", "domain"])
-    e.add_argument("--z", default=None)
-    e.add_argument("--s-range", dest="s_range", default=None)
-    e.add_argument("--t-range", dest="t_range", default=None)
-    e.add_argument("--y1", default=None)
-    e.add_argument("--y2", default=None)
-    e.add_argument("--A", dest="A", default=None)
-    e.add_argument("--N", dest="N", default=None)
-    e.add_argument("--base", default=None)
-    e.add_argument("--seed", default=None)
-    e.add_argument("--out", default=None)
-    e.add_argument("--format", default=None)
-    e.add_argument("--config", default=None)
-    e.set_defaults(func=_cmd_export)
-
+    e.add_argument("target", choices=_EXPORTS)
     r = subs.add_parser("report", help="render a JSON report as text")
-    r.add_argument("--in", dest="infile", default=None)
-    r.add_argument("--out", default=None)
-    r.add_argument("--config", default=None)
-    r.set_defaults(func=_cmd_report)
+    for sub, tables, func in ((v, ("verify",), _cmd_verify),
+                              (e, _EXPORTS, _cmd_export),
+                              (r, ("report",), _cmd_report)):
+        # export takes the union of its targets' flags and ignores the rest
+        for key in dict.fromkeys(k for t in tables for k in _FLAGS[t]):
+            sub.add_argument("--" + key, dest=key)
+        sub.add_argument("--config")
+        sub.set_defaults(func=func)
     return p
-
-
-_VALUE_FLAGS = {"--z", "--s-range", "--t-range", "--y1", "--y2", "--A",
-                "--lambda", "--base", "--tol-scale"}
 
 
 def _glue_negative_values(args: List[str]) -> List[str]:

@@ -83,6 +83,19 @@ class MixedPoint:
 BasePoint = Union[ProductPoint, MixedPoint]
 
 
+def rand_product(rng: np.random.Generator, ymin: float, ymax: float) -> ProductPoint:
+    """Random point of H x H: real parts in [-3, 3), heights in [ymin, ymax)."""
+    x1, x2 = rng.uniform(-3.0, 3.0, size=2)
+    y1, y2 = rng.uniform(ymin, ymax, size=2)
+    return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+
+
+def rand_mixed(rng: np.random.Generator, ymin: float, ymax: float) -> MixedPoint:
+    """Random point of C x H: coordinates in [-3, 3), height in [ymin, ymax)."""
+    zr, zi, wx = rng.uniform(-3.0, 3.0, size=3)
+    return MixedPoint(complex(zr, zi), UpperHalfPoint(wx, rng.uniform(ymin, ymax)))
+
+
 @dataclass(frozen=True)
 class TangentVector4:
     """Tangent vector at a 4-dimensional ambient point."""

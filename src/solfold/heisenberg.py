@@ -13,7 +13,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ._optim import pattern_search
+from ._optim import SeparationResult, grid_then_descend
 from .geometry import (
     MetricSpec,
     MixedPoint,
@@ -120,13 +120,6 @@ def heis_pullback_metric(y0: float) -> np.ndarray:
     return MetricSpec.heis_pullback(y0).matrix([0.0, 0.0, 0.0])
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    value: float
-    converged: bool
-    evaluations: int
-
-
 def heis_leaf_separation(s0: float, s1: float) -> float:
     return abs(s1 - s0)
 
@@ -144,18 +137,8 @@ def heis_leaf_separation_numeric(s0: float, s1: float,
         g = HeisElement(v[0], v[1], v[2])
         return mixed_distance(base, heis_rectify(g, s1))
 
-    best, bx = math.inf, None
-    spent = 0
-    for a in np.linspace(-3.0, 3.0, 7):
-        for b in np.linspace(-5.0, 5.0, 7):
-            for c in np.linspace(-5.0, 5.0, 7):
-                v = np.array([a, b, c])
-                f = dist(v)
-                spent += 1
-                if f < best:
-                    best, bx = f, v
-    x, fx, spent, converged = pattern_search(dist, bx, 0.5, 1e-6, budget, spent)
-    return SeparationResult(fx, converged, spent)
+    bc = np.linspace(-5.0, 5.0, 7)
+    return grid_then_descend(dist, (np.linspace(-3.0, 3.0, 7), bc, bc), budget)
 
 
 def heis_reduce_mod_integer_lattice(

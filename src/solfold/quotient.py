@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import MixedPoint, ProductPoint, UpperHalfPoint
+from .geometry import ProductPoint, rand_mixed, rand_product
 from .heisenberg import (HeisElement, heis_act, heis_commutator, heis_mul,
                          heis_reduce_mod_integer_lattice)
 from .kleinian import (ToralGroupSpec, fundamental_domain_reduce,
@@ -25,12 +25,22 @@ from .sol import sol_mul
 
 
 @dataclass(frozen=True)
-class QuotientCheck:
+class CheckRow:
+    """One verified claim: its residual against a threshold."""
+
     name: str
     residual: float
     threshold: float
     passed: bool
     claim: str
+
+
+def check_row(name: str, residual: float, threshold: float, claim: str,
+              scale: float = 1.0) -> CheckRow:
+    """Row for |residual| against threshold * scale."""
+    res = float(abs(residual))
+    thr = threshold * scale
+    return CheckRow(name, res, thr, res <= thr, claim)
 
 
 @dataclass(frozen=True)
@@ -40,7 +50,7 @@ class QuotientReport:
     group: str
     component_count: int
     fundamental_domain: str
-    checks: Tuple[QuotientCheck, ...]
+    checks: Tuple[CheckRow, ...]
     samples: int
     seed: int
 
@@ -51,17 +61,6 @@ class QuotientReport:
     @property
     def max_residual(self) -> float:
         return max((c.residual for c in self.checks), default=0.0)
-
-
-def _check(name: str, residual: float, threshold: float, claim: str) -> QuotientCheck:
-    residual = float(abs(residual))
-    return QuotientCheck(name, residual, float(threshold), residual <= threshold, claim)
-
-
-def _sample_product_point(rng: np.random.Generator) -> ProductPoint:
-    x1, x2 = rng.uniform(-3.0, 3.0, size=2)
-    y1, y2 = rng.uniform(0.2, 5.0, size=2)
-    return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
 
 
 def _leaf_parameter(z: ProductPoint) -> float:
@@ -85,14 +84,14 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
 
     if ball_radius == 0:
         checks = (
-            _check("leaf-preservation", 0.0, 1e-10,
-                   "the trivial group fixes every leaf"),
-            _check("reduction-invariance", 0.0, 1e-8,
-                   "with no group elements every point represents itself"),
-            _check("semidirect-relation", 0.0, 1e-12,
-                   "no relations to check in the trivial group"),
-            _check("component-preservation", 0.0, 0.0,
-                   "the trivial group preserves the four components"),
+            check_row("leaf-preservation", 0.0, 1e-10,
+                      "the trivial group fixes every leaf"),
+            check_row("reduction-invariance", 0.0, 1e-8,
+                      "with no group elements every point represents itself"),
+            check_row("semidirect-relation", 0.0, 1e-12,
+                      "no relations to check in the trivial group"),
+            check_row("component-preservation", 0.0, 0.0,
+                      "the trivial group preserves the four components"),
         )
         return QuotientReport(group_desc, 4, "entire space", checks, samples, seed)
 
@@ -102,7 +101,7 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     reduce_res = 0.0
     sign_violations = 0
     for _ in range(samples):
-        z = _sample_product_point(rng)
+        z = rand_product(rng, 0.2, 5.0)
         s0 = _leaf_parameter(z)
         rep0 = fundamental_domain_reduce(spec, z)[1].coords()
         for idx in rng.integers(0, len(ball), size=10):
@@ -130,22 +129,16 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
                           abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
 
     checks = (
-        _check("leaf-preservation", leaf_res, 1e-10,
-               "the lattice action preserves each leaf parameter s"),
-        _check("reduction-invariance", reduce_res, 1e-8,
-               "fundamental-domain representatives are constant on orbits"),
-        _check("semidirect-relation", rel_res, 1e-12,
-               "conjugating a translation by the cyclic generator applies the integer matrix"),
-        _check("component-preservation", float(sign_violations), 0.0,
-               "positive scaling preserves the four sign components of the imaginary parts"),
+        check_row("leaf-preservation", leaf_res, 1e-10,
+                  "the lattice action preserves each leaf parameter s"),
+        check_row("reduction-invariance", reduce_res, 1e-8,
+                  "fundamental-domain representatives are constant on orbits"),
+        check_row("semidirect-relation", rel_res, 1e-12,
+                  "conjugating a translation by the cyclic generator applies the integer matrix"),
+        check_row("component-preservation", float(sign_violations), 0.0,
+                  "positive scaling preserves the four sign components of the imaginary parts"),
     )
     return QuotientReport(group_desc, 4, domain_desc, checks, samples, seed)
-
-
-def _sample_mixed_point(rng: np.random.Generator) -> MixedPoint:
-    zr, zi, wx = rng.uniform(-3.0, 3.0, size=3)
-    wy = rng.uniform(0.2, 5.0)
-    return MixedPoint(complex(zr, zi), UpperHalfPoint(wx, wy))
 
 
 def heis_quotient_check(moduli: Optional[Tuple[int, int, int]] = (1, 1, 1),
@@ -160,12 +153,12 @@ def heis_quotient_check(moduli: Optional[Tuple[int, int, int]] = (1, 1, 1),
 
     if moduli is None:
         checks = (
-            _check("height-invariance", 0.0, 0.0,
-                   "the trivial group fixes the second-factor height"),
-            _check("reduction-invariance", 0.0, 1e-12,
-                   "with no group elements every element represents itself"),
-            _check("commutator", 0.0, 0.0,
-                   "no generators, no commutator relation"),
+            check_row("height-invariance", 0.0, 0.0,
+                      "the trivial group fixes the second-factor height"),
+            check_row("reduction-invariance", 0.0, 1e-12,
+                      "with no group elements every element represents itself"),
+            check_row("commutator", 0.0, 0.0,
+                      "no generators, no commutator relation"),
         )
         return QuotientReport("heisenberg lattice (trivial)", 1, "entire group",
                               checks, samples, seed)
@@ -179,7 +172,7 @@ def heis_quotient_check(moduli: Optional[Tuple[int, int, int]] = (1, 1, 1),
     height_res = 0.0
     reduce_res = 0.0
     for _ in range(samples):
-        m = _sample_mixed_point(rng)
+        m = rand_mixed(rng, 0.2, 5.0)
         g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
         rep0 = heis_reduce_mod_integer_lattice(g, moduli)[1]
         for _ in range(10):
@@ -195,12 +188,12 @@ def heis_quotient_check(moduli: Optional[Tuple[int, int, int]] = (1, 1, 1),
     comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))
 
     checks = (
-        _check("height-invariance", height_res, 0.0,
-               "real translations leave the second-factor height unchanged"),
-        _check("reduction-invariance", reduce_res, 1e-12,
-               "cube representatives are constant on left cosets of the lattice"),
-        _check("commutator", comm_res, 0.0,
-               "the commutator of the two horizontal generators is the central generator"),
+        check_row("height-invariance", height_res, 0.0,
+                  "real translations leave the second-factor height unchanged"),
+        check_row("reduction-invariance", reduce_res, 1e-12,
+                  "cube representatives are constant on left cosets of the lattice"),
+        check_row("commutator", comm_res, 0.0,
+                  "the commutator of the two horizontal generators is the central generator"),
     )
     return QuotientReport(group_desc, 1, domain_desc, checks, samples, seed)
 

@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ._optim import pattern_search
+from ._optim import SeparationResult, grid_then_descend
 from .geometry import (
     SQRT2,
     MetricSpec,
@@ -282,13 +282,6 @@ def leaf_separation(s0: float, s1: float) -> float:
     return abs(s1 - s0)
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    value: float
-    converged: bool
-    evaluations: int
-
-
 def leaf_separation_numeric(s0: float, s1: float,
                             budget: int = 100_000) -> SeparationResult:
     """Minimize the product distance between the leaves s = s0 and s = s1.
@@ -302,19 +295,8 @@ def leaf_separation_numeric(s0: float, s1: float,
         return product_distance(rectify(t0, 0.0, 0.0, s0),
                                 rectify(t1, dx, dy, s1))
 
-    best, bx = math.inf, None
-    spent = 0
-    for t0 in np.linspace(-3.0, 3.0, 7):
-        for t1 in np.linspace(-3.0, 3.0, 7):
-            for dx in np.linspace(-5.0, 5.0, 5):
-                for dy in np.linspace(-5.0, 5.0, 5):
-                    v = np.array([t0, t1, dx, dy])
-                    f = dist(v)
-                    spent += 1
-                    if f < best:
-                        best, bx = f, v
-    x, fx, spent, converged = pattern_search(dist, bx, 0.5, 1e-6, budget, spent)
-    return SeparationResult(fx, converged, spent)
+    ts, xs = np.linspace(-3.0, 3.0, 7), np.linspace(-5.0, 5.0, 5)
+    return grid_then_descend(dist, (ts, ts, xs, xs), budget)
 
 
 @dataclass(frozen=True)
