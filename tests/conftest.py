@@ -9,6 +9,8 @@ genuinely independent routes to the same number.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -17,6 +19,12 @@ from hypothesis import settings
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
+
+# The CLI determinism criterion runs `python -m solfold.cli` in a subprocess;
+# give it the source tree that the pytest configuration puts on sys.path.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(Path(__file__).resolve().parents[1] / "src")]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 SEED = 20240817
 

@@ -284,3 +284,60 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
                   "--out", str(tmp_path / "no-such-dir" / "x.json"))
     assert rc == 1
     assert json.loads(out)["error"]["field"] == "out"
+
+
+def test_verify_flow_geodesic_passes_on_high_flow_lines(capsys):
+    # this seed draws flow lines high enough that a coordinate-wise residual
+    # read rounding noise as a failure on exact geodesics
+    rc, out = run(capsys, "verify", "--suite", "sol", "--samples", "500",
+                  "--seed", "110007")
+    assert rc == 0
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert rows["flow-geodesic"]["pass"] is True
+
+
+def test_verify_all_concatenates_the_single_suites(capsys):
+    common = ("--seed", "3", "--samples", "40")
+    rc, out = run(capsys, "verify", "--suite", "all", *common)
+    rows = json.loads(out)["checks"]
+    expected = []
+    for suite in ("sol", "heis", "kleinian", "quotient"):
+        _, single = run(capsys, "verify", "--suite", suite, *common)
+        expected += [dict(r, name=f"{suite}/{r['name']}")
+                     for r in json.loads(single)["checks"]]
+    assert rc == 0
+    assert len(rows) == 28
+    assert rows == expected
+
+
+# (command, a config key, its value, a key that only other commands accept)
+CONFIG_CASES = {
+    "verify": (("verify", "--suite", "heis", "--samples", "20"),
+               "tol-scale", "1e-20", "z"),
+    "flow": (("export", "flow"), "s-range", "-1:1:0.5", "N"),
+    "leaf-metric": (("export", "leaf-metric"), "t-range", "-1:1:0.5", "z"),
+    "limit-set": (("export", "limit-set"), "N", "3", "base"),
+    "orbit": (("export", "orbit"), "base", "2i,3i", "seed"),
+    "domain": (("export", "domain"), "A", "3,2,1,1", "N"),
+    "report": (("report",), "in", None, "suite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_file_key_matches_flag(case, tmp_path, capsys):
+    command, key, value, foreign = CONFIG_CASES[case]
+    if value is None:
+        value = str(tmp_path / "report.json")
+        run(capsys, "verify", "--suite", "heis", "--samples", "20", "--out", value)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    by_config = run(capsys, *command, "--config", str(cfg))
+    assert by_config == run(capsys, *command, f"--{key}", value)
+    assert by_config != run(capsys, *command)
+
+    cfg.write_text(f"{foreign}=1\n")
+    rc, out = run(capsys, *command, "--config", str(cfg))
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["field"] == foreign
+    assert repr(foreign) in err["message"]

@@ -479,3 +479,17 @@ def test_flow_moves_between_leaves_at_unit_rate(rng):
         before = rectify_inverse(z)[3]
         after = rectify_inverse(normal_flow(z, s))[3]
         assert abs((after - before) - s) < 1e-12
+
+
+def test_flow_geodesic_residual_does_not_grow_with_height(rng):
+    # the coordinate rounding noise of the central differences grows with
+    # the height; the residual, measured in the metric, must not
+    m = MetricSpec.half_hyperbolic_product()
+    for _ in range(20):
+        x1, y1, x2, y2 = rand_point(rng).coords()
+        z = ProductPoint.from_coords([x1, 1e3 * y1, x2, 1e3 * y2])
+
+        def curve(u):
+            return normal_flow(z, u).coords()
+
+        assert geodesic_residual(m, curve, rng.uniform(-1, 1)) < 1e-6
