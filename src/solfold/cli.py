@@ -225,7 +225,7 @@ def _spec_or_error(A) -> ToralGroupSpec:
 # argparse dest; a table's order is the order in which its values are parsed.
 _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
     "verify": {"suite": (str, "all"),
-               "seed": (_parse_int("seed"), 0),
+               "seed": (_parse_int("seed", lo=0), 0),
                "samples": (_parse_int("samples", lo=1), 500),
                "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
                "A": (_parse_matrix, ((2, 1), (1, 1))),
@@ -241,14 +241,14 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
                     "out": (str, None), "format": (str, "csv")},
     "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
                   "N": (_parse_int("N", lo=0), 8),
-                  "seed": (_parse_int("seed"), 0),
+                  "seed": (_parse_int("seed", lo=0), 0),
                   "out": (str, None), "format": (str, "json")},
     "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
               "N": (_parse_int("N", lo=0), 4),
               "base": (_parse_base, (1j, 1j)),
               "out": (str, None), "format": (str, "csv")},
     "domain": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-               "seed": (_parse_int("seed"), 0),
+               "seed": (_parse_int("seed", lo=0), 0),
                "out": (str, None), "format": (str, "json")},
     "report": {"in": (str, None), "out": (str, None)},
 }
@@ -556,6 +556,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 def _cmd_export(ns: argparse.Namespace) -> int:
     sub = ns.target
+    for key in dict.fromkeys(k for t in _EXPORTS for k in _FLAGS[t]):
+        if key not in _FLAGS[sub] and getattr(ns, key) is not None:
+            raise ConfigError(key, f"export {sub} has no flag --{key}")
     cfg = _resolve(ns, _FLAGS[sub])
     if sub == "flow":
         z = ProductPoint.from_coords(cfg["z"])
@@ -679,7 +682,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for sub, tables, func in ((v, ("verify",), _cmd_verify),
                               (e, _EXPORTS, _cmd_export),
                               (r, ("report",), _cmd_report)):
-        # export takes the union of its targets' flags and ignores the rest
+        # export takes the union of its targets' flags; _cmd_export rejects
+        # a flag its target lacks
         for key in dict.fromkeys(k for t in tables for k in _FLAGS[t]):
             sub.add_argument("--" + key, dest=key)
         sub.add_argument("--config")

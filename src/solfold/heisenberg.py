@@ -21,6 +21,8 @@ from .geometry import (
     UpperHalfPoint,
     mixed_distance,
 )
+# the leaves at heights e^{s0} and e^{s1} are |s1 - s0| apart, as in sol
+from .sol import leaf_separation as heis_leaf_separation
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,6 @@ def heis_rectify_inverse(m: MixedPoint) -> Tuple[HeisElement, float]:
 def heis_pullback_metric(y0: float) -> np.ndarray:
     """Metric induced on the leaf through (0, y0 i), constant in the group coordinates."""
     return MetricSpec.heis_pullback(y0).matrix([0.0, 0.0, 0.0])
-
-
-def heis_leaf_separation(s0: float, s1: float) -> float:
-    return abs(s1 - s0)
 
 
 def heis_leaf_separation_numeric(s0: float, s1: float,

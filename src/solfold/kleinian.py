@@ -137,6 +137,21 @@ def _int_mat(M) -> List[List[int]]:
     return A
 
 
+def _validate_hyperbolic(M, positive: bool = False) -> List[List[int]]:
+    """The one hyperbolicity rule: integer entries, determinant one and
+    |trace| > 2.  positive also asks for trace > 2, which an eigenvalue above
+    one needs; negate first a matrix whose trace is below minus two."""
+    A = _int_mat(M)
+    if A[0][0] * A[1][1] - A[0][1] * A[1][0] != 1:
+        raise ValueError("matrix must have determinant one")
+    tr = A[0][0] + A[1][1]
+    if positive and tr <= 2:
+        raise ValueError("matrix must be hyperbolic with trace above two")
+    if abs(tr) <= 2:
+        raise ValueError("matrix must be hyperbolic")
+    return A
+
+
 def _imul(X, Y):
     return [[X[0][0] * Y[0][0] + X[0][1] * Y[1][0], X[0][0] * Y[0][1] + X[0][1] * Y[1][1]],
             [X[1][0] * Y[0][0] + X[1][1] * Y[1][0], X[1][0] * Y[0][1] + X[1][1] * Y[1][1]]]
@@ -172,25 +187,14 @@ class ToralGroupSpec:
 
     @classmethod
     def from_matrix(cls, A) -> "ToralGroupSpec":
-        M = _int_mat(A)
-        det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
-        if det != 1:
-            raise ValueError("matrix must have determinant one")
+        M = _validate_hyperbolic(A, positive=True)
         tr = M[0][0] + M[1][1]
-        if tr <= 2:
-            # an eigenvalue above one needs trace above two; negate first if
-            # the trace is below minus two
-            raise ValueError("matrix must be hyperbolic with trace above two")
         lam = (tr + math.sqrt(tr * tr - 4)) / 2.0
         mu = 1.0 / lam
 
         def eigvec(ev: float) -> np.ndarray:
-            if M[0][1] != 0:
-                v = np.array([M[0][1], ev - M[0][0]], dtype=float)
-            elif M[1][0] != 0:
-                v = np.array([ev - M[1][1], M[1][0]], dtype=float)
-            else:
-                raise ValueError("matrix is diagonal, not hyperbolic")
+            # the off-diagonal entries of a hyperbolic matrix are nonzero
+            v = np.array([M[0][1], ev - M[0][0]], dtype=float)
             v = v / np.abs(v).max()
             lead = v[np.nonzero(np.abs(v) > 1e-12)[0][0]]
             return v if lead > 0 else -v
@@ -553,19 +557,9 @@ def sol_lattice_embed(spec: ToralGroupSpec, k: int, n: int, m: int) -> SolElemen
 
 @dataclass(frozen=True)
 class LatticeIsoResult:
-    status: str                        # "found" | "refuted" | "not_found"
+    status: str                        # "found" | "refuted"
     conjugator: Optional[np.ndarray]   # integer matrix U with U A U^{-1} = target
     target: Optional[str]              # "B" | "B_inverse"
-
-
-def _validate_hyperbolic(M) -> List[List[int]]:
-    A = _int_mat(M)
-    det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    if det != 1:
-        raise ValueError("matrix must have determinant one")
-    if abs(A[0][0] + A[1][1]) <= 2:
-        raise ValueError("matrix must be hyperbolic")
-    return A
 
 
 def _conjugates_to(U, A, B) -> bool:
@@ -578,54 +572,76 @@ def _conjugates_to(U, A, B) -> bool:
     return UA == BU
 
 
-def lattice_iso_test(A, B, bound: int = 50) -> LatticeIsoResult:
+# inverses of the letters R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
+_LETTER_INV = {"R": [[1, -1], [0, 1]], "L": [[1, 0], [-1, 1]]}
+
+
+def _rl_reduce(M) -> Tuple[List[List[int]], str]:
+    """Conjugate a determinant-one M with trace above two to a positive word.
+
+    Returns V in SL(2, Z) and the word w in R, L with V M V^{-1} the product
+    of w, rotated to its least rotation.  Positive words conjugate in
+    SL(2, Z) are rotations of one another (Katok 2003; Karpenkov 2013), so w
+    is a complete conjugacy invariant.
+    """
+    (a, b), (c, d) = M
+    t = a + d
+    V = [[1, 0], [0, 1]]
+    while True:
+        # put a within |c|/2 of t/2, so that b c > 0 or else |b| < |c|/4; a
+        # quarter turn then makes b, c > 0 or shrinks |c| fourfold
+        k = ((t - 2 * a) * c + c * c) // (2 * c * c)
+        a, b, d = a + k * c, b + k * (d - a) - k * k * c, d - k * c
+        V = _imul([[1, k], [0, 1]], V)
+        if b > 0 and c > 0:
+            break
+        a, b, c, d = d, -c, -b, a
+        V = _imul([[0, -1], [1, 0]], V)
+    # all entries are positive now; the dominating row carries the first letter
+    word = ""
+    while b or c:
+        if a >= c and b >= d:
+            word, a, b = word + "R", a - c, b - d
+        else:
+            word, c, d = word + "L", c - a, d - b
+    i = min(range(len(word)), key=lambda j: word[j:] + word[:j])
+    for x in word[:i]:
+        V = _imul(_LETTER_INV[x], V)
+    return V, word[i:] + word[:i]
+
+
+def lattice_iso_test(A, B) -> LatticeIsoResult:
     """Decide conjugacy of <A> and <B> inside GL(2, Z), up to inverting B.
 
     The trace is a conjugacy invariant and matches that of the inverse, so a
-    trace mismatch refutes.  Otherwise conjugators are searched with first
-    row in [-bound, bound]^2, the second row solved exactly from the linear
-    relation U A = B U; any returned conjugator is verified in integers.
+    trace mismatch refutes.  U A U^{-1} = T exactly when U (-A) U^{-1} = -T,
+    so a trace below -2 is negated away.  Conjugating by J = [[0, 1], [1, 0]]
+    swaps R and L and covers the determinant -1 conjugators, so B or B^{-1}
+    is conjugate to A exactly when its R/L word, after J or not, equals that
+    of A.  The conjugator U = W V_T^{-1} V_A is then verified in integers.
     """
     Ai = _validate_hyperbolic(A)
     Bi = _validate_hyperbolic(B)
-    trA = Ai[0][0] + Ai[1][1]
-    trB = Bi[0][0] + Bi[1][1]
-    if trA != trB:
+    tr = Ai[0][0] + Ai[1][1]
+    if tr != Bi[0][0] + Bi[1][1]:
         return LatticeIsoResult("refuted", None, None)
+    sign = 1 if tr > 0 else -1
 
-    Binv = [[Bi[1][1], -Bi[0][1]], [-Bi[1][0], Bi[0][0]]]
-    targets = (("B", Bi), ("B_inverse", Binv))
+    def reduce(W, M):
+        return _rl_reduce([[sign * x for x in row] for row in _imul(_imul(W, M), W)])
 
-    for name, T in targets:
-        if _conjugates_to([[1, 0], [0, 1]], Ai, T):
-            return LatticeIsoResult("found", np.array([[1, 0], [0, 1]]), name)
-
-    a1, a2, a3, a4 = Ai[0][0], Ai[0][1], Ai[1][0], Ai[1][1]
-    candidates = sorted(
-        ((p, q) for p in range(-bound, bound + 1) for q in range(-bound, bound + 1)
-         if (p, q) != (0, 0)),
-        key=lambda pq: (abs(pq[0]) + abs(pq[1]), pq))
-    for name, T in targets:
-        b1, b2, b3, b4 = T[0][0], T[0][1], T[1][0], T[1][1]
-        for p, q in candidates:
-            if b2 != 0:
-                num_r = p * (a1 - b1) + q * a3
-                num_s = p * a2 + q * (a4 - b1)
-                if num_r % b2 or num_s % b2:
-                    continue
-                U = [[p, q], [num_r // b2, num_s // b2]]
-            elif b3 != 0:
-                # rows swap roles: solve the first row from the second
-                num_p = p * a1 + q * a3 - b4 * p
-                num_q = p * a2 + q * a4 - b4 * q
-                if num_p % b3 or num_q % b3:
-                    continue
-                U = [[num_p // b3, num_q // b3], [p, q]]
-            else:
-                break  # diagonal target cannot be hyperbolic
-            if _conjugates_to(U, Ai, T):
+    I, J = [[1, 0], [0, 1]], [[0, 1], [1, 0]]
+    VA, word = reduce(I, Ai)
+    for name, T in (("B", Bi), ("B_inverse", _ipow(Bi, -1))):
+        for W in (I, J):
+            VT, word_T = reduce(W, T)
+            if word_T == word:
+                U = _imul(_imul(W, _ipow(VT, -1)), VA)
+                if not _conjugates_to(U, Ai, T):
+                    raise ArithmeticError("equal R/L words without an "
+                                          "integer conjugator")
                 return LatticeIsoResult("found", np.array(U), name)
-    return LatticeIsoResult("not_found", None, None)
+    return LatticeIsoResult("refuted", None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -218,8 +218,8 @@ def structural_notes(spec: Optional[ToralGroupSpec] = None) -> Tuple[StructuralN
             False, "NOT VERIFIED - REPORT ONLY"),
         StructuralNote(
             "Hyperbolic conjugacy classes in GL(2, Z) are countable, so these "
-            "groups form a countable family; pairwise distinction reduces to "
-            "the integer conjugacy search in lattice_iso_test.",
+            "groups form a countable family; pairwise distinction is decided "
+            "by lattice_iso_test.",
             False, "NOT VERIFIED - REPORT ONLY"),
     ]
     if spec is not None:

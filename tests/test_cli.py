@@ -341,3 +341,46 @@ def test_config_file_key_matches_flag(case, tmp_path, capsys):
     err = json.loads(out)["error"]
     assert err["field"] == foreign
     assert repr(foreign) in err["message"]
+
+
+@pytest.mark.parametrize("command", [("verify", "--suite", "heis", "--samples", "5"),
+                                     ("export", "limit-set", "--N", "1"),
+                                     ("export", "domain")])
+def test_negative_seed_is_config_error(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=-3\n")
+    for extra in (("--seed", "-3"), ("--config", str(cfg))):
+        rc, out = run(capsys, *command, *extra)
+        assert rc == 2
+        assert json.loads(out)["error"]["field"] == "seed"
+
+
+# a flag of another export target, with a value that target would accept
+FOREIGN_EXPORT_FLAGS = {"flow": ("A", "3,2,1,1"), "leaf-metric": ("N", "3"),
+                        "limit-set": ("base", "2i,3i"), "orbit": ("seed", "1"),
+                        "domain": ("z", "0,1,0,1")}
+
+
+@pytest.mark.parametrize("target", sorted(FOREIGN_EXPORT_FLAGS))
+def test_export_rejects_flags_of_other_targets(target, tmp_path, capsys):
+    key, value = FOREIGN_EXPORT_FLAGS[target]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    by_flag = run(capsys, "export", target, f"--{key}", value)
+    by_config = run(capsys, "export", target, "--config", str(cfg))
+    for rc, out in (by_flag, by_config):
+        assert rc == 2
+        assert json.loads(out)["error"]["field"] == key
+
+
+@pytest.mark.parametrize("A, message", [
+    ("1,1,0,1", "matrix must be hyperbolic with trace above two"),
+    ("-2,-1,-1,-1", "matrix must be hyperbolic with trace above two"),
+    ("2,0,0,1", "matrix must have determinant one"),
+])
+def test_bad_matrix_messages(A, message, capsys):
+    for command in (("verify", "--suite", "kleinian", "--samples", "5"),
+                    ("export", "domain")):
+        rc, out = run(capsys, *command, "--A", A)
+        assert rc == 2
+        assert json.loads(out)["error"] == {"field": "A", "message": message}

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import affine_box_hits_via_matrix
@@ -676,6 +676,111 @@ def test_lattice_iso_refutes_distinct_traces():
     res = lattice_iso_test([[2, 1], [1, 1]], [[3, 2], [1, 1]])
     assert res.status == "refuted"
     assert res.conjugator is None
+
+
+def _mat_mul(X, Y):
+    return tuple(tuple(sum(X[i][k] * Y[k][j] for k in range(2)) for j in range(2))
+                 for i in range(2))
+
+
+def _mat_inv(M):
+    """Inverse of a determinant-one integer matrix."""
+    (a, b), (c, d) = M
+    return ((d, -b), (-c, a))
+
+
+def _box_matrices(m):
+    """Hyperbolic determinant-one matrices with entries in [-m, m], by trace."""
+    by_trace = {}
+    for a, b, c, d in itertools.product(range(-m, m + 1), repeat=4):
+        if a * d - b * c == 1 and abs(a + d) > 2:
+            by_trace.setdefault(a + d, []).append(((a, b), (c, d)))
+    return by_trace
+
+
+def _brute_force_conjugates(mats, m, bound):
+    """For each A in mats, every U A U^{-1} with entries in [-m, m], over all
+    U in GL(2, Z) with entries in [-bound, bound]: the enumeration oracle."""
+    grid = np.arange(-bound, bound + 1)
+    p, q, r, s = (g.ravel() for g in np.meshgrid(grid, grid, grid, grid, indexing="ij"))
+    det = p * s - q * r
+    keep = np.abs(det) == 1
+    p, q, r, s, det = p[keep], q[keep], r[keep], s[keep], det[keep]
+    out = {}
+    for A in mats:
+        (a, b), (c, d) = A
+        # U A, then times U^{-1} = det U * [[s, -q], [-r, p]]
+        e, f, g, h = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        conj = det * np.stack([e * s - f * r, f * p - e * q, g * s - h * r, h * p - g * q])
+        inside = np.abs(conj).max(axis=0) <= m
+        out[A] = {((w, x), (y, z)) for w, x, y, z in conj[:, inside].T.tolist()}
+    return out
+
+
+def test_lattice_iso_decides_the_box_like_brute_force():
+    by_trace = _box_matrices(6)
+    mats = [A for ms in by_trace.values() for A in ms]
+    conjugates = _brute_force_conjugates(mats, 6, 10)
+    decided = found = 0
+    for ms in by_trace.values():
+        for A in ms:
+            for B in ms:
+                res = lattice_iso_test(A, B)
+                expect = B in conjugates[A] or _mat_inv(B) in conjugates[A]
+                assert res.status == ("found" if expect else "refuted"), (A, B)
+                if expect:
+                    _verify_conjugator(res.conjugator, A,
+                                       B if res.target == "B" else _mat_inv(B))
+                    found += 1
+                decided += 1
+    assert (decided, found) == (4512, 4000)
+
+
+_LETTERS = {"R": ((1, 1), (0, 1)), "r": ((1, -1), (0, 1)),
+            "L": ((1, 0), (1, 1)), "l": ((1, 0), (-1, 1)), "J": ((0, 1), (1, 0))}
+_SMALL_HYPERBOLIC = [A for ms in _box_matrices(3).values() for A in ms]
+
+
+@example(word="RRJ" * 8, A=((2, 1), (1, 1)), invert=False)   # U = [[985, 408], [408, 169]]
+@given(word=st.text(alphabet="RrLlJ", max_size=14),
+       A=st.sampled_from(_SMALL_HYPERBOLIC), invert=st.booleans())
+def test_lattice_iso_finds_planted_conjugates(word, A, invert):
+    U = ((1, 0), (0, 1))
+    for x in word:
+        U = _mat_mul(U, _LETTERS[x])
+    T = _mat_inv(A) if invert else A
+    # U^{-1} = det U * adj U, and det U = +-1
+    det = U[0][0] * U[1][1] - U[0][1] * U[1][0]
+    B = _mat_mul(_mat_mul(U, T), tuple(tuple(det * x for x in row) for row in _mat_inv(U)))
+    res = lattice_iso_test(A, B)
+    assert res.status == "found"
+    _verify_conjugator(res.conjugator, A, B if res.target == "B" else _mat_inv(B))
+
+
+def test_lattice_iso_refutes_same_trace_non_conjugates():
+    res = lattice_iso_test([[5, 4], [1, 1]], [[3, 2], [4, 3]])
+    assert res.status == "refuted"
+    assert res.conjugator is None and res.target is None
+
+
+@pytest.mark.parametrize("bad", [[[1.5, 1], [1, 1]], [[2, 0], [0, 1]], [[2, 1], [1, 0]]])
+def test_one_hyperbolicity_rule(bad):
+    with pytest.raises(ValueError) as spec_error:
+        ToralGroupSpec.from_matrix(bad)
+    for pair in ((bad, [[2, 1], [1, 1]]), ([[2, 1], [1, 1]], bad)):
+        with pytest.raises(ValueError) as iso_error:
+            lattice_iso_test(*pair)
+        assert str(iso_error.value) == str(spec_error.value)
+
+
+def test_only_the_spec_rejects_negative_trace():
+    neg = [[-2, -1], [-1, -1]]
+    with pytest.raises(ValueError, match="trace above two"):
+        ToralGroupSpec.from_matrix(neg)
+    res = lattice_iso_test(neg, [[-1, -1], [-1, -2]])
+    assert res.status == "found"
+    _verify_conjugator(res.conjugator, neg, [[-1, -1], [-1, -2]])
+    assert lattice_iso_test([[-5, -4], [-1, -1]], [[-3, -2], [-4, -3]]).status == "refuted"
 
 
 def test_lattice_iso_rejects_invalid_input():
