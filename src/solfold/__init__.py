@@ -25,7 +25,7 @@ from .kleinian import (GeneralPositionResult, LatticeIsoResult,
                        fundamental_domain_reduce, general_position_max,
                        intersecting_elements, kulkarni_membership,
                        lattice_iso_test, line_through, lines_concurrent,
-                       lines_intersection,
+                       limit_general_position, lines_intersection,
                        proper_discontinuity_count, projective_act,
                        pseudo_limit_kernels, reference_limit_lines,
                        sol_lattice_embed, toral_act, toral_compose,

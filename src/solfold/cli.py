@@ -28,9 +28,9 @@ from .heisenberg import (HeisElement, UNIT_CUBE,
                          heis_word_ball)
 from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
                        general_position_max, lattice_iso_test,
-                       proper_discontinuity_count, projective_act,
-                       pseudo_limit_kernels, sol_lattice_embed, toral_act,
-                       toral_element, word_ball)
+                       limit_general_position, proper_discontinuity_count,
+                       projective_act, pseudo_limit_kernels, sol_lattice_embed,
+                       toral_act, toral_element, word_ball)
 from .quotient import (CheckRow, check_row, heis_quotient_check,
                        sol_quotient_check)
 from .sol import (SolElement, SolParams, flow_equivariance_defect, leaf_embed,
@@ -449,17 +449,25 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     rows.append(check_row("word-ball-size", float(abs(len(word_ball(spec, 4)) - expected)),
                           0.0, "the radius-4 ball has 129 elements", scale))
 
-    kres = pseudo_limit_kernels(spec, min(cfg["N"], 6))
-    unclassified = sum(1 for l in kres.lines
-                       if classify_limit_line(l.line)[0] == "unclassified")
-    has_inf = any(classify_limit_line(l.line)[0] == "infinity" for l in kres.lines)
-    res = unclassified + len(kres.nonconverged) + len(kres.points) + (0 if has_inf else 1)
+    kres = pseudo_limit_kernels(spec, cfg["N"])
+    # the float classifier against the exact family each line was built in
+    misfiled = sum(1 for l in kres.lines if classify_limit_line(l.line)[0] != l.family)
+    has_inf = any(l.family == "infinity" for l in kres.lines)
+    res = misfiled + len(kres.nonconverged) + len(kres.points) + (0 if has_inf else 1)
     rows.append(check_row("limit-kernels", float(res), 0.0,
                           "every accumulation kernel is a line in the two real pencils "
                           "or the line at infinity", scale))
 
-    gp = general_position_max([l.line for l in kres.lines])
-    rows.append(check_row("general-position", float(abs(gp.size - 4)), 0.0,
+    # the two-pencil rule, its witness checked by the float search and its
+    # bound by the exact zeros that put pencil 1 through [0:1:0], pencil 2
+    # through [1:0:0] and the line at infinity through both
+    gp = limit_general_position(kres)
+    witness = [kres.lines[i].line for i in gp.witness]
+    off_base = sum(1 for l in kres.lines
+                   if (l.family != "pencil2" and l.line.dual[1] != 0)
+                   or (l.family != "pencil1" and l.line.dual[0] != 0))
+    res = abs(gp.size - 4) + (gp.size - general_position_max(witness).size) + off_base
+    rows.append(check_row("general-position", float(res), 0.0,
                           "at most four of the limit lines are in general position",
                           scale))
 
@@ -580,13 +588,12 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         res = pseudo_limit_kernels(spec, cfg["N"])
         lines = []
         for item in res.lines:
-            family, r = classify_limit_line(item.line)
             d = item.line.dual
             lines.append({
                 "dual": [[d[i].real, d[i].imag] for i in range(3)],
                 "cluster_size": item.weight,
-                "family": family,
-                "parameter": r,
+                "family": item.family,
+                "parameter": item.parameter,
             })
         doc = {
             "A": [list(r) for r in cfg["A"]],

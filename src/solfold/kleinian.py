@@ -285,6 +285,16 @@ def word_ball(spec: ToralGroupSpec, n: int) -> List[Tuple[int, int, int]]:
 class LimitLine:
     line: ProjectiveLine
     weight: int          # number of ball elements accumulating on this line
+    family: str          # "pencil1" | "pencil2" | "infinity"
+
+    @property
+    def parameter(self) -> Optional[float]:
+        """r of the pencil-1 line z1 = r z3 or the pencil-2 line z2 = r z3;
+        None for the line at infinity."""
+        if self.family == "infinity":
+            return None
+        d = self.line.dual
+        return float((-d[2] / d[0 if self.family == "pencil1" else 1]).real)
 
 
 @dataclass(frozen=True)
@@ -300,11 +310,12 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
     In conjugated coordinates the powers of word (k, x, y), with translation
     (u, v) = P^{-1}(x, y), accumulate on a rank-one map whose kernel is the
     pencil-1 line z1 = -u / (lam^k - 1) z3 for k > 0, the pencil-2 line
-    z2 = -v / (lam^-k - 1) z3 for k < 0, and the line at infinity for k = 0.
-    Each parameter lies in Q(sqrt D), D = tr^2 - 4, so lines are merged by an
-    exact integer key and the counts hold at every n.  Lines keep the order of
-    their first word in the sorted ball; no kernel is a point and no power
-    sequence fails to converge, so points and nonconverged stay empty.
+    z2 = -v / (lam^-k - 1) z3 for k < 0, and the line at infinity for k = 0;
+    each line carries that family, read from the sign of k.  Each parameter
+    lies in Q(sqrt D), D = tr^2 - 4, so lines are merged by an exact integer
+    key and the counts hold at every n.  Lines keep the order of their first
+    word in the sorted ball; no kernel is a point and no power sequence fails
+    to converge, so points and nonconverged stay empty.
     """
     (a, _), (c, d) = spec.A
     t = a + d
@@ -316,6 +327,7 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
     index = {}
     lines: List[ProjectiveLine] = []
     weights: List[int] = []
+    families: List[str] = []
     for (k, x, y) in word_ball(spec, n):
         if k == 0:
             if x == 0 and y == 0:
@@ -340,11 +352,13 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
             continue
         index[key] = len(lines)
         weights.append(1)
+        families.append("pencil1" if k > 0 else "pencil2" if k < 0 else "infinity")
         u, v = spec.P_inv @ np.array([x, y], dtype=float)
         lines.append(ProjectiveLine([1.0, 0.0, u / (spec.lam ** k - 1.0)] if k > 0 else
                                     [0.0, 1.0, v / (spec.lam ** -k - 1.0)] if k < 0 else
                                     [0.0, 0.0, 1.0]))
-    return LimitKernelResult([LimitLine(l, w) for l, w in zip(lines, weights)], [], [])
+    return LimitKernelResult([LimitLine(*t) for t in zip(lines, weights, families)],
+                             [], [])
 
 
 def classify_limit_line(line: ProjectiveLine, tol: float = 1e-8):
@@ -404,10 +418,15 @@ def _dedupe_lines(lines: Sequence[ProjectiveLine]) -> List[ProjectiveLine]:
 
 def general_position_max(lines: Sequence[ProjectiveLine],
                          tol: float = 1e-8) -> GeneralPositionResult:
-    """Largest subset with no three concurrent lines.
+    """Largest subset with no three concurrent lines, by a float search over
+    an arbitrary line list.
 
     Exhaustive branch and bound up to 20 distinct lines; greedy seeding with
-    remove-and-extend local search above that, flagged non-exhaustive.
+    remove-and-extend local search above that, flagged non-exhaustive.  Both
+    the dedupe and the concurrency test decide by tolerance, so on a dense
+    line list the answer can fall short: on the N = 16 limit lines of
+    [[3, 2], [1, 1]] it returns 2.  limit_general_position decides the limit
+    family exactly.
     """
     ls = _dedupe_lines(lines)
     nl = len(ls)
@@ -470,6 +489,34 @@ def general_position_max(lines: Sequence[ProjectiveLine],
                 improved = True
                 break
     return GeneralPositionResult(len(best), best, False)
+
+
+def limit_general_position(result: LimitKernelResult) -> GeneralPositionResult:
+    """Largest subset of the limit lines with no three concurrent, exactly.
+
+    Every pencil-1 line passes through [0:1:0], every pencil-2 line through
+    [1:0:0], and the line at infinity through both, while a pencil-1 and a
+    pencil-2 line meet off it.  So a subset is in general position exactly
+    when it holds at most two lines per pencil, and the line at infinity only
+    beside at most one per pencil: with n1, n2 lines in the pencils the size
+    is max(min(n1, 2) + min(n2, 2), [L_inf] + min(n1, 1) + min(n2, 1)) <= 4.
+    The witness (indices into result.lines) takes the least and the greatest
+    parameter of each pencil; lines of distinct exact keys are distinct, and
+    the extreme pair keeps a float check well conditioned.
+    """
+    by_family = {"pencil1": [], "pencil2": [], "infinity": []}
+    for i, ll in enumerate(result.lines):
+        by_family[ll.family].append(i)
+    ends = []
+    for family, pivot in (("pencil1", 0), ("pencil2", 1)):
+        idx = by_family[family]
+        duals = np.array([result.lines[i].line.dual for i in idx]).reshape(-1, 3)
+        order = np.argsort((-duals[:, 2] / duals[:, pivot]).real, kind="stable")
+        ends.append([idx[j] for j in (order if len(order) < 2 else order[[0, -1]])])
+    pencils = ends[0] + ends[1]
+    with_inf = by_family["infinity"][:1] + ends[0][:1] + ends[1][:1]
+    witness = with_inf if len(with_inf) > len(pencils) else pencils
+    return GeneralPositionResult(len(witness), tuple(sorted(witness)), True)
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,9 @@ def structural_notes(spec: Optional[ToralGroupSpec] = None) -> Tuple[StructuralN
     """
     notes = [
         StructuralNote(
-            "The quotient of the discontinuity region is claimed to be a fiber "
-            "bundle with base S^1 x R and fiber T^2 x R.",
+            "Each component of the quotient of the discontinuity region is "
+            "claimed to be a T^2-bundle over S^1 x R, that is M_A x R with M_A "
+            "the mapping torus of A, four real dimensions like H x H.",
             False, "NOT VERIFIED - REPORT ONLY"),
         StructuralNote(
             "Hyperbolic conjugacy classes in GL(2, Z) are countable, so these "

@@ -40,6 +40,7 @@ from solfold import (
     lattice_iso_test,
     leaf_metric,
     leaf_separation_numeric,
+    limit_general_position,
     normal_flow,
     projective_act,
     pseudo_limit_kernels,
@@ -304,7 +305,7 @@ def test_criterion_09_limit_set_combinatorics(acceptance_log):
             ok = ok and family in ("pencil1", "pencil2", "infinity")
         gp = general_position_max([ll.line for ll in res.lines])
         sizes.append(gp.size)
-        ok = ok and gp.size == 4
+        ok = ok and gp.size == 4 and limit_general_position(res).size == 4
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     acceptance_log.record(9, "limit kernels fill two pencils plus one line "

@@ -1,13 +1,22 @@
 """Command-line behavior: determinism, exits, exports, config merging."""
 
+import contextlib
+import io
 import json
 import math
+import re
+import shlex
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solfold import ToralGroupSpec, word_ball
+from solfold import LimitKernelResult, ToralGroupSpec, word_ball
+from solfold import cli
 from solfold.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -192,6 +201,63 @@ def test_export_limit_set_structure(capsys):
     assert len(inf) == 1
     dual = np.array([complex(a, b) for a, b in inf[0]["dual"]])
     assert np.abs(dual - np.array([0, 0, 1])).max() < 1e-8
+
+
+def test_verify_kleinian_evaluates_the_configured_radius(monkeypatch, capsys):
+    radii = []
+
+    def recording(spec, n):
+        radii.append(n)
+        return pseudo_limit_kernels(spec, n)
+
+    pseudo_limit_kernels = cli.pseudo_limit_kernels
+    monkeypatch.setattr(cli, "pseudo_limit_kernels", recording)
+    rc, out = run(capsys, "verify", "--suite", "kleinian", "--A", "3,2,1,1",
+                  "--N", "16")
+    assert rc == 0
+    assert radii == [16]
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert rows["general-position"]["residual"] == 0.0
+
+
+def test_verify_fails_a_limit_line_in_the_wrong_family(monkeypatch, capsys):
+    def misfiled(spec, n):
+        res = pseudo_limit_kernels(spec, n)
+        i = next(i for i, ll in enumerate(res.lines) if ll.family == "pencil1")
+        lines = list(res.lines)
+        lines[i] = replace(lines[i], family="pencil2")
+        return LimitKernelResult(lines, res.points, res.nonconverged)
+
+    pseudo_limit_kernels = cli.pseudo_limit_kernels
+    monkeypatch.setattr(cli, "pseudo_limit_kernels", misfiled)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc, out = run(capsys, "verify", "--suite", "kleinian", "--samples", "20")
+    assert rc == 1
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert rows["limit-kernels"]["pass"] is False
+    assert rows["limit-kernels"]["residual"] == 1.0
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(part)[1:]
+                for block in _readme_blocks("sh") for line in block.splitlines()
+                for part in line.split("&&") if part.strip().startswith("solfold ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_readme_quick_start_runs():
+    (code,) = _readme_blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue() == "627 4\n"
 
 
 def test_export_domain_structure(capsys):

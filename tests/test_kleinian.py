@@ -25,6 +25,7 @@ from solfold import (
     intersecting_elements,
     kulkarni_membership,
     lattice_iso_test,
+    limit_general_position,
     line_through,
     lines_concurrent,
     lines_intersection,
@@ -358,7 +359,8 @@ def test_limit_line_counts_are_exact(n, totals):
         got = {"infinity": [], "pencil1": [], "pencil2": []}
         for ll in res.lines:
             family, r = classify_limit_line(ll.line)
-            got[family].append((r, ll.weight))
+            assert (family, r) == (ll.family, ll.parameter)
+            got[ll.family].append((ll.parameter, ll.weight))
         assert got["infinity"] == exact["infinity"]
         for family in ("pencil1", "pencil2"):
             lib = sorted(got[family])
@@ -418,6 +420,24 @@ def test_general_position_empty_and_small():
     two = [ProjectiveLine([1, 0, 0]), ProjectiveLine([0, 1, 0])]
     res = general_position_max(two)
     assert res.size == 2 and res.exhaustive
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 12, 16, 24])
+@pytest.mark.parametrize("A", [[[2, 1], [1, 1]], [[3, 2], [1, 1]],
+                               [[5, 4], [1, 1]], [[3, 2], [4, 3]]])
+def test_limit_general_position_by_the_two_pencil_rule(A, n):
+    res = pseudo_limit_kernels(ToralGroupSpec.from_matrix(A), n)
+    gp = limit_general_position(res)
+    assert gp.size == len(gp.witness) == {0: 0, 1: 3}.get(n, 4)
+    assert gp.exhaustive
+    families = [res.lines[i].family for i in gp.witness]
+    assert ("infinity" in families) == (n == 1)
+    witness = [res.lines[i].line for i in gp.witness]
+    for triple in itertools.combinations(witness, 3):
+        assert not lines_concurrent(*triple)
+    assert general_position_max(witness).size == gp.size
+    if n <= 12 and A in ([[2, 1], [1, 1]], [[3, 2], [1, 1]]):
+        assert general_position_max([ll.line for ll in res.lines]).size == gp.size
 
 
 def _dedupe_reference(lines):
