@@ -205,12 +205,12 @@ def test_export_limit_set_structure(capsys):
 
 def test_verify_kleinian_evaluates_the_configured_radius(monkeypatch, capsys):
     radii = []
+    pseudo_limit_kernels = cli.pseudo_limit_kernels
 
     def recording(spec, n):
         radii.append(n)
         return pseudo_limit_kernels(spec, n)
 
-    pseudo_limit_kernels = cli.pseudo_limit_kernels
     monkeypatch.setattr(cli, "pseudo_limit_kernels", recording)
     rc, out = run(capsys, "verify", "--suite", "kleinian", "--A", "3,2,1,1",
                   "--N", "16")
@@ -221,6 +221,8 @@ def test_verify_kleinian_evaluates_the_configured_radius(monkeypatch, capsys):
 
 
 def test_verify_fails_a_limit_line_in_the_wrong_family(monkeypatch, capsys):
+    pseudo_limit_kernels = cli.pseudo_limit_kernels
+
     def misfiled(spec, n):
         res = pseudo_limit_kernels(spec, n)
         i = next(i for i, ll in enumerate(res.lines) if ll.family == "pencil1")
@@ -228,7 +230,6 @@ def test_verify_fails_a_limit_line_in_the_wrong_family(monkeypatch, capsys):
         lines[i] = replace(lines[i], family="pencil2")
         return LimitKernelResult(lines, res.points, res.nonconverged)
 
-    pseudo_limit_kernels = cli.pseudo_limit_kernels
     monkeypatch.setattr(cli, "pseudo_limit_kernels", misfiled)
     with np.errstate(divide="ignore", invalid="ignore"):
         rc, out = run(capsys, "verify", "--suite", "kleinian", "--samples", "20")
