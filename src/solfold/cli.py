@@ -57,30 +57,36 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_json_str = json.encoder.encode_basestring_ascii   # what json.dumps gives a str
+
+
 def _json_text(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    # float first: it is the common leaf, and np.float64 is a float
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _json_str(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, np.floating):
+        return _fmt_float(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {_json_text(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        inner = "\n" + "  " * (indent + 1)
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(str(k)) + ": " + _json_text(v, indent + 1) for k, v in obj.items()])
+            + "\n" + "  " * indent + "}")
     if isinstance(obj, (list, tuple)):
-        if not len(obj):
+        if not obj:
             return "[]"
-        parts = [f"{inner}{_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        inner = "\n" + "  " * (indent + 1)
+        return ("[" + inner + ("," + inner).join([_json_text(v, indent + 1) for v in obj])
+                + "\n" + "  " * indent + "]")
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -453,7 +459,8 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     # the float classifier against the exact family each line was built in
     misfiled = sum(1 for l in kres.lines if classify_limit_line(l.line)[0] != l.family)
     has_inf = any(l.family == "infinity" for l in kres.lines)
-    res = misfiled + len(kres.nonconverged) + len(kres.points) + (0 if has_inf else 1)
+    res = (misfiled + len(kres.nonconverged) + len(kres.points)
+           + (0 if has_inf or cfg["N"] == 0 else 1))
     rows.append(check_row("limit-kernels", float(res), 0.0,
                           "every accumulation kernel is a line in the two real pencils "
                           "or the line at infinity", scale))
@@ -466,7 +473,10 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     off_base = sum(1 for l in kres.lines
                    if (l.family != "pencil2" and l.line.dual[1] != 0)
                    or (l.family != "pencil1" and l.line.dual[0] != 0))
-    res = abs(gp.size - 4) + (gp.size - general_position_max(witness).size) + off_base
+    # no lines at N = 0; at N = 1 one per pencil and the line at infinity
+    size = {0: 0, 1: 3}.get(cfg["N"], 4)
+    res = (abs(gp.size - size) + (gp.size - general_position_max(witness).size)
+           + off_base)
     rows.append(check_row("general-position", float(res), 0.0,
                           "at most four of the limit lines are in general position",
                           scale))
@@ -588,9 +598,8 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         res = pseudo_limit_kernels(spec, cfg["N"])
         lines = []
         for item in res.lines:
-            d = item.line.dual
             lines.append({
-                "dual": [[d[i].real, d[i].imag] for i in range(3)],
+                "dual": [[z.real, z.imag] for z in item.line.dual.tolist()],
                 "cluster_size": item.weight,
                 "family": item.family,
                 "parameter": item.parameter,

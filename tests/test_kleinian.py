@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -514,10 +515,13 @@ _grid = st.integers(-9, 9)
 @st.composite
 def _planted_lines(draw):
     """Distinct lines (1, z2, z3) on a dyadic grid, which normalization leaves
-    as drawn, and near-duplicates of some of them: z3 moved by 5e-10, which
-    must merge, or by 2e-9, which must stay.  Most lines pass through one of
-    a few centres, so concurrent triples abound; grid determinants are zero
-    or far above the concurrency tolerance."""
+    as drawn, and near-duplicates of some of them: z2 or z3 moved by 5e-10,
+    which must merge, or by 2e-9, which must stay, in the real or imaginary
+    direction, up or down.  Each grid line's coordinate sum is a multiple of
+    1/64, so it sits on a boundary of the dedupe's 1e-8 index cells and the
+    moves down and up plant pairs on both sides of it.  Most lines pass
+    through one of a few centres, so concurrent triples abound; grid
+    determinants are zero or far above the concurrency tolerance."""
     centres = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
                             min_size=1, max_size=3, unique=True))
     through = draw(st.lists(st.tuples(st.sampled_from(centres), _grid, _grid),
@@ -528,10 +532,16 @@ def _planted_lines(draw):
     duals += [(1, complex(a, b) / 16, complex(c, e) / 16) for a, b, c, e in free]
     duals = list(dict.fromkeys(duals))
     picks = draw(st.lists(st.tuples(st.integers(0, len(duals) - 1),
-                                    st.sampled_from([5e-10, 2e-9])),
+                                    st.sampled_from([5e-10, 2e-9]),
+                                    st.sampled_from([1, 2]),
+                                    st.sampled_from([1, -1, 1j, -1j])),
                           max_size=10, unique_by=lambda t: t[0]))
-    near = [duals[i][:2] + (duals[i][2] + gap,) for i, gap in picks]
-    return duals, near, sum(1 for _, gap in picks if gap > 1e-9)
+    near = []
+    for i, gap, j, direction in picks:
+        d = list(duals[i])
+        d[j] += gap * direction
+        near.append(tuple(d))
+    return duals, near, sum(1 for _, gap, _, _ in picks if gap > 1e-9)
 
 
 @given(planted=_planted_lines(), order=st.randoms(use_true_random=False))
@@ -546,6 +556,51 @@ def test_general_position_matches_scalar_reference_on_planted_lines(planted, ord
     assert res == _general_position_reference(lines)
     for i, j, k in itertools.combinations(res.witness, 3):
         assert not lines_concurrent(kept[i], kept[j], kept[k])
+
+
+def _index_cell(line):
+    d = line.dual
+    return math.floor((d.real.sum() + d.imag.sum()) / 1e-8)
+
+
+def test_dedupe_compares_lines_across_index_cells():
+    """Centres at and beside a cell boundary, each with near-duplicates whose
+    z2 and z3 move diagonally by 0.9e-9 (merge) or 1.1e-9 (stay) to either
+    side: the coordinate sum shifts by up to 3.1e-9, into the next cell, and
+    neighbouring centres chain the merges, so the kept set depends on order."""
+    groups = []
+    for base in ([1, 0, 0], [1, 0.25, -0.5j], [1, 1 / 16 + 3j / 16, 0.5]):
+        group = []
+        for t in (-1.5e-9, 0.0, 1.5e-9):
+            centre = np.array(base, dtype=complex) + [0, 0, t]
+            group.append(ProjectiveLine(centre))
+            for gap in (0.9e-9, 1.1e-9):
+                for sign in (1, -1):
+                    step = sign * gap * (1 + 1j) / math.sqrt(2)
+                    group.append(ProjectiveLine(centre + [0, step, step]))
+        assert len({_index_cell(l) for l in group}) >= 2
+        groups.append(group)
+    lines = [l for g in groups for l in g]
+    orders = [lines, lines[::-1]]
+    for seed in range(20):
+        shuffled = list(lines)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    for order in orders:
+        kept = _dedupe_lines(order)
+        assert [id(l) for l in kept] == [id(l) for l in _dedupe_reference(order)]
+        assert len(kept) < len(lines)
+
+
+@pytest.mark.parametrize("spec, kept, result", [
+    (SPEC, 5015, GeneralPositionResult(4, (0, 1, 2508, 2509), False)),
+    (SPEC_B, 5007, GeneralPositionResult(2, (0, 1), False))])
+def test_general_position_on_the_radius_16_lines(spec, kept, result):
+    # the kept counts and results of the all-pairs dedupe before the index;
+    # the float search falls short of the exact 4 on SPEC_B
+    lines = [ll.line for ll in pseudo_limit_kernels(spec, 16).lines]
+    assert len(_dedupe_lines(lines)) == kept
+    assert general_position_max(lines) == result
 
 
 def test_membership_quadrants():
