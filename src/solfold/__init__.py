@@ -20,16 +20,15 @@ from .heisenberg import (HeisElement, UNIT_CUBE,
                          symplectic_mul)
 from .kleinian import (GeneralPositionResult, LatticeIsoResult,
                        LimitKernelResult, LimitLine, MembershipResult,
-                       ProjectiveLine, ProjectivePoint, PseudoProjectiveMap,
-                       ToralGroupSpec, classify_limit_line,
-                       fundamental_domain_reduce, general_position_max,
-                       intersecting_elements, kulkarni_membership,
-                       lattice_iso_test, line_through, lines_concurrent,
-                       limit_general_position, lines_intersection,
-                       proper_discontinuity_count, projective_act,
-                       pseudo_limit_kernels, reference_limit_lines,
-                       sol_lattice_embed, toral_act, toral_compose,
-                       toral_element, word_ball)
+                       ProjectiveLine, ProjectivePoint, ToralGroupSpec,
+                       classify_limit_line, fundamental_domain_reduce,
+                       general_position_max, intersecting_elements,
+                       kulkarni_membership, lattice_iso_test, line_through,
+                       lines_concurrent, limit_general_position,
+                       lines_intersection, proper_discontinuity_count,
+                       projective_act, pseudo_limit_kernels,
+                       reference_limit_lines, sol_lattice_embed, toral_act,
+                       toral_compose, toral_element, word_ball)
 from .quotient import (CheckRow, QuotientReport, StructuralNote,
                        heis_quotient_check, sol_quotient_check,
                        structural_notes)

@@ -93,38 +93,6 @@ def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine, l3: ProjectiveLine,
     return abs(det) <= tol
 
 
-@dataclass(frozen=True)
-class PseudoProjectiveMap:
-    """Nonzero 3 x 3 complex matrix up to scale, possibly singular."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix) -> None:
-        M = np.asarray(matrix, dtype=complex)
-        if M.shape != (3, 3):
-            raise ValueError("pseudo-projective map needs a 3 x 3 matrix")
-        object.__setattr__(self, "matrix", _normalize_homogeneous(M))
-
-    def gap(self, other: "PseudoProjectiveMap") -> float:
-        return float(np.abs(self.matrix - other.matrix).max())
-
-    def kernel(self, rank_tol: float = 1e-8) -> Tuple[int, np.ndarray]:
-        """Numerical kernel dimension and an orthonormal basis (columns)."""
-        _, s, vt = np.linalg.svd(self.matrix)
-        dim = int(np.sum(s < rank_tol))
-        basis = vt[3 - dim:].conj().T if dim else np.zeros((3, 0))
-        return dim, basis
-
-    def kernel_projective(self, rank_tol: float = 1e-8):
-        """None, a ProjectivePoint, or a ProjectiveLine, by kernel dimension."""
-        dim, basis = self.kernel(rank_tol)
-        if dim == 0 or dim == 3:
-            return None
-        if dim == 1:
-            return ProjectivePoint(basis[:, 0])
-        return line_through(ProjectivePoint(basis[:, 0]), ProjectivePoint(basis[:, 1]))
-
-
 # ---------------------------------------------------------------------------
 # hyperbolic toral groups
 
@@ -268,14 +236,10 @@ def word_ball(spec: ToralGroupSpec, n: int) -> List[Tuple[int, int, int]]:
     """Elements (k, n, m) with |k| + |n| + |m| <= n, sorted."""
     if n < 0:
         raise ValueError("word bound must be nonnegative")
-    out = []
-    for k in range(-n, n + 1):
-        rem_k = n - abs(k)
-        for a in range(-rem_k, rem_k + 1):
-            rem = rem_k - abs(a)
-            for b in range(-rem, rem + 1):
-                out.append((k, a, b))
-    return sorted(out)
+    return [(k, a, b)
+            for k in range(-n, n + 1)
+            for a in range(abs(k) - n, n - abs(k) + 1)
+            for b in range(abs(k) + abs(a) - n, n - abs(k) - abs(a) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -573,28 +537,30 @@ def _check_box(box: Box4) -> None:
 
 def intersecting_elements(spec: ToralGroupSpec, box: Box4,
                           n: int) -> List[Tuple[int, int, int]]:
-    """Ball elements whose conjugated affine image of the box meets the box.
+    """Ball elements whose conjugated affine image of the box meets the box,
+    in ball order.
 
     The action is interval-exact: z1 scales by lam^k and translates, z2 by
-    lam^{-k}; overlaps are padded outward by 1e-12.
+    lam^{-k}; overlaps are padded outward by 1e-12.  The four interval tests
+    run over the whole ball at once.  lam^k is a Python float power per k
+    (np.power can differ in the last bit), and (u, v) = P^{-1}(a, b) is
+    multiplied and added entrywise, not by matmul, which may fuse the
+    multiply and the add.
     """
     _check_box(box)
     (x1, y1, x2, y2) = box
     pad = 1e-12
-    hits = []
-    for (k, a, b) in word_ball(spec, n):
-        s = spec.lam ** k
-        u, v = spec.P_inv @ np.array([a, b], dtype=float)
-        if s * y1[0] > y1[1] + pad or s * y1[1] < y1[0] - pad:
-            continue
-        if y2[0] / s > y2[1] + pad or y2[1] / s < y2[0] - pad:
-            continue
-        if s * x1[0] + u > x1[1] + pad or s * x1[1] + u < x1[0] - pad:
-            continue
-        if x2[0] / s + v > x2[1] + pad or x2[1] / s + v < x2[0] - pad:
-            continue
-        hits.append((k, a, b))
-    return hits
+    ball = word_ball(spec, n)
+    k, a, b = np.fromiter(itertools.chain.from_iterable(ball), dtype=np.int64,
+                          count=3 * len(ball)).reshape(-1, 3).T
+    s = np.array([spec.lam ** j for j in range(-n, n + 1)])[k + n]
+    u = spec.P_inv[0, 0] * a + spec.P_inv[0, 1] * b
+    v = spec.P_inv[1, 0] * a + spec.P_inv[1, 1] * b
+    miss = (s * y1[0] > y1[1] + pad) | (s * y1[1] < y1[0] - pad)
+    miss |= (y2[0] / s > y2[1] + pad) | (y2[1] / s < y2[0] - pad)
+    miss |= (s * x1[0] + u > x1[1] + pad) | (s * x1[1] + u < x1[0] - pad)
+    miss |= (x2[0] / s + v > x2[1] + pad) | (x2[1] / s + v < x2[0] - pad)
+    return [ball[i] for i in np.flatnonzero(~miss).tolist()]
 
 
 def proper_discontinuity_count(spec: ToralGroupSpec, box: Box4, n: int) -> int:

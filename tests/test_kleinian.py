@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import affine_box_hits_via_matrix
@@ -18,7 +18,6 @@ from solfold import (
     ProductPoint,
     ProjectiveLine,
     ProjectivePoint,
-    PseudoProjectiveMap,
     ToralGroupSpec,
     classify_limit_line,
     fundamental_domain_reduce,
@@ -42,7 +41,7 @@ from solfold import (
     projective_act,
     word_ball,
 )
-from solfold.kleinian import _dedupe_lines
+from solfold.kleinian import _dedupe_lines, _normalize_homogeneous
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 SPEC_B = ToralGroupSpec.from_matrix([[3, 2], [1, 1]])
@@ -91,6 +90,34 @@ def test_lines_concurrent_detection():
     l3 = ProjectiveLine([1, 1, 0])
     assert lines_concurrent(l1, l2, l3)
     assert not lines_concurrent(l1, l2, ProjectiveLine([1, 1, 1]))
+
+
+class PseudoProjectiveMap:
+    """Nonzero 3 x 3 complex matrix up to scale, possibly singular: the SVD
+    route to accumulation kernels, kept here as the oracle of the closed
+    form in pseudo_limit_kernels."""
+
+    def __init__(self, matrix) -> None:
+        M = np.asarray(matrix, dtype=complex)
+        if M.shape != (3, 3):
+            raise ValueError("pseudo-projective map needs a 3 x 3 matrix")
+        self.matrix = _normalize_homogeneous(M)
+
+    def kernel(self, rank_tol: float = 1e-8):
+        """Numerical kernel dimension and an orthonormal basis (columns)."""
+        _, s, vt = np.linalg.svd(self.matrix)
+        dim = int(np.sum(s < rank_tol))
+        basis = vt[3 - dim:].conj().T if dim else np.zeros((3, 0))
+        return dim, basis
+
+    def kernel_projective(self, rank_tol: float = 1e-8):
+        """None, a ProjectivePoint, or a ProjectiveLine, by kernel dimension."""
+        dim, basis = self.kernel(rank_tol)
+        if dim == 0 or dim == 3:
+            return None
+        if dim == 1:
+            return ProjectivePoint(basis[:, 0])
+        return line_through(ProjectivePoint(basis[:, 0]), ProjectivePoint(basis[:, 1]))
 
 
 def test_pseudo_projective_kernels_by_rank():
@@ -174,12 +201,17 @@ def test_word_ball_size_formula():
         assert len(word_ball(SPEC, N)) == expected
     assert len(word_ball(SPEC, 4)) == 129
     assert len(word_ball(SPEC, 12)) == 2625
+    for N in range(21):
+        assert 3 * len(word_ball(SPEC, N)) == (2 * N + 1) * (2 * N * N + 2 * N + 3)
 
 
 def test_word_ball_contents():
     ball = word_ball(SPEC, 3)
     assert ball == sorted(set(ball))
     assert all(abs(k) + abs(n) + abs(m) <= 3 for (k, n, m) in ball)
+    for N in range(21):
+        ball = word_ball(SPEC, N)
+        assert ball == sorted(set(ball))
     with pytest.raises(ValueError):
         word_ball(SPEC, -1)
 
@@ -633,6 +665,13 @@ def test_box_validation():
         intersecting_elements(SPEC, ((1.0, 0.0), (1.0, 2.0), (0.0, 1.0), (1.0, 2.0)), 2)
     with pytest.raises(ValueError):
         intersecting_elements(SPEC, ((0.0, 1.0), (0.0, 2.0), (0.0, 1.0), (1.0, 2.0)), 2)
+    # the box is validated before the radius
+    with pytest.raises(ValueError, match="ordered"):
+        intersecting_elements(SPEC, ((1.0, 0.0), (1.0, 2.0), (0.0, 1.0), (1.0, 2.0)), -1)
+    with pytest.raises(ValueError, match="heights"):
+        intersecting_elements(SPEC, ((0.0, 1.0), (0.0, 2.0), (0.0, 1.0), (1.0, 2.0)), -1)
+    with pytest.raises(ValueError, match="word bound"):
+        intersecting_elements(SPEC, TEST_BOX, -1)
 
 
 def test_intersecting_elements_contains_identity():
@@ -657,6 +696,119 @@ def test_intersections_stabilize():
     large = set(intersecting_elements(SPEC, TEST_BOX, 12))
     assert small == large
     assert proper_discontinuity_count(SPEC, TEST_BOX, 6) == len(small)
+
+
+def _intersecting_elements_reference(spec, box, n):
+    """Second route to intersecting_elements: one element at a time, with the
+    translation from a 2 x 2 matrix-vector product."""
+    (x1, y1, x2, y2) = box
+    pad = 1e-12
+    hits = []
+    for (k, a, b) in word_ball(spec, n):
+        s = spec.lam ** k
+        u, v = spec.P_inv @ np.array([a, b], dtype=float)
+        if s * y1[0] > y1[1] + pad or s * y1[1] < y1[0] - pad:
+            continue
+        if y2[0] / s > y2[1] + pad or y2[1] / s < y2[0] - pad:
+            continue
+        if s * x1[0] + u > x1[1] + pad or s * x1[1] + u < x1[0] - pad:
+            continue
+        if x2[0] / s + v > x2[1] + pad or x2[1] / s + v < x2[0] - pad:
+            continue
+        hits.append((k, a, b))
+    return hits
+
+
+def _lattice_pool():
+    """The 108 determinant-one matrices with entries in [-6, 6],
+    2 < trace <= 20 and nonzero off-diagonal entries."""
+    return [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-6, 7), repeat=4)
+            if a * d - b * c == 1 and 2 < a + d <= 20 and b and c]
+
+
+def _seeded_box(seed):
+    """A box with heights bounded away from zero, drawn like a lattice op's."""
+    rng = random.Random(f"box:{seed}")
+    box = []
+    for _ in range(2):
+        x0 = rng.uniform(-2.0, 2.0)
+        box.append((x0, x0 + rng.uniform(0.2, 2.0)))
+        y0 = rng.uniform(0.5, 2.0)
+        box.append((y0, y0 * rng.uniform(1.2, 4.0)))
+    return tuple(box)
+
+
+def test_intersecting_elements_match_reference_on_the_lattice_pool():
+    pool = _lattice_pool()
+    assert len(pool) == 108
+    hits = 0
+    for i, A in enumerate(pool):
+        spec = ToralGroupSpec.from_matrix(A)
+        box = _seeded_box(i)
+        got = intersecting_elements(spec, box, 12)
+        assert got == _intersecting_elements_reference(spec, box, 12)
+        assert all(type(x) is int for g in got for x in g)
+        hits += len(got)
+    assert hits > len(pool)
+
+
+@pytest.mark.parametrize("spec", [SPEC, SPEC_B], ids=["2111", "3211"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_intersecting_elements_match_reference_on_the_test_box(spec, n):
+    assert intersecting_elements(spec, TEST_BOX, n) == \
+        _intersecting_elements_reference(spec, TEST_BOX, n)
+
+
+_PLANT_SPECS = [SPEC, SPEC_B, ToralGroupSpec.from_matrix([[5, 4], [1, 1]]),
+                ToralGroupSpec.from_matrix([[3, 2], [4, 3]])]
+
+
+@pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+@pytest.mark.parametrize("edge", range(8))
+@given(which=st.integers(0, len(_PLANT_SPECS) - 1),
+       k=st.integers(-2, 2), a=st.integers(-1, 1), b=st.integers(-1, 1),
+       centres=st.tuples(st.floats(-2.0, 2.0), st.floats(0.5, 2.0),
+                         st.floats(-2.0, 2.0), st.floats(0.5, 2.0)),
+       widths=st.tuples(*[st.floats(0.0, 1.0)] * 4))
+def test_intersecting_elements_on_planted_edges(edge, side, which, k, a, b,
+                                                centres, widths):
+    """Each interval holds a point c and its image under g = (k, a, b), so g
+    passes every test but one: one box edge sits at g's padded image plus or
+    minus 1e-13, and decides by its side whether g is a hit."""
+    spec = _PLANT_SPECS[which]
+    # a height edge set from the other needs s above one (edges 0, 3) or below
+    if edge < 4:
+        k = (1 if edge in (0, 3) else -1) * max(abs(k), 1)
+    g = (k, a, b)
+    s = spec.lam ** k
+    u, v = spec.P_inv @ np.array([a, b], dtype=float)
+    maps = (lambda x: s * x + u, lambda y: s * y, lambda x: x / s + v, lambda y: y / s)
+    box = []
+    for f, c, w, height in zip(maps, centres, widths, (False, True, False, True)):
+        lo, hi = sorted((c, f(c)))
+        box.append([lo / (1 + w), hi * (1 + w)] if height else [lo - w, hi + w])
+    pad, delta = 1e-12, side * 1e-13
+    # edges 2i and 2i + 1 test y1, y2, x1, x2 in turn; an even edge compares
+    # the image's low end with the box's high end, an odd one the high end
+    # with the low end, and the set edge puts that comparison delta from
+    # equality
+    i = (1, 3, 0, 2)[edge // 2]
+    if edge % 2 == 0:
+        box[i][1] = maps[i](box[i][0]) - pad + delta
+    else:
+        box[i][0] = maps[i](box[i][1]) + pad + delta
+    x1, y1, x2, y2 = box
+    assume(x1[0] <= x1[1] and x2[0] <= x2[1])
+    misses = [s * y1[0] > y1[1] + pad, s * y1[1] < y1[0] - pad,
+              y2[0] / s > y2[1] + pad, y2[1] / s < y2[0] - pad,
+              s * x1[0] + u > x1[1] + pad, s * x1[1] + u < x1[0] - pad,
+              x2[0] / s + v > x2[1] + pad, x2[1] / s + v < x2[0] - pad]
+    missed = delta < 0 if edge % 2 == 0 else delta > 0
+    assert misses == [missed if j == edge else False for j in range(8)]
+    box = tuple(map(tuple, box))
+    got = intersecting_elements(spec, box, 4)
+    assert got == _intersecting_elements_reference(spec, box, 4)
+    assert (g in got) != missed
 
 
 def test_lattice_embedding_is_homomorphism(rng):
