@@ -487,15 +487,17 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
                           "only finitely many elements move the test box onto itself",
                           scale))
 
+    (a, b), (c, d) = A
     iso_bad = 0
     r1 = lattice_iso_test(A, A)
     iso_bad += 0 if r1.status == "found" else 1
-    Ai = np.linalg.inv(np.array(A)).round().astype(int)
-    r2 = lattice_iso_test(A, tuple(map(tuple, Ai)))
+    r2 = lattice_iso_test(A, ((d, -b), (-c, a)))
     iso_bad += 0 if r2.status == "found" else 1
-    r3 = lattice_iso_test(A, ((3, 2), (1, 1)) if (A[0][0] + A[1][1]) != 4
-                          else ((2, 1), (1, 1)))
+    r3 = lattice_iso_test(A, ((3, 2), (1, 1)) if a + d != 4 else ((2, 1), (1, 1)))
     iso_bad += 0 if r3.status == "refuted" else 1
+    # a same-trace pair (trace 6) that is not conjugate
+    r4 = lattice_iso_test(((5, 4), (1, 1)), ((3, 2), (4, 3)))
+    iso_bad += 0 if r4.status == "refuted" else 1
     rows.append(check_row("lattice-iso", float(iso_bad), 0.0,
                           "conjugacy search certifies matches and trace refutes "
                           "mismatches", scale))

@@ -250,15 +250,14 @@ def christoffel(m: MetricSpec, p) -> np.ndarray:
 
 
 def geodesic_residual(m: MetricSpec, curve: Callable[[float], Sequence[float]],
-                      t: float, h: float = 1e-4) -> float:
+                      t: float) -> float:
     """Metric length sqrt(r^T g r), at c(t), of the geodesic equation
     residual r = c'' + Gamma(c', c') of a coordinate curve.
 
-    Velocity and acceleration come from central differences with step h.
+    Velocity and acceleration come from central differences with step 1e-4.
     Measured in the metric, their rounding noise does not grow with height.
     """
-    if h <= 0:
-        raise ValueError("step must be positive")
+    h = 1e-4
     cm = _coords(curve(t - h))
     c0 = _coords(curve(t))
     cp = _coords(curve(t + h))
@@ -274,9 +273,7 @@ def hyperbolic_distance_scaled(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
 
     Satisfies cosh(sqrt(2) d) = 1 + ((dx)^2 + (dy)^2) / (2 y_p y_q).
     """
-    dx, dy = p.x - q.x, p.y - q.y
-    arg = 1.0 + (dx * dx + dy * dy) / (2 * p.y * q.y)
-    return math.acosh(max(arg, 1.0)) / SQRT2
+    return hyperbolic_distance(p, q) / SQRT2
 
 
 def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:

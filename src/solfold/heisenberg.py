@@ -82,10 +82,11 @@ def heis_act(g: HeisElement, m: MixedPoint) -> MixedPoint:
                       UpperHalfPoint(m.w.x + g.b, m.w.y))
 
 
-def heis_leaf_jacobian(m: MixedPoint, g: HeisElement = HeisElement.identity()) -> np.ndarray:
+def heis_leaf_jacobian(m: MixedPoint) -> np.ndarray:
     """4 x 3 Jacobian of the orbit map (a, b, c) |-> (a,b,c) . m.
 
-    The action is affine in (a, b, c), so the Jacobian is the same at every g.
+    The action is affine in (a, b, c), so the Jacobian is the same at every
+    group element.
     """
     p, q = m.w.x, m.w.y
     return np.array([

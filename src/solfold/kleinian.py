@@ -23,15 +23,16 @@ from .sol import SolElement
 # ---------------------------------------------------------------------------
 # projective primitives
 
-def _normalize_homogeneous(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Scale to sup-norm one with the first significant entry real positive."""
+def _normalize_homogeneous(v: np.ndarray) -> np.ndarray:
+    """Scale to sup-norm one with the first entry above 1e-12 in modulus real
+    positive."""
     v = np.asarray(v, dtype=complex)
     m = np.abs(v).max()
     if m == 0:
         raise ValueError("homogeneous data cannot be identically zero")
     v = v / m
     flat = v.flatten()
-    idx = np.nonzero(np.abs(flat) > tol)[0][0]
+    idx = np.nonzero(np.abs(flat) > 1e-12)[0][0]
     pivot = flat[idx]
     return v * (pivot.conjugate() / abs(pivot))
 
@@ -67,8 +68,9 @@ class ProjectiveLine:
     def gap(self, other: "ProjectiveLine") -> float:
         return float(np.abs(self.dual - other.dual).max())
 
-    def contains(self, p: ProjectivePoint, tol: float = 1e-10) -> bool:
-        return abs(np.dot(self.dual, p.coords)) <= tol
+    def contains(self, p: ProjectivePoint) -> bool:
+        """Whether |dual . p| is at most 1e-10."""
+        return abs(np.dot(self.dual, p.coords)) <= 1e-10
 
 
 def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
@@ -86,11 +88,12 @@ def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine) -> ProjectivePoin
     return ProjectivePoint(c)
 
 
-def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine, l3: ProjectiveLine,
-                     tol: float = 1e-8) -> bool:
-    """Whether three lines share a point: determinant of normalized duals below tol."""
+def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine,
+                     l3: ProjectiveLine) -> bool:
+    """Whether three lines share a point: determinant of normalized duals at
+    most 1e-8."""
     det = np.linalg.det(np.vstack([l1.dual, l2.dual, l3.dual]))
-    return abs(det) <= tol
+    return abs(det) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +176,6 @@ class ToralGroupSpec:
     @property
     def matrix(self) -> np.ndarray:
         return np.array(self.A)
-
-    @property
-    def lattice_basis(self) -> np.ndarray:
-        return self.P_inv.copy()
 
 
 def toral_element(spec: ToralGroupSpec, k: int, n: int, m: int,
@@ -391,19 +390,19 @@ def _dedupe_lines(lines: Sequence[ProjectiveLine]) -> List[ProjectiveLine]:
     return kept
 
 
-def general_position_max(lines: Sequence[ProjectiveLine],
-                         tol: float = 1e-8) -> GeneralPositionResult:
+def general_position_max(lines: Sequence[ProjectiveLine]) -> GeneralPositionResult:
     """Largest subset with no three concurrent lines, by a float search over
     an arbitrary line list.
 
     Exhaustive branch and bound up to 20 distinct lines; greedy seeding with
     remove-and-extend local search above that, flagged non-exhaustive.  Both
-    the dedupe and the concurrency test decide by tolerance, so on a dense
-    line list the answer can fall short: on the N = 16 limit lines of
-    [[3, 2], [1, 1]] it returns 2.  limit_general_position decides the limit
-    family exactly.  The dedupe compares each line only with the kept lines
-    of its index cell and the two beside it (see _dedupe_lines), so on the
-    5000-odd N = 16 lines the search takes about 0.02 s.
+    the dedupe (sup-gap 1e-9) and the concurrency test (|det| <= 1e-8)
+    decide by tolerance, so on a dense line list the answer can fall short:
+    on the N = 16 limit lines of [[3, 2], [1, 1]] it returns 2.
+    limit_general_position decides the limit family exactly.  The dedupe
+    compares each line only with the kept lines of its index cell and the
+    two beside it (see _dedupe_lines), so on the 5000-odd N = 16 lines the
+    search takes about 0.02 s.
     """
     ls = _dedupe_lines(lines)
     nl = len(ls)
@@ -413,7 +412,7 @@ def general_position_max(lines: Sequence[ProjectiveLine],
     duals = np.array([l.dual for l in ls])
 
     def concurrent(i: int, j: int, k: int) -> bool:
-        return abs(np.linalg.det(duals[[i, j, k]])) <= tol
+        return abs(np.linalg.det(duals[[i, j, k]])) <= 1e-8
 
     def compatible(idx: int, chosen: Tuple[int, ...]) -> bool:
         return all(not concurrent(a, b, idx)
@@ -429,7 +428,7 @@ def general_position_max(lines: Sequence[ProjectiveLine],
         def add(i: int) -> None:
             if chosen:
                 cross = np.cross(duals[chosen], duals[i])
-                ok[:] &= (np.abs(duals @ cross.T) > tol).all(axis=1)
+                ok[:] &= (np.abs(duals @ cross.T) > 1e-8).all(axis=1)
             chosen.append(i)
             ok[i] = False
 
@@ -485,11 +484,12 @@ def limit_general_position(result: LimitKernelResult) -> GeneralPositionResult:
     for i, ll in enumerate(result.lines):
         by_family[ll.family].append(i)
     ends = []
-    for family, pivot in (("pencil1", 0), ("pencil2", 1)):
+    for family in ("pencil1", "pencil2"):
         idx = by_family[family]
-        duals = np.array([result.lines[i].line.dual for i in idx]).reshape(-1, 3)
-        order = np.argsort((-duals[:, 2] / duals[:, pivot]).real, kind="stable")
-        ends.append([idx[j] for j in (order if len(order) < 2 else order[[0, -1]])])
+        r = {i: result.lines[i].parameter for i in idx}
+        # the first index of the least parameter, the last of the greatest
+        ends.append(idx if len(idx) < 2 else
+                    [min(idx, key=r.get), max(reversed(idx), key=r.get)])
     pencils = ends[0] + ends[1]
     with_inf = by_family["infinity"][:1] + ends[0][:1] + ends[1][:1]
     witness = with_inf if len(with_inf) > len(pencils) else pencils
@@ -506,17 +506,17 @@ class MembershipResult:
     reason: str
 
 
-def kulkarni_membership(spec: ToralGroupSpec, p: ProjectivePoint,
-                        tol: float = 0.0) -> MembershipResult:
+def kulkarni_membership(spec: ToralGroupSpec, p: ProjectivePoint) -> MembershipResult:
     """Locate a point (conjugated coordinates) relative to the discontinuity
-    region, the four products of open half-planes."""
+    region, the four products of open half-planes.  The tests are exact: a
+    point is outside only where z3 or an imaginary part is zero."""
     z1, z2, z3 = p.coords
-    if abs(z3) <= tol:
+    if z3 == 0:
         return MembershipResult(False, None, "on the line at infinity")
     u1, u2 = z1 / z3, z2 / z3
-    if abs(u1.imag) <= tol:
+    if u1.imag == 0:
         return MembershipResult(False, None, "first coordinate real")
-    if abs(u2.imag) <= tol:
+    if u2.imag == 0:
         return MembershipResult(False, None, "second coordinate real")
     return MembershipResult(True, (1 if u1.imag > 0 else -1, 1 if u2.imag > 0 else -1),
                             "interior point")

@@ -69,33 +69,16 @@ def _leaf_parameter(z: ProductPoint) -> float:
 
 
 def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
-                       seed: int = 0, ball_radius: int = 2) -> QuotientReport:
+                       seed: int = 0) -> QuotientReport:
     """Sample-scale verification that the toral action respects the
-    leaf structure and the fundamental domain.
-
-    ball_radius 0 means the trivial subgroup: nothing moves, every point is
-    its own representative, all residuals vanish.
-    """
+    leaf structure and the fundamental domain, moving each sample by words
+    of the radius-2 ball."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     group_desc = f"toral A={list(map(list, spec.A))}"
     domain_desc = "first height in [1, lam), horizontal pair in the unit cell of P^{-1} Z^2"
-
-    if ball_radius == 0:
-        checks = (
-            check_row("leaf-preservation", 0.0, 1e-10,
-                      "the trivial group fixes every leaf"),
-            check_row("reduction-invariance", 0.0, 1e-8,
-                      "with no group elements every point represents itself"),
-            check_row("semidirect-relation", 0.0, 1e-12,
-                      "no relations to check in the trivial group"),
-            check_row("component-preservation", 0.0, 0.0,
-                      "the trivial group preserves the four components"),
-        )
-        return QuotientReport(group_desc, 4, "entire space", checks, samples, seed)
-
-    ball = [g for g in word_ball(spec, ball_radius) if g != (0, 0, 0)]
+    ball = [g for g in word_ball(spec, 2) if g != (0, 0, 0)]
 
     leaf_res = 0.0
     reduce_res = 0.0
@@ -141,27 +124,12 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     return QuotientReport(group_desc, 4, domain_desc, checks, samples, seed)
 
 
-def heis_quotient_check(moduli: Optional[Tuple[int, int, int]] = (1, 1, 1),
+def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
                         samples: int = 1000, seed: int = 0) -> QuotientReport:
-    """Sample-scale verification for an integer Heisenberg sublattice.
-
-    moduli None means the trivial subgroup and yields a trivial report.
-    """
+    """Sample-scale verification for an integer Heisenberg sublattice."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-
-    if moduli is None:
-        checks = (
-            check_row("height-invariance", 0.0, 0.0,
-                      "the trivial group fixes the second-factor height"),
-            check_row("reduction-invariance", 0.0, 1e-12,
-                      "with no group elements every element represents itself"),
-            check_row("commutator", 0.0, 0.0,
-                      "no generators, no commutator relation"),
-        )
-        return QuotientReport("heisenberg lattice (trivial)", 1, "entire group",
-                              checks, samples, seed)
 
     d1, d2, d3 = moduli
     # validates the closure condition d3 | d1 d2

@@ -315,14 +315,16 @@ def _unit_normal_field(c: np.ndarray) -> np.ndarray:
     return np.array([0.0, c[1], 0.0, c[3]])
 
 
-def normal_covariant_derivative(point, h: float = 1e-5) -> np.ndarray:
+def normal_covariant_derivative(point) -> np.ndarray:
     """Matrix (nabla X)^k_i of the unit normal field at an ambient point.
 
-    Partial derivatives of the field are taken by central differences; the
-    connection correction uses the closed-form Christoffel symbols.
+    Partial derivatives of the field are taken by central differences with
+    step 1e-5; the connection correction uses the closed-form Christoffel
+    symbols.
     """
     from .geometry import christoffel, _coords
 
+    h = 1e-5
     c = _coords(point)
     m = MetricSpec.half_hyperbolic_product()
     G = christoffel(m, c)
@@ -337,7 +339,7 @@ def normal_covariant_derivative(point, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def shape_operator(t: float, s: float, h: float = 1e-5) -> ShapeOperatorResult:
+def shape_operator(t: float, s: float) -> ShapeOperatorResult:
     """Shape operator of the leaf through (0, e^{-t-s}/sqrt2, 0, e^{t-s}/sqrt2).
 
     Returns the matrix of v |-> nabla_v X in the tangent basis together with
@@ -345,7 +347,7 @@ def shape_operator(t: float, s: float, h: float = 1e-5) -> ShapeOperatorResult:
     symmetric.
     """
     c = _leaf_point(t, s)
-    nabla = normal_covariant_derivative(c, h=h)
+    nabla = normal_covariant_derivative(c)
     # tangent basis: horizontal translations and the leaf t-direction
     B = np.column_stack([
         np.array([1.0, 0.0, 0.0, 0.0]),

@@ -252,6 +252,23 @@ def test_verify_fails_a_limit_line_in_the_wrong_family(monkeypatch, capsys):
     assert rows["limit-kernels"]["residual"] == 1.0
 
 
+def test_verify_fails_a_same_trace_pair_reported_conjugate(monkeypatch, capsys):
+    lattice_iso_test = cli.lattice_iso_test
+
+    def confused(A, B):
+        res = lattice_iso_test(A, B)
+        if (A, B) == (((5, 4), (1, 1)), ((3, 2), (4, 3))):
+            return replace(res, status="found")
+        return res
+
+    monkeypatch.setattr(cli, "lattice_iso_test", confused)
+    rc, out = run(capsys, "verify", "--suite", "kleinian", "--samples", "20")
+    assert rc == 1
+    rows = {r["name"]: r for r in json.loads(out)["checks"]}
+    assert rows["lattice-iso"]["pass"] is False
+    assert rows["lattice-iso"]["residual"] == 1.0
+
+
 def _readme_blocks(lang):
     return re.findall(rf"```{lang}\n(.*?)```", README.read_text(), re.S)
 

@@ -183,12 +183,6 @@ def test_horizontal_lines_are_not_geodesics():
     assert geodesic_residual(m, curve, 0.0) > 0.1
 
 
-def test_geodesic_residual_rejects_bad_step():
-    m = MetricSpec.half_hyperbolic_product()
-    with pytest.raises(ValueError):
-        geodesic_residual(m, lambda u: [0, 1, 0, 1], 0.0, h=0.0)
-
-
 def test_scaled_distance_on_vertical_segments():
     # minimizing curves of the halved metric run along verticals with
     # length |log(y2/y1)| / sqrt(2)

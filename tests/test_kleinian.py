@@ -15,6 +15,8 @@ from conftest import affine_box_hits_via_matrix
 from solfold import (
     STANDARD,
     GeneralPositionResult,
+    LimitKernelResult,
+    LimitLine,
     ProductPoint,
     ProjectiveLine,
     ProjectivePoint,
@@ -149,7 +151,6 @@ def test_spec_eigendata():
     D = np.diag([SPEC.lam, 1 / SPEC.lam])
     assert np.abs(A @ SPEC.P - SPEC.P @ D).max() < 1e-12
     assert np.abs(SPEC.P @ SPEC.P_inv - np.eye(2)).max() < 1e-12
-    assert np.array_equal(SPEC.lattice_basis, SPEC.P_inv)
 
 
 def test_spec_rejects_bad_matrices():
@@ -465,12 +466,24 @@ def test_limit_general_position_by_the_two_pencil_rule(A, n):
     assert gp.exhaustive
     families = [res.lines[i].family for i in gp.witness]
     assert ("infinity" in families) == (n == 1)
+    for family in ("pencil1", "pencil2"):
+        r = [ll.parameter for ll in res.lines if ll.family == family]
+        ends = [res.lines[i].parameter for i in gp.witness if res.lines[i].family == family]
+        assert sorted(ends) == ([min(r), max(r)] if n > 1 else r)
     witness = [res.lines[i].line for i in gp.witness]
     for triple in itertools.combinations(witness, 3):
         assert not lines_concurrent(*triple)
     assert general_position_max(witness).size == gp.size
     if n <= 12 and A in ([[2, 1], [1, 1]], [[3, 2], [1, 1]]):
         assert general_position_max([ll.line for ll in res.lines]).size == gp.size
+
+
+def test_limit_general_position_breaks_parameter_ties_by_index():
+    # a tie goes to the first line for the least parameter and to the last
+    # for the greatest
+    lines = [LimitLine(ProjectiveLine([1, 0, -r]), 1, "pencil1") for r in (1, 0, 2, 0, 2)]
+    lines += [LimitLine(ProjectiveLine([0, 1, -r]), 1, "pencil2") for r in (5, 5)]
+    assert limit_general_position(LimitKernelResult(lines, [], [])).witness == (1, 4, 5, 6)
 
 
 def _dedupe_reference(lines):
@@ -642,9 +655,17 @@ def test_membership_quadrants():
             res = kulkarni_membership(SPEC, p)
             assert res.in_domain
             assert res.signs == (s1, s2)
-    assert not kulkarni_membership(SPEC, ProjectivePoint([1, 1j, 0])).in_domain
-    assert not kulkarni_membership(SPEC, ProjectivePoint([1.0, 1j, 1.0])).in_domain
-    assert not kulkarni_membership(SPEC, ProjectivePoint([1j, 2.0, 1.0])).in_domain
+    # imaginary parts far below any tolerance still decide the quadrant
+    for coords, signs in (([0.5 + 1e-300j, -2 + 1e-300j, 1], (1, 1)),
+                          ([0.5 - 1e-300j, 2 - 3e-300j, 1], (-1, -1))):
+        res = kulkarni_membership(SPEC, ProjectivePoint(coords))
+        assert res.in_domain and res.signs == signs
+    for coords, reason in (([1, 1j, 0], "on the line at infinity"),
+                           ([1.0, 1j, 1.0], "first coordinate real"),
+                           ([1j, 2.0, 1.0], "second coordinate real")):
+        res = kulkarni_membership(SPEC, ProjectivePoint(coords))
+        assert not res.in_domain and res.signs is None
+        assert res.reason == reason
 
 
 def test_membership_invariant_under_group(rng):

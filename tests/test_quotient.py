@@ -36,15 +36,6 @@ def test_sol_quotient_deterministic_given_seed():
     assert [c.residual for c in a.checks] == [c.residual for c in b.checks]
 
 
-def test_sol_quotient_trivial_group():
-    report = sol_quotient_check(SPEC, samples=10, seed=0, ball_radius=0)
-    assert report.passed
-    assert report.component_count == 4
-    assert report.fundamental_domain == "entire space"
-    assert all(c.residual == 0.0 for c in report.checks)
-    assert report.max_residual == 0.0
-
-
 def test_sol_quotient_rejects_empty_sampling():
     with pytest.raises(ValueError):
         sol_quotient_check(SPEC, samples=0)
@@ -66,14 +57,6 @@ def test_heis_quotient_nontrivial_moduli():
     report = heis_quotient_check((2, 3, 6), samples=200, seed=1)
     assert report.passed
     assert "[0,2) x [0,3) x [0,6)" in report.fundamental_domain
-
-
-def test_heis_quotient_trivial_group():
-    report = heis_quotient_check(None, samples=5)
-    assert report.passed
-    assert report.component_count == 1
-    assert report.fundamental_domain == "entire group"
-    assert all(c.residual == 0.0 for c in report.checks)
 
 
 def test_heis_quotient_rejects_bad_moduli():
