@@ -33,9 +33,9 @@ from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
                        toral_act, toral_element, word_ball)
 from .quotient import (CheckRow, check_row, heis_quotient_check,
                        sol_quotient_check)
-from .sol import (SolElement, SolParams, flow_equivariance_defect, leaf_embed,
-                  leaf_metric, leaf_separation_numeric, normal_flow,
-                  normal_flow_velocity, rectify, rectify_inverse,
+from .sol import (STANDARD, SolElement, SolParams, flow_equivariance_defect,
+                  leaf_embed, leaf_metric, leaf_separation_numeric,
+                  normal_flow, normal_flow_velocity, rectify, rectify_inverse,
                   rectify_isometric, rectify_isometric_inverse, shape_operator,
                   sol_act)
 
@@ -289,9 +289,9 @@ def _resolve(ns: argparse.Namespace,
 
 def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     rng = np.random.default_rng(cfg["seed"])
-    samples, scale, lam = cfg["samples"], cfg["tol-scale"], cfg["lambda"]
+    samples, lam = cfg["samples"], cfg["lambda"]
     try:
-        params = SolParams.standard() if lam is None else SolParams(lam)
+        params = STANDARD if lam is None else SolParams(lam)
     except ValueError as e:
         raise ConfigError("lambda", str(e))
     rows: List[CheckRow] = []
@@ -303,7 +303,7 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
         g = SolElement(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-3, 3))
         worst = max(worst, flow_equivariance_defect(params, z, g, rng.uniform(-2, 2)))
     rows.append(check_row("flow-equivariance", worst, 1e-12,
-                          "the normal flow commutes with every leaf action", scale))
+                          "the normal flow commutes with every leaf action"))
 
     worst = 0.0
     for _ in range(min(samples, 100)):
@@ -311,7 +311,7 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
         curve = lambda u: normal_flow(z, u).coords()
         worst = max(worst, geodesic_residual(ghyp, curve, rng.uniform(-1.5, 1.5)))
     rows.append(check_row("flow-geodesic", worst, 1e-6,
-                          "flow lines are geodesics of the product metric", scale))
+                          "flow lines are geodesics of the product metric"))
 
     worst = 0.0
     for _ in range(min(samples, 200)):
@@ -320,19 +320,19 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
         speed = metric_norm(ghyp, normal_flow(z, s), normal_flow_velocity(z, s))
         worst = max(worst, abs(speed - 1.0))
     rows.append(check_row("flow-unit-speed", worst, 1e-10,
-                          "the normal field has unit length everywhere", scale))
+                          "the normal field has unit length everywhere"))
 
     worst = 0.0
     for _ in range(min(samples, 60)):
         y1, y2 = rng.uniform(0.4, 2.5, size=2)
         base = ProductPoint(UpperHalfPoint(0.0, y1), UpperHalfPoint(0.0, y2))
         txy = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-2, 2), rng.uniform(-2, 2)])
-        embed = lambda c: leaf_embed(SolParams.standard(), base,
+        embed = lambda c: leaf_embed(STANDARD, base,
                                      SolElement(c[0], c[1], c[2])).coords()
         num = _fd.pullback(ghyp.matrix, embed, txy)
         worst = max(worst, float(np.abs(num - leaf_metric(base, txy[0])).max()))
     rows.append(check_row("leaf-metric", worst, 1e-10,
-                          "each leaf inherits the solvable model metric", scale))
+                          "each leaf inherits the solvable model metric"))
 
     worst = 0.0
     for t in (-1.0, 0.0, 1.0):
@@ -340,13 +340,12 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
             ev = np.sort(shape_operator(t, s).eigenvalues)
             worst = max(worst, float(np.abs(ev - np.array([-1.0, -1.0, 0.0])).max()))
     rows.append(check_row("shape-spectrum", worst, 1e-6,
-                          "principal curvatures of every leaf are -1, -1, 0", scale))
+                          "principal curvatures of every leaf are -1, -1, 0"))
 
     sep = leaf_separation_numeric(0.0, 1.0)
     res = abs(sep.value - 1.0) + (0.0 if sep.converged else 1.0)
     rows.append(check_row("leaf-separation", res, 1e-4,
-                          "distance between leaves equals the gap of their parameters",
-                          scale))
+                          "distance between leaves equals the gap of their parameters"))
 
     worst = 0.0
     for _ in range(samples):
@@ -359,13 +358,13 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
         again = rectify(*rectify_inverse(z))
         worst = max(worst, float(np.abs(again.coords() - z.coords()).max()))
     rows.append(check_row("rectify-roundtrip", worst, 1e-12,
-                          "the straightening charts invert exactly", scale))
+                          "the straightening charts invert exactly"))
     return rows
 
 
 def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
     rng = np.random.default_rng(cfg["seed"])
-    samples, scale = cfg["samples"], cfg["tol-scale"]
+    samples = cfg["samples"]
     rows: List[CheckRow] = []
 
     worst = 0.0
@@ -377,7 +376,7 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
         e = heis_mul(g, g.inverse())
         worst = max(worst, abs(e.a), abs(e.b), abs(e.c))
     rows.append(check_row("group-axioms", worst, 1e-14,
-                          "associativity and inverses hold to machine precision", scale))
+                          "associativity and inverses hold to machine precision"))
 
     bad = 0
     for _ in range(min(samples, 200)):
@@ -385,7 +384,7 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
         if np.linalg.matrix_rank(heis_leaf_jacobian(m)) != 3:
             bad += 1
     rows.append(check_row("jacobian-rank", float(bad), 0.0,
-                          "every orbit map is an immersion of rank 3", scale))
+                          "every orbit map is an immersion of rank 3"))
 
     worst = 0.0
     for _ in range(samples):
@@ -395,7 +394,7 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
         worst = max(worst, abs(g2.a - g.a), abs(g2.b - g.b), abs(g2.c - g.c),
                     abs(s2 - s))
     rows.append(check_row("rectify-roundtrip", worst, 1e-12,
-                          "the group-times-height chart inverts exactly", scale))
+                          "the group-times-height chart inverts exactly"))
 
     worst = 0.0
     geh = MetricSpec.euclidean_times_hyperbolic()
@@ -407,12 +406,11 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
         num = _fd.pullback(geh.matrix, embed, abc)
         worst = max(worst, float(np.abs(num - heis_pullback_metric(y0)).max()))
     rows.append(check_row("pullback-metric", worst, 1e-10,
-                          "orbit metric is flat left-invariant with height weights", scale))
+                          "orbit metric is flat left-invariant with height weights"))
 
     comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
     rows.append(check_row("commutator", max(abs(comm.a), abs(comm.b), abs(comm.c - 1)),
-                          0.0, "the horizontal generators commute to the central one",
-                          scale))
+                          0.0, "the horizontal generators commute to the central one"))
 
     worst = 0.0
     for _ in range(samples):
@@ -426,19 +424,19 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
         worst = max(worst, abs(lat2.a), abs(lat2.b), abs(lat2.c),
                     abs(rep2.a - rep.a), abs(rep2.b - rep.b), abs(rep2.c - rep.c))
     rows.append(check_row("cube-reduction", worst, 1e-12,
-                          "unit-cube representatives are unique and consistent", scale))
+                          "unit-cube representatives are unique and consistent"))
 
     diff = 0
     for n in range(1, 5):
         cg, ca = factored_proper_discontinuity_check(heis_word_ball(n), UNIT_CUBE, 0.0)
         diff = max(diff, abs(cg - ca))
     rows.append(check_row("factored-counts", float(diff), 0.0,
-                          "group-side and ambient-side intersection counts agree", scale))
+                          "group-side and ambient-side intersection counts agree"))
 
     sep = heis_leaf_separation_numeric(0.0, 1.0)
     res = abs(sep.value - 1.0) + (0.0 if sep.converged else 1.0)
     rows.append(check_row("leaf-separation", res, 1e-4,
-                          "distance between orbit leaves equals the height gap", scale))
+                          "distance between orbit leaves equals the height gap"))
     return rows
 
 
@@ -447,13 +445,13 @@ _TEST_BOX = ((0.1, 0.9), (1.0, 2.0), (0.1, 0.9), (1.0, 2.0))
 
 def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     rng = np.random.default_rng(cfg["seed"])
-    samples, scale, A = cfg["samples"], cfg["tol-scale"], cfg["A"]
+    samples, A = cfg["samples"], cfg["A"]
     spec = _spec_or_error(A)
     rows: List[CheckRow] = []
 
     expected = 1 + sum(4 * r * r + 2 for r in range(1, 5))
-    rows.append(check_row("word-ball-size", float(abs(len(word_ball(spec, 4)) - expected)),
-                          0.0, "the radius-4 ball has 129 elements", scale))
+    rows.append(check_row("word-ball-size", float(abs(len(word_ball(4)) - expected)),
+                          0.0, "the radius-4 ball has 129 elements"))
 
     kres = pseudo_limit_kernels(spec, cfg["N"])
     # the float classifier against the exact family each line was built in
@@ -463,7 +461,7 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
            + (0 if has_inf or cfg["N"] == 0 else 1))
     rows.append(check_row("limit-kernels", float(res), 0.0,
                           "every accumulation kernel is a line in the two real pencils "
-                          "or the line at infinity", scale))
+                          "or the line at infinity"))
 
     # the two-pencil rule, its witness checked by the float search and its
     # bound by the exact zeros that put pencil 1 through [0:1:0], pencil 2
@@ -478,14 +476,12 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     res = (abs(gp.size - size) + (gp.size - general_position_max(witness).size)
            + off_base)
     rows.append(check_row("general-position", float(res), 0.0,
-                          "at most four of the limit lines are in general position",
-                          scale))
+                          "at most four of the limit lines are in general position"))
 
     c1 = proper_discontinuity_count(spec, _TEST_BOX, 4)
     c2 = proper_discontinuity_count(spec, _TEST_BOX, 8)
     rows.append(check_row("discontinuity-stable", float(abs(c1 - c2)), 0.0,
-                          "only finitely many elements move the test box onto itself",
-                          scale))
+                          "only finitely many elements move the test box onto itself"))
 
     (a, b), (c, d) = A
     iso_bad = 0
@@ -500,15 +496,15 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     iso_bad += 0 if r4.status == "refuted" else 1
     rows.append(check_row("lattice-iso", float(iso_bad), 0.0,
                           "conjugacy search certifies matches and trace refutes "
-                          "mismatches", scale))
+                          "mismatches"))
 
     worst = 0.0
-    ball = word_ball(spec, 2)
+    ball = word_ball(2)
     for _ in range(min(samples, 300)):
         g = ball[int(rng.integers(0, len(ball)))]
         z = rand_product(rng, 0.3, 4.0)
         direct = toral_act(spec, g, z).coords()
-        via_sol = sol_act(SolParams.standard(), sol_lattice_embed(spec, *g), z).coords()
+        via_sol = sol_act(STANDARD, sol_lattice_embed(spec, *g), z).coords()
         M = toral_element(spec, *g, form="conjugated")
         img = projective_act(M, ProjectivePoint([z.z1.complex, z.z2.complex, 1.0]))
         w1, w2 = img.coords[0] / img.coords[2], img.coords[1] / img.coords[2]
@@ -517,7 +513,7 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
                     float(np.abs(direct - via_proj).max()))
     rows.append(check_row("embed-agreement", worst, 1e-10,
                           "projective, affine, and solvable descriptions of the "
-                          "action coincide", scale))
+                          "action coincide"))
     return rows
 
 
@@ -526,9 +522,7 @@ def _suite_quotient(cfg: Dict[str, object]) -> List[CheckRow]:
     n, seed = min(cfg["samples"], 300), cfg["seed"]
     reports = (("sol", sol_quotient_check(spec, samples=n, seed=seed)),
                ("heis", heis_quotient_check((1, 1, 1), samples=n, seed=seed)))
-    # the reports hold unscaled rows; prefix and scale them for verify
-    return [check_row(f"{tag}-{c.name}", c.residual, c.threshold, c.claim,
-                      cfg["tol-scale"])
+    return [replace(c, name=f"{tag}-{c.name}")
             for tag, rep in reports for c in rep.checks]
 
 
@@ -539,12 +533,17 @@ _SUITES: Dict[str, Callable[[Dict[str, object]], List[CheckRow]]] = {
 
 
 def run_suite(cfg: Dict[str, object]) -> List[CheckRow]:
-    """Execute the suite cfg["suite"] and return its check rows; "all" runs
-    every suite in turn and prefixes each row name with its suite."""
+    """Execute the suite cfg["suite"] and return its check rows, each
+    threshold multiplied by cfg["tol-scale"]; "all" runs every suite in turn
+    and prefixes each row name with its suite."""
     if cfg["suite"] != "all":
-        return _SUITES[cfg["suite"]](cfg)
-    return [replace(r, name=f"{name}/{r.name}")
-            for name, suite in _SUITES.items() for r in suite(cfg)]
+        rows = _SUITES[cfg["suite"]](cfg)
+    else:
+        rows = [replace(r, name=f"{name}/{r.name}")
+                for name, suite in _SUITES.items() for r in suite(cfg)]
+    scale = cfg["tol-scale"]
+    return [check_row(r.name, r.residual, r.threshold * scale, r.claim)
+            for r in rows]
 
 
 def _report_json(suite: str, seed: int, rows: Sequence[CheckRow]) -> str:
@@ -627,7 +626,7 @@ def _cmd_export(ns: argparse.Namespace) -> int:
                                       "half planes")
         z = ProductPoint.from_complex(b1, b2)
         rows = []
-        for g in word_ball(spec, cfg["N"]):
+        for g in word_ball(cfg["N"]):
             c = toral_act(spec, g, z).coords()
             rows.append([g[0], g[1], g[2], *c])
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)

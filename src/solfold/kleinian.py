@@ -231,8 +231,9 @@ def toral_compose(spec: ToralGroupSpec,
     return (k + k2, n + Ak[0][0] * n2 + Ak[0][1] * m2, m + Ak[1][0] * n2 + Ak[1][1] * m2)
 
 
-def word_ball(spec: ToralGroupSpec, n: int) -> List[Tuple[int, int, int]]:
-    """Elements (k, n, m) with |k| + |n| + |m| <= n, sorted."""
+def word_ball(n: int) -> List[Tuple[int, int, int]]:
+    """Elements (k, n, m) with |k| + |n| + |m| <= n, sorted; the same
+    coordinate set for every A."""
     if n < 0:
         raise ValueError("word bound must be nonnegative")
     return [(k, a, b)
@@ -291,7 +292,7 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
     lines: List[ProjectiveLine] = []
     weights: List[int] = []
     families: List[str] = []
-    for (k, x, y) in word_ball(spec, n):
+    for (k, x, y) in word_ball(n):
         if k == 0:
             if x == 0 and y == 0:
                 continue
@@ -411,11 +412,8 @@ def general_position_max(lines: Sequence[ProjectiveLine]) -> GeneralPositionResu
 
     duals = np.array([l.dual for l in ls])
 
-    def concurrent(i: int, j: int, k: int) -> bool:
-        return abs(np.linalg.det(duals[[i, j, k]])) <= 1e-8
-
     def compatible(idx: int, chosen: Tuple[int, ...]) -> bool:
-        return all(not concurrent(a, b, idx)
+        return all(not lines_concurrent(ls[a], ls[b], ls[idx])
                    for a, b in itertools.combinations(chosen, 2))
 
     def greedy(start: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -506,10 +504,11 @@ class MembershipResult:
     reason: str
 
 
-def kulkarni_membership(spec: ToralGroupSpec, p: ProjectivePoint) -> MembershipResult:
+def kulkarni_membership(p: ProjectivePoint) -> MembershipResult:
     """Locate a point (conjugated coordinates) relative to the discontinuity
-    region, the four products of open half-planes.  The tests are exact: a
-    point is outside only where z3 or an imaginary part is zero."""
+    region, the four products of open half-planes, which are the same for
+    every hyperbolic A.  The tests are exact: a point is outside only where
+    z3 or an imaginary part is zero."""
     z1, z2, z3 = p.coords
     if z3 == 0:
         return MembershipResult(False, None, "on the line at infinity")
@@ -550,7 +549,7 @@ def intersecting_elements(spec: ToralGroupSpec, box: Box4,
     _check_box(box)
     (x1, y1, x2, y2) = box
     pad = 1e-12
-    ball = word_ball(spec, n)
+    ball = word_ball(n)
     k, a, b = np.fromiter(itertools.chain.from_iterable(ball), dtype=np.int64,
                           count=3 * len(ball)).reshape(-1, 3).T
     s = np.array([spec.lam ** j for j in range(-n, n + 1)])[k + n]

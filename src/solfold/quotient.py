@@ -10,18 +10,17 @@ notes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .geometry import ProductPoint, rand_mixed, rand_product
+from .geometry import rand_mixed, rand_product
 from .heisenberg import (HeisElement, heis_act, heis_commutator, heis_mul,
                          heis_reduce_mod_integer_lattice)
 from .kleinian import (ToralGroupSpec, fundamental_domain_reduce,
                        sol_lattice_embed, toral_act, word_ball)
-from .sol import sol_mul
+from .sol import rectify_inverse, sol_mul
 
 
 @dataclass(frozen=True)
@@ -35,12 +34,11 @@ class CheckRow:
     claim: str
 
 
-def check_row(name: str, residual: float, threshold: float, claim: str,
-              scale: float = 1.0) -> CheckRow:
-    """Row for |residual| against threshold * scale."""
+def check_row(name: str, residual: float, threshold: float,
+              claim: str) -> CheckRow:
+    """Row for |residual| against threshold."""
     res = float(abs(residual))
-    thr = threshold * scale
-    return CheckRow(name, res, thr, res <= thr, claim)
+    return CheckRow(name, res, threshold, res <= threshold, claim)
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,6 @@ class QuotientReport:
         return max((c.residual for c in self.checks), default=0.0)
 
 
-def _leaf_parameter(z: ProductPoint) -> float:
-    # s-coordinate of the rectification: log(2 y1 y2) / 2
-    return 0.5 * math.log(2.0 * z.z1.y * z.z2.y)
-
-
 def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
                        seed: int = 0) -> QuotientReport:
     """Sample-scale verification that the toral action respects the
@@ -78,19 +71,19 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     rng = np.random.default_rng(seed)
     group_desc = f"toral A={list(map(list, spec.A))}"
     domain_desc = "first height in [1, lam), horizontal pair in the unit cell of P^{-1} Z^2"
-    ball = [g for g in word_ball(spec, 2) if g != (0, 0, 0)]
+    ball = [g for g in word_ball(2) if g != (0, 0, 0)]
 
     leaf_res = 0.0
     reduce_res = 0.0
     sign_violations = 0
     for _ in range(samples):
         z = rand_product(rng, 0.2, 5.0)
-        s0 = _leaf_parameter(z)
+        s0 = rectify_inverse(z)[3]
         rep0 = fundamental_domain_reduce(spec, z)[1].coords()
         for idx in rng.integers(0, len(ball), size=10):
             g = ball[int(idx)]
             gz = toral_act(spec, g, z)
-            leaf_res = max(leaf_res, abs(_leaf_parameter(gz) - s0))
+            leaf_res = max(leaf_res, abs(rectify_inverse(gz)[3] - s0))
             rep1 = fundamental_domain_reduce(spec, gz)[1].coords()
             reduce_res = max(reduce_res, float(np.abs(rep1 - rep0).max()))
             # lam^k > 0 keeps both imaginary parts positive; the same holds

@@ -96,6 +96,21 @@ def test_tol_scale_multiplies_thresholds(capsys):
     assert rows["flow-equivariance"]["threshold"] == pytest.approx(1e-18, rel=1e-12)
     assert any(not r["pass"] for r in doc["checks"])
 
+    def rows_at(scale):
+        argv = ["verify", "--suite", "all", "--seed", "2", "--samples", "40",
+                "--tol-scale", repr(scale)]
+        return json.loads(run(capsys, *argv)[1])["checks"]
+
+    base = rows_at(1.0)
+    assert any(r["name"].startswith("quotient/") for r in base)
+    for scale in (1e-6, 10.0):
+        rows = rows_at(scale)
+        assert [r["name"] for r in rows] == [r["name"] for r in base]
+        for r, b in zip(rows, base):
+            assert r["residual"] == b["residual"]
+            assert r["threshold"] == b["threshold"] * scale, r["name"]
+            assert r["pass"] == (r["residual"] <= r["threshold"]), r["name"]
+
 
 def test_tol_scale_must_be_positive(capsys):
     rc, out = run(capsys, "verify", "--tol-scale", "-2")
@@ -170,7 +185,7 @@ def test_export_orbit_row_count_matches_ball(capsys):
         rc, out = run(capsys, "export", "orbit", "--N", str(N))
         assert rc == 0
         lines = out.strip().split("\n")
-        ball = word_ball(spec, N)
+        ball = word_ball(N)
         assert len(lines) == 1 + len(ball)
         triples = [tuple(int(v) for v in l.split(",")[:3]) for l in lines[1:]]
         assert triples == ball
@@ -267,6 +282,27 @@ def test_verify_fails_a_same_trace_pair_reported_conjugate(monkeypatch, capsys):
     rows = {r["name"]: r for r in json.loads(out)["checks"]}
     assert rows["lattice-iso"]["pass"] is False
     assert rows["lattice-iso"]["residual"] == 1.0
+
+
+@pytest.mark.parametrize("A", ["2,1,1,1", "3,2,1,1"])
+def test_verify_lattice_iso_tests_the_exact_inverse(monkeypatch, capsys, A):
+    # at A = [[2, 1], [1, 1]] a wrong inverse such as ((a, -b), (-c, d)) is
+    # still conjugate to A, so the row's verdict cannot catch it; the pair
+    # passed in must itself multiply to the identity
+    calls = []
+    lattice_iso_test = cli.lattice_iso_test
+
+    def recorder(A, B):
+        calls.append((A, B))
+        return lattice_iso_test(A, B)
+
+    monkeypatch.setattr(cli, "lattice_iso_test", recorder)
+    rc, _ = run(capsys, "verify", "--suite", "kleinian", "--samples", "20",
+                "--A", A)
+    assert rc == 0
+    ((a, b), (c, d)), ((e, f), (g, h)) = calls[1]
+    assert ((a * e + b * g, a * f + b * h),
+            (c * e + d * g, c * f + d * h)) == ((1, 0), (0, 1))
 
 
 def _readme_blocks(lang):

@@ -199,22 +199,22 @@ def test_word_ball_size_formula():
     # |k| + |n| + |m| <= N: centered octahedral count, checked by summation
     for N in (0, 1, 4, 8, 12):
         expected = 1 + sum(4 * r * r + 2 for r in range(1, N + 1))
-        assert len(word_ball(SPEC, N)) == expected
-    assert len(word_ball(SPEC, 4)) == 129
-    assert len(word_ball(SPEC, 12)) == 2625
+        assert len(word_ball(N)) == expected
+    assert len(word_ball(4)) == 129
+    assert len(word_ball(12)) == 2625
     for N in range(21):
-        assert 3 * len(word_ball(SPEC, N)) == (2 * N + 1) * (2 * N * N + 2 * N + 3)
+        assert 3 * len(word_ball(N)) == (2 * N + 1) * (2 * N * N + 2 * N + 3)
 
 
 def test_word_ball_contents():
-    ball = word_ball(SPEC, 3)
+    ball = word_ball(3)
     assert ball == sorted(set(ball))
     assert all(abs(k) + abs(n) + abs(m) <= 3 for (k, n, m) in ball)
     for N in range(21):
-        ball = word_ball(SPEC, N)
+        ball = word_ball(N)
         assert ball == sorted(set(ball))
     with pytest.raises(ValueError):
-        word_ball(SPEC, -1)
+        word_ball(-1)
 
 
 def _expected_limit_families(spec, n):
@@ -227,7 +227,7 @@ def _expected_limit_families(spec, n):
     """
     pencil1, pencil2 = [], []
     infinity = 0
-    for (k, a, b) in word_ball(spec, n):
+    for (k, a, b) in word_ball(n):
         if (k, a, b) == (0, 0, 0):
             continue
         u, v = spec.P_inv @ np.array([a, b], dtype=float)
@@ -278,7 +278,7 @@ def test_limit_kernels_match_fixed_point_oracle():
         exp1, exp2, exp_inf = _expected_limit_families(spec, n)
         _match_sets(got1, exp1)
         _match_sets(got2, exp2)
-        ball_size = len(word_ball(spec, n))
+        ball_size = len(word_ball(n))
         assert weight_inf == exp_inf
         assert weight1 + weight2 + weight_inf == ball_size - 1
 
@@ -310,7 +310,7 @@ def _power_limit_lines(spec, n):
     word, its SVD kernel, and a linear-scan dedupe at sup-gap 1e-9, in ball
     order."""
     lines, weights = [], []
-    for g in word_ball(spec, n):
+    for g in word_ball(n):
         if g == (0, 0, 0):
             continue
         limit = _power_limit(toral_element(spec, *g, form="conjugated"))
@@ -652,18 +652,18 @@ def test_membership_quadrants():
     for s1 in (1, -1):
         for s2 in (1, -1):
             p = ProjectivePoint([complex(0.3, s1 * 0.8), complex(-0.2, s2 * 1.4), 1.0])
-            res = kulkarni_membership(SPEC, p)
+            res = kulkarni_membership(p)
             assert res.in_domain
             assert res.signs == (s1, s2)
     # imaginary parts far below any tolerance still decide the quadrant
     for coords, signs in (([0.5 + 1e-300j, -2 + 1e-300j, 1], (1, 1)),
                           ([0.5 - 1e-300j, 2 - 3e-300j, 1], (-1, -1))):
-        res = kulkarni_membership(SPEC, ProjectivePoint(coords))
+        res = kulkarni_membership(ProjectivePoint(coords))
         assert res.in_domain and res.signs == signs
     for coords, reason in (([1, 1j, 0], "on the line at infinity"),
                            ([1.0, 1j, 1.0], "first coordinate real"),
                            ([1j, 2.0, 1.0], "second coordinate real")):
-        res = kulkarni_membership(SPEC, ProjectivePoint(coords))
+        res = kulkarni_membership(ProjectivePoint(coords))
         assert not res.in_domain and res.signs is None
         assert res.reason == reason
 
@@ -675,8 +675,8 @@ def test_membership_invariant_under_group(rng):
                              complex(rng.uniform(-1, 1), -rng.uniform(0.2, 2)), 1.0])
         M = toral_element(SPEC, k, n, m, form="conjugated")
         moved = projective_act(M, p)
-        before = kulkarni_membership(SPEC, p)
-        after = kulkarni_membership(SPEC, moved)
+        before = kulkarni_membership(p)
+        after = kulkarni_membership(moved)
         assert after.in_domain
         assert after.signs == before.signs
 
@@ -705,7 +705,7 @@ def test_intersecting_elements_match_corner_oracle():
         for n in (4, 8):
             lib = set(intersecting_elements(spec, TEST_BOX, n))
             oracle = {
-                g for g in word_ball(spec, n)
+                g for g in word_ball(n)
                 if affine_box_hits_via_matrix(
                     toral_element(spec, *g, form="conjugated"), TEST_BOX)
             }
@@ -725,7 +725,7 @@ def _intersecting_elements_reference(spec, box, n):
     (x1, y1, x2, y2) = box
     pad = 1e-12
     hits = []
-    for (k, a, b) in word_ball(spec, n):
+    for (k, a, b) in word_ball(n):
         s = spec.lam ** k
         u, v = spec.P_inv @ np.array([a, b], dtype=float)
         if s * y1[0] > y1[1] + pad or s * y1[1] < y1[0] - pad:
