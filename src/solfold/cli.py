@@ -18,10 +18,9 @@ import numpy as np
 
 from . import _fd
 from .geometry import (MetricSpec, MixedPoint, ProductPoint, UpperHalfPoint,
-                       geodesic_residual, metric_norm, rand_mixed, rand_product)
-from .heisenberg import (HeisElement, UNIT_CUBE,
-                         factored_proper_discontinuity_check, heis_act,
-                         heis_commutator, heis_leaf_jacobian,
+                       geodesic_residual, rand_mixed, rand_product)
+from .heisenberg import (HeisElement, factored_proper_discontinuity_check,
+                         heis_act, heis_commutator, heis_leaf_jacobian,
                          heis_leaf_separation_numeric, heis_mul,
                          heis_pullback_metric, heis_rectify,
                          heis_rectify_inverse, heis_reduce_mod_integer_lattice,
@@ -34,8 +33,8 @@ from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
 from .quotient import (CheckRow, check_row, heis_quotient_check,
                        sol_quotient_check)
 from .sol import (STANDARD, SolElement, SolParams, flow_equivariance_defect,
-                  leaf_embed, leaf_metric, leaf_separation_numeric,
-                  normal_flow, normal_flow_velocity, rectify, rectify_inverse,
+                  flow_speed, leaf_embed, leaf_metric, leaf_separation_numeric,
+                  normal_flow, rectify, rectify_inverse,
                   rectify_isometric, rectify_isometric_inverse, shape_operator,
                   sol_act)
 
@@ -144,15 +143,8 @@ def _parse_matrix(s: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 
 
 def _parse_complex_token(field: str, token: str) -> complex:
-    t = token.strip().replace("i", "j")
-    if t in ("j", "+j"):
-        t = "1j"
-    elif t == "-j":
-        t = "-1j"
-    else:
-        t = t.replace("+j", "+1j").replace("-j", "-1j")
     try:
-        return complex(t)
+        return complex(token.strip().replace("i", "j"))
     except ValueError:
         raise ConfigError(field, f"cannot parse complex number {token!r}")
 
@@ -260,13 +252,6 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
 }
 _EXPORTS = ("flow", "leaf-metric", "limit-set", "orbit", "domain")
 
-# Flags whose values may begin with a minus sign without being a plain
-# negative integer (ranges, points, matrices, floats such as -1e-3), which
-# argparse would take for an option; string and integer flags are left out.
-_VALUE_FLAGS = {"--" + key for table in _FLAGS.values()
-                for key, (cast, default) in table.items()
-                if cast is not str and not isinstance(default, int)}
-
 
 def _resolve(ns: argparse.Namespace,
              table: Dict[str, Tuple[Callable, object]]) -> Dict[str, object]:
@@ -317,8 +302,7 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     for _ in range(min(samples, 200)):
         z = rand_product(rng, 0.3, 4.0)
         s = rng.uniform(-2, 2)
-        speed = metric_norm(ghyp, normal_flow(z, s), normal_flow_velocity(z, s))
-        worst = max(worst, abs(speed - 1.0))
+        worst = max(worst, abs(flow_speed(z, s) - 1.0))
     rows.append(check_row("flow-unit-speed", worst, 1e-10,
                           "the normal field has unit length everywhere"))
 
@@ -428,7 +412,7 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
 
     diff = 0
     for n in range(1, 5):
-        cg, ca = factored_proper_discontinuity_check(heis_word_ball(n), UNIT_CUBE, 0.0)
+        cg, ca = factored_proper_discontinuity_check(heis_word_ball(n))
         diff = max(diff, abs(cg - ca))
     rows.append(check_row("factored-counts", float(diff), 0.0,
                           "group-side and ambient-side intersection counts agree"))
@@ -709,13 +693,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _glue_negative_values(args: List[str]) -> List[str]:
-    """Join flags to values that begin with a minus sign so argparse does
-    not mistake numbers like -2:2:0.1 for option names."""
+    """Join each --key to a next token that begins with a minus sign and a
+    digit or dot, so argparse does not mistake values like -2:2:0.1 for
+    option names."""
     out: List[str] = []
     i = 0
     while i < len(args):
         tok = args[i]
-        if (tok in _VALUE_FLAGS and i + 1 < len(args)
+        if (tok.startswith("--") and "=" not in tok and i + 1 < len(args)
                 and args[i + 1].startswith("-") and len(args[i + 1]) > 1
                 and args[i + 1][1] in "0123456789."):
             out.append(f"{tok}={args[i + 1]}")

@@ -185,22 +185,21 @@ def heis_word_ball(n: int) -> List[HeisElement]:
     return [HeisElement(*t) for t in sorted(seen)]
 
 
-Box = Tuple[Tuple[float, float], Tuple[float, float], Tuple[float, float]]
-
-UNIT_CUBE: Box = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+UNIT_CUBE = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
 
 
 def _interval_overlap(lo1, hi1, lo2, hi2, pad=1e-12):
     return lo1 <= hi2 + pad and lo2 <= hi1 + pad
 
 
-def _box_meets_translate(g: HeisElement, box: Box) -> bool:
-    """Whether g . box meets box under left multiplication, exactly up to padding.
+def _box_meets_translate(g: HeisElement) -> bool:
+    """Whether g . K meets the unit cube K under left multiplication, exactly
+    up to padding.
 
     g maps (a, b, c) to (g.a + a, g.b + b, g.c + c + g.a b), affine with unit
     determinant, so images of boxes are polytopes with interval shadows.
     """
-    (a0, a1), (b0, b1), (c0, c1) = box
+    (a0, a1), (b0, b1), (c0, c1) = UNIT_CUBE
     if not _interval_overlap(g.a + a0, g.a + a1, a0, a1):
         return False
     if not _interval_overlap(g.b + b0, g.b + b1, b0, b1):
@@ -214,10 +213,10 @@ def _box_meets_translate(g: HeisElement, box: Box) -> bool:
     return _interval_overlap(clo, chi, c0, c1)
 
 
-def _box_meets_translate_ambient(g: HeisElement, box: Box, s: float) -> bool:
+def _box_meets_translate_ambient(g: HeisElement, s: float) -> bool:
     """Same intersection decided through the C x H picture at height e^s."""
     q = math.exp(s)
-    (a0, a1), (b0, b1), (c0, c1) = box
+    (a0, a1), (b0, b1), (c0, c1) = UNIT_CUBE
     # leaf coordinates: z = c + a q i, w = b + q i
     if g.b != 0.0 and not _interval_overlap(b0 + g.b, b1 + g.b, b0, b1):
         return False
@@ -235,9 +234,9 @@ def _box_meets_translate_ambient(g: HeisElement, box: Box, s: float) -> bool:
 
 def factored_proper_discontinuity_check(
         sample: Iterable[HeisElement],
-        box: Box = UNIT_CUBE,
         s: float = 0.0) -> Tuple[int, int]:
-    """Count elements with g K meeting K, in the group and through C x H.
+    """Count elements with g K meeting K, K the unit cube, in the group and
+    through C x H at height e^s.
 
     The action on C x H leaves the height coordinate alone, so the two counts
     agree; both are returned so callers can assert the equality.
@@ -245,8 +244,8 @@ def factored_proper_discontinuity_check(
     count_group = 0
     count_ambient = 0
     for g in sample:
-        if _box_meets_translate(g, box):
+        if _box_meets_translate(g):
             count_group += 1
-        if _box_meets_translate_ambient(g, box, s):
+        if _box_meets_translate_ambient(g, s):
             count_ambient += 1
     return count_group, count_ambient

@@ -325,12 +325,14 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
                              [], [])
 
 
-def classify_limit_line(line: ProjectiveLine, tol: float = 1e-8):
-    """Match a line against the limit family.
+def classify_limit_line(line: ProjectiveLine):
+    """Match a line against the limit family, reading dual entries and
+    imaginary parts of modulus at most 1e-8 as zero.
 
     Returns ("infinity", None), ("pencil1", r) for z1 = r z3,
     ("pencil2", r) for z2 = r z3, or ("unclassified", None).
     """
+    tol = 1e-8
     l1, l2, l3 = line.dual
     if abs(l1) <= tol and abs(l2) <= tol:
         return ("infinity", None)

@@ -19,7 +19,7 @@ from .geometry import rand_mixed, rand_product
 from .heisenberg import (HeisElement, heis_act, heis_commutator, heis_mul,
                          heis_reduce_mod_integer_lattice)
 from .kleinian import (ToralGroupSpec, fundamental_domain_reduce,
-                       sol_lattice_embed, toral_act, word_ball)
+                       sol_lattice_embed, toral_act, toral_compose, word_ball)
 from .sol import rectify_inverse, sol_mul
 
 
@@ -93,14 +93,14 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
 
     rel_res = 0.0
     t_gen = (1, 0, 0)
-    A = spec.matrix
     for n in range(-2, 3):
         for m in range(-2, 3):
             lhs = sol_mul(sol_mul(sol_lattice_embed(spec, *t_gen),
                                   sol_lattice_embed(spec, 0, n, m)),
                           sol_lattice_embed(spec, *t_gen).inverse())
-            an, am = A @ np.array([n, m])
-            rhs = sol_lattice_embed(spec, 0, int(an), int(am))
+            # the same conjugate in the exact integer group law: (0, A (n, m))
+            word = toral_compose(spec, toral_compose(spec, t_gen, (0, n, m)), (-1, 0, 0))
+            rhs = sol_lattice_embed(spec, *word)
             rel_res = max(rel_res,
                           abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
 

@@ -50,78 +50,55 @@ def sol_mul(g: SolElement, h: SolElement) -> SolElement:
 
 @dataclass(frozen=True)
 class SolParams:
-    """Scaling base lam > 0, lam != 1, and an invertible mixing matrix [[a, b], [c, d]].
+    """Scaling base lam > 0, lam != 1.
 
     The element (t, x, y) acts on H x H by
-      (z1, z2) |-> (lam^t z1 + a x + b y, lam^{-t} z2 + c x + d y).
+      (z1, z2) |-> (lam^t z1 + x, lam^{-t} z2 + y).
     """
 
     lam: float
-    a: float = 1.0
-    b: float = 0.0
-    c: float = 0.0
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         if self.lam <= 0 or self.lam == 1.0:
             raise ValueError("scaling base must be positive and different from 1")
-        if abs(self.a * self.d - self.b * self.c) < 1e-12:
-            raise ValueError("mixing matrix must be invertible")
 
     @classmethod
     def standard(cls) -> "SolParams":
         return cls(math.e)
-
-    @property
-    def mixing(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-    def translation(self, g: SolElement) -> Tuple[float, float]:
-        """Translation pair (a x + b y, c x + d y) contributed by g."""
-        return (self.a * g.x + self.b * g.y, self.c * g.x + self.d * g.y)
 
 
 STANDARD = SolParams.standard()
 
 
 def sol_mul_params(p: SolParams, g: SolElement, h: SolElement) -> SolElement:
-    """Group law twisted so that the (lam, M) matrix representation is a homomorphism."""
-    M = p.mixing
-    Minv = np.linalg.inv(M)
+    """Group law twisted so that the lam matrix representation is a homomorphism."""
     s = p.lam ** g.t
-    tr = M @ np.array([g.x, g.y]) + np.diag([s, 1 / s]) @ M @ np.array([h.x, h.y])
-    xy = Minv @ tr
-    return SolElement(g.t + h.t, float(xy[0]), float(xy[1]))
+    return SolElement(g.t + h.t, g.x + s * h.x, g.y + h.y / s)
 
 
 def sol_matrix_rep(g: SolElement, p: SolParams = STANDARD) -> np.ndarray:
     """Upper triangular representation diag(lam^t, lam^{-t}, 1) with the translation column."""
-    u, v = p.translation(g)
     s = p.lam ** g.t
-    return np.array([[s, 0.0, u],
-                     [0.0, 1 / s, v],
+    return np.array([[s, 0.0, g.x],
+                     [0.0, 1 / s, g.y],
                      [0.0, 0.0, 1.0]])
 
 
 def sol_act(p: SolParams, g: SolElement, z: ProductPoint) -> ProductPoint:
-    u, v = p.translation(g)
     s = p.lam ** g.t
-    return ProductPoint.from_complex(s * z.z1.complex + u, z.z2.complex / s + v)
+    return ProductPoint.from_complex(s * z.z1.complex + g.x, z.z2.complex / s + g.y)
 
 
 def phi(p: SolParams, g: SolElement) -> SolElement:
-    """Reparametrization carrying (lam, M) coordinates to standard coordinates.
+    """Reparametrization carrying lam coordinates to standard coordinates.
 
     The embedding with parameters p equals the standard embedding composed with phi.
     """
-    u, v = p.translation(g)
-    return SolElement(g.t * math.log(p.lam), u, v)
+    return SolElement(g.t * math.log(p.lam), g.x, g.y)
 
 
 def phi_inverse(p: SolParams, g: SolElement) -> SolElement:
-    Minv = np.linalg.inv(p.mixing)
-    xy = Minv @ np.array([g.x, g.y])
-    return SolElement(g.t / math.log(p.lam), float(xy[0]), float(xy[1]))
+    return SolElement(g.t / math.log(p.lam), g.x, g.y)
 
 
 def leaf_embed(p: SolParams, z: ProductPoint, g: SolElement) -> ProductPoint:
@@ -133,10 +110,7 @@ def leaf_embed_inverse(p: SolParams, z: ProductPoint, w: ProductPoint) -> SolEle
     """Left inverse of f_z: recovers g from w = f_z(g), using the first factor height."""
     s = w.z1.y / z.z1.y  # lam^t
     t = math.log(s) / math.log(p.lam)
-    Minv = np.linalg.inv(p.mixing)
-    rhs = np.array([w.z1.x - s * z.z1.x, w.z2.x - z.z2.x / s])
-    xy = Minv @ rhs
-    return SolElement(t, float(xy[0]), float(xy[1]))
+    return SolElement(t, w.z1.x - s * z.z1.x, w.z2.x - z.z2.x / s)
 
 
 def leaf_jacobian(p: SolParams, z: ProductPoint, g: SolElement) -> np.ndarray:
@@ -144,9 +118,9 @@ def leaf_jacobian(p: SolParams, z: ProductPoint, g: SolElement) -> np.ndarray:
     ln = math.log(p.lam)
     s = p.lam ** g.t
     return np.array([
-        [ln * s * z.z1.x, p.a, p.b],
+        [ln * s * z.z1.x, 1.0, 0.0],
         [ln * s * z.z1.y, 0.0, 0.0],
-        [-ln * z.z2.x / s, p.c, p.d],
+        [-ln * z.z2.x / s, 0.0, 1.0],
         [-ln * z.z2.y / s, 0.0, 0.0],
     ])
 
@@ -155,8 +129,7 @@ def leaf_normal(p: SolParams, z: ProductPoint, g: SolElement) -> TangentVector4:
     """Euclidean normal field of the leaf at f_z(g).
 
     Equals the triple cross product of the Jacobian columns up to positive
-    scale when the mixing determinant is positive; its second and fourth
-    components carry the opposite factor heights.
+    scale; its second and fourth components carry the opposite factor heights.
     """
     ln = math.log(p.lam)
     s = p.lam ** g.t

@@ -301,7 +301,7 @@ def test_criterion_09_limit_set_combinatorics(acceptance_log):
         res = pseudo_limit_kernels(spec, 8)
         ok = ok and res.nonconverged == [] and res.points == []
         for ll in res.lines:
-            family, _ = classify_limit_line(ll.line, tol=1e-8)
+            family, _ = classify_limit_line(ll.line)
             ok = ok and family in ("pencil1", "pencil2", "infinity")
         gp = general_position_max([ll.line for ll in res.lines])
         sizes.append(gp.size)

@@ -199,6 +199,30 @@ def test_export_orbit_rejects_base_outside_domain(capsys):
     assert json.loads(out)["error"]["field"] == "base"
 
 
+@pytest.mark.parametrize("base", ["1e+i,1i", "1e-i,1i", "1i,2e+i", "x,1i"])
+def test_export_orbit_rejects_malformed_base(base, capsys):
+    # an exponent with no digits is malformed, not a bare imaginary unit
+    rc, out = run(capsys, "export", "orbit", "--base", base)
+    assert rc == 2
+    assert json.loads(out)["error"]["field"] == "base"
+
+
+@pytest.mark.parametrize("token, value", [
+    ("i", 1j), ("-i", -1j), ("+i", 1j), ("1+i", 1 + 1j), ("2-i", 2 - 1j),
+    ("0.5i", 0.5j), (" 3i ", 3j), ("-1+0.5i", -1 + 0.5j),
+])
+def test_complex_tokens_with_a_bare_unit(token, value):
+    assert cli._parse_complex_token("base", token) == value
+
+
+def test_string_flag_takes_a_value_that_looks_negative(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out = run(capsys, "export", "orbit", "--N", "0", "--out", "-1.csv")
+    assert rc == 0 and out == ""
+    lines = (tmp_path / "-1.csv").read_text().split("\n")
+    assert lines[0] == "k,n,m,x1,y1,x2,y2" and lines[1].startswith("0,0,0,")
+
+
 def test_export_limit_set_structure(capsys):
     rc, out = run(capsys, "export", "limit-set", "--N", "4")
     assert rc == 0
