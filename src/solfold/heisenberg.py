@@ -163,6 +163,19 @@ def heis_reduce_mod_integer_lattice(
     return lattice, rep
 
 
+def _heis_reduce_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      moduli: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
+    """heis_reduce_mod_integer_lattice on (a[i], b[i], c[i]): lattice parts as floats,
+    representatives bit for bit; moduli as the scalar accepts (unchecked here)."""
+    d1, d2, d3 = moduli
+    # floats, so no int64 wraps; + 0.0 makes a floor of -0.0 math.floor's 0
+    A = d1 * (np.floor(a / d1) + 0.0)
+    B = d2 * (np.floor(b / d2) + 0.0)
+    beta = b - B
+    C = d3 * (np.floor((c - A * beta) / d3) + 0.0)
+    return np.column_stack([A, B, C]), np.column_stack([a - A, beta, c - C - A * beta])
+
+
 _GENERATORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ProductPoint
+from .geometry import ProductPoint, UpperHalfPoint
 from .sol import SolElement
 
 
@@ -685,9 +685,23 @@ def fundamental_domain_reduce(spec: ToralGroupSpec,
     k = -math.floor(math.log(z.z1.y) / math.log(spec.lam))
     s = spec.lam ** k
     w = np.array([s * z.z1.x, z.z2.x / s])
-    nm = np.floor(spec.P @ w)
-    n, m = int(nm[0]), int(nm[1])
-    u, v = spec.P_inv @ np.array([-n, -m], dtype=float)
-    rep = ProductPoint.from_complex(complex(w[0] + u, s * z.z1.y),
-                                    complex(w[1] + v, z.z2.y / s))
-    return ((k, -n, -m), rep)
+    n, m = map(int, np.floor(spec.P @ w).tolist())
+    x1, x2 = (spec.P_inv @ (float(-n), float(-m)) + w).tolist()
+    return ((k, -n, -m), ProductPoint(UpperHalfPoint(x1, s * z.z1.y),
+                                      UpperHalfPoint(x2, z.z2.y / s)))
+
+
+def _fundamental_domain_rows(spec: ToralGroupSpec,
+                             X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """fundamental_domain_reduce on each row (x1, y1, x2, y2) of X, bit for bit, with
+    (k, n, m) as floats: math.log, math.floor and a Python lam^k per row (np.log and
+    np.power can differ in the last bit), and stacked matmuls, the scalar's 2 x 2
+    product per row (an elementwise a x + b y can differ from it by FMA)."""
+    k = np.array([-math.floor(math.log(y) / math.log(spec.lam)) for y in X[:, 1].tolist()])
+    s = np.array([spec.lam ** j for j in k.tolist()])
+    w = np.column_stack([s * X[:, 0], X[:, 2] / s])
+    # (-n, -m) stays float, as in the scalar's translation: no int64 to wrap
+    t = -np.floor(np.matmul(spec.P, w[:, :, None]))
+    xy = np.matmul(spec.P_inv, t)[:, :, 0] + w
+    reps = np.column_stack([xy[:, 0], s * X[:, 1], xy[:, 1], X[:, 3] / s])
+    return np.column_stack([k, t[:, :, 0]]), reps

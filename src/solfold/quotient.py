@@ -16,11 +16,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .geometry import rand_mixed, rand_product
-from .heisenberg import (HeisElement, heis_act, heis_commutator, heis_mul,
-                         heis_reduce_mod_integer_lattice)
-from .kleinian import (ToralGroupSpec, fundamental_domain_reduce,
-                       sol_lattice_embed, toral_act, toral_compose, word_ball)
-from .sol import rectify_inverse, sol_mul
+from .heisenberg import (HeisElement, _heis_reduce_rows, heis_act, heis_commutator,
+                         heis_mul, heis_reduce_mod_integer_lattice)
+from .kleinian import (ToralGroupSpec, _fundamental_domain_rows, fundamental_domain_reduce,
+                       sol_lattice_embed, toral_compose, word_ball)
+from .sol import _leaf_param, sol_mul
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,30 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     group_desc = f"toral A={list(map(list, spec.A))}"
     domain_desc = "first height in [1, lam), horizontal pair in the unit cell of P^{-1} Z^2"
     ball = [g for g in word_ball(2) if g != (0, 0, 0)]
+    # each word acts as toral_act does: scale by lam^k, translate by P^{-1}(n, m)
+    scale = np.array([spec.lam ** k for k, _, _ in ball])
+    shift = np.array([spec.P_inv @ np.array([n, m], dtype=float) for _, n, m in ball])
 
-    leaf_res = 0.0
-    reduce_res = 0.0
-    sign_violations = 0
+    # per sample: the draws, in the per-point loop's order, and the scalar reduction
+    base, rep0, words = [], [], []
     for _ in range(samples):
         z = rand_product(rng, 0.2, 5.0)
-        s0 = rectify_inverse(z)[3]
-        rep0 = fundamental_domain_reduce(spec, z)[1].coords()
-        for idx in rng.integers(0, len(ball), size=10):
-            g = ball[int(idx)]
-            gz = toral_act(spec, g, z)
-            leaf_res = max(leaf_res, abs(rectify_inverse(gz)[3] - s0))
-            rep1 = fundamental_domain_reduce(spec, gz)[1].coords()
-            reduce_res = max(reduce_res, float(np.abs(rep1 - rep0).max()))
-            # lam^k > 0 keeps both imaginary parts positive; the same holds
-            # for the reflected components, so the sign pattern is rigid
-            if gz.z1.y <= 0 or gz.z2.y <= 0:
-                sign_violations += 1
+        base.append(z.coords())
+        rep0.append(fundamental_domain_reduce(spec, z)[1].coords())
+        words.append(rng.integers(0, len(ball), size=10))
+    base, rep0, words = np.array(base), np.array(rep0), np.concatenate(words)
+
+    z = np.repeat(base, 10, axis=0)
+    s, (u, v) = scale[words], shift[words].T
+    gz = np.column_stack([s * z[:, 0] + u, s * z[:, 1], z[:, 2] / s + v, z[:, 3] / s])
+    s0, s1 = (np.array(list(map(_leaf_param, Z[:, 1].tolist(), Z[:, 3].tolist())))
+              for Z in (base, gz))
+    leaf_res = float(np.abs(s1 - np.repeat(s0, 10)).max())
+    rep1 = _fundamental_domain_rows(spec, gz)[1]
+    reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())
+    # lam^k > 0 keeps both imaginary parts positive; the same holds for the
+    # reflected components, so the sign pattern is rigid
+    sign_violations = int(np.count_nonzero((gz[:, 1] <= 0) | (gz[:, 3] <= 0)))
 
     rel_res = 0.0
     t_gen = (1, 0, 0)
@@ -130,20 +136,23 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
     group_desc = f"heisenberg lattice moduli={tuple(moduli)}"
     domain_desc = f"half-open cube [0,{d1}) x [0,{d2}) x [0,{d3}) in (a, b, c)"
 
+    # per sample: the draws, in the per-point loop's order (its ten size-3 integer
+    # draws read the stream as one of size 30), and the scalar reduction
+    base, rep0, ell = [], [], []
     height_res = 0.0
-    reduce_res = 0.0
     for _ in range(samples):
         m = rand_mixed(rng, 0.2, 5.0)
         g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
-        rep0 = heis_reduce_mod_integer_lattice(g, moduli)[1]
-        for _ in range(10):
-            j, k, l = rng.integers(-3, 4, size=3)
-            ell = HeisElement(d1 * int(j), d2 * int(k), d3 * int(l))
-            height_res = max(height_res, abs(heis_act(ell, m).w.y - m.w.y))
-            rep1 = heis_reduce_mod_integer_lattice(heis_mul(ell, g), moduli)[1]
-            reduce_res = max(reduce_res,
-                             abs(rep1.a - rep0.a), abs(rep1.b - rep0.b),
-                             abs(rep1.c - rep0.c))
+        base.append(g.triple())
+        rep0.append(heis_reduce_mod_integer_lattice(g, moduli)[1].triple())
+        ell.append(rng.integers(-3, 4, size=30).reshape(10, 3) * moduli)
+        # heis_act and heis_mul are elementwise, so they take array coordinates
+        height_res = max(height_res, abs(heis_act(HeisElement(*ell[-1].T), m).w.y - m.w.y))
+    base, rep0, ell = np.array(base), np.array(rep0), np.concatenate(ell)
+
+    moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))
+    rep1 = _heis_reduce_rows(*moved.triple(), moduli)[1]
+    reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())
 
     comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
     comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))

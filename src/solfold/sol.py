@@ -176,8 +176,12 @@ def rectify(t: float, x: float, y: float, s: float) -> ProductPoint:
 
 def rectify_inverse(z: ProductPoint) -> Tuple[float, float, float, float]:
     t = 0.5 * math.log(z.z1.y / z.z2.y)
-    s = 0.5 * math.log(2.0 * z.z1.y * z.z2.y)
-    return (t, z.z1.x, z.z2.x, s)
+    return (t, z.z1.x, z.z2.x, _leaf_param(z.z1.y, z.z2.y))
+
+
+def _leaf_param(y1: float, y2: float) -> float:
+    """Leaf parameter s of the points with heights y1 and y2."""
+    return 0.5 * math.log(2.0 * y1 * y2)
 
 
 def rectify_jacobian(t: float, x: float, y: float, s: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Heisenberg group: law, action on C x H, rectification, lattice reduction."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from solfold import (
     metric_norm,
     symplectic_mul,
 )
+from solfold.heisenberg import _heis_reduce_rows
 
 from conftest import cube_hit_by_grid, fd_jacobian, fd_pullback, heis_ball_dp, mixed_metric_matrix
 
@@ -237,6 +239,26 @@ def test_reduction_factorization_and_cube(rng):
             assert 0.0 <= rep.a < d1 and 0.0 <= rep.b < d2 and 0.0 <= rep.c < d3
             for v, d in zip(lattice.triple(), moduli):
                 assert v == d * round(v / d)
+
+
+@pytest.mark.parametrize("moduli", [(1, 1, 1), (2, 3, 6), (4, 6, 3)])
+def test_reduce_rows_equal_the_scalar_bit_for_bit(moduli):
+    # coordinates on the multiples of each modulus, beside them, at -0.0 and
+    # beyond the int64 range
+    def edges(d):
+        on = [float(d * j) for j in range(-3, 4)]
+        beside = [np.nextafter(v, t) for v in on for t in (-np.inf, np.inf)]
+        return on + beside + [-0.0, 3e19, -5e21]
+
+    G = np.array(list(itertools.product(*map(edges, moduli))))
+    G = np.vstack([G, np.random.default_rng(3).uniform(-30, 30, size=(2000, 3))])
+    lattice, reps = _heis_reduce_rows(*G.T, moduli)
+    for g, lat, rep in zip(G, lattice, reps):
+        want_lat, want_rep = heis_reduce_mod_integer_lattice(HeisElement(*g), moduli)
+        # the scalar's lattice part is a Python int, exact where the float rounds
+        assert lat.tolist() == [float(v) for v in want_lat.triple()]
+        assert np.array_equal(rep, want_rep.triple())
+        assert np.signbit(rep).tolist() == [math.copysign(1.0, v) < 0 for v in want_rep.triple()]
 
 
 def test_reduction_idempotent(rng):

@@ -43,7 +43,7 @@ from solfold import (
     projective_act,
     word_ball,
 )
-from solfold.kleinian import _dedupe_lines, _normalize_homogeneous
+from solfold.kleinian import _dedupe_lines, _fundamental_domain_rows, _normalize_homogeneous
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 SPEC_B = ToralGroupSpec.from_matrix([[3, 2], [1, 1]])
@@ -1069,3 +1069,38 @@ def test_fundamental_domain_orbit_invariance(rng):
         g = tuple(int(v) for v in rng.integers(-2, 3, size=3))
         _, rep_g = fundamental_domain_reduce(SPEC, toral_act(SPEC, g, z))
         assert np.abs(rep_g.coords() - rep.coords()).max() < 1e-8
+
+
+def _toral_edge_points(spec):
+    """Heights exactly lam^j and the 80 floats on each side, then points of
+    the height band whose P w lands within an ulp of a lattice point or whose
+    x1 is -0.0."""
+    pts = [(-0.0, 1.0, x2, 2.0) for x2 in (-0.5, -0.25, -0.0, 0.0, 0.25, 0.5)]
+    for j in range(-25, 26):
+        near = (np.array(spec.lam ** j).view(np.int64) + np.arange(-80, 81)).view(np.float64)
+        pts += [(0.3, y1, -0.7, 1.5) for y1 in near.tolist()]
+    for n, m in itertools.product(range(-3, 4), repeat=2):
+        w = spec.P_inv @ np.array([n, m], dtype=float)
+        for x1 in (np.nextafter(w[0], -np.inf), w[0], np.nextafter(w[0], np.inf)):
+            for x2 in (np.nextafter(w[1], -np.inf), w[1], np.nextafter(w[1], np.inf)):
+                pts.append((float(x1), 1.0, float(x2), 2.0))
+    return pts
+
+
+@pytest.mark.parametrize("A", [[[2, 1], [1, 1]], [[3, 2], [1, 1]], [[5, 4], [1, 1]],
+                               [[7, 4], [5, 3]], [[0, 1], [-1, 3]]])
+def test_fundamental_domain_rows_equal_the_scalar_bit_for_bit(A):
+    spec = ToralGroupSpec.from_matrix(A)
+    rng = np.random.default_rng(5)
+    X = np.array(_toral_edge_points(spec))
+    X = np.vstack([X, np.column_stack([rng.uniform(-30, 30, 2000), np.exp(rng.uniform(-9, 9, 2000)),
+                                       rng.uniform(-30, 30, 2000), np.exp(rng.uniform(-9, 9, 2000))])])
+    elements, reps = _fundamental_domain_rows(spec, X)
+    for row, g, rep in zip(X, elements, reps):
+        want_g, want_rep = fundamental_domain_reduce(spec, ProductPoint.from_coords(row))
+        assert tuple(g.tolist()) == want_g
+        assert np.array_equal(rep, want_rep.coords())
+        assert np.array_equal(np.signbit(rep), np.signbit(want_rep.coords()))
+    # the planted points straddle the floors: both sides of some lattice lines
+    near = X[6 + 51 * 161:, [0, 2]] @ spec.P.T
+    assert (np.floor(near) != np.round(near)).any() and (np.floor(near) == np.round(near)).any()

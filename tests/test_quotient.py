@@ -1,16 +1,164 @@
 """Quotient verification reports for the toral and Heisenberg lattices."""
 
+import numpy as np
 import pytest
 
+import solfold.quotient as quotient
 from solfold import (
+    HeisElement,
     QuotientReport,
     ToralGroupSpec,
+    fundamental_domain_reduce,
+    heis_act,
+    heis_commutator,
+    heis_mul,
     heis_quotient_check,
+    heis_reduce_mod_integer_lattice,
+    rectify_inverse,
+    sol_lattice_embed,
+    sol_mul,
     sol_quotient_check,
     structural_notes,
+    toral_act,
+    toral_compose,
+    word_ball,
 )
+from solfold.geometry import rand_mixed, rand_product
+from solfold.quotient import check_row
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
+
+
+# ---------------------------------------------------------------------------
+# the per-point loops the library checks batch, kept as the reference
+
+def _sol_quotient_reference(spec, samples, seed):
+    rng = np.random.default_rng(seed)
+    ball = [g for g in word_ball(2) if g != (0, 0, 0)]
+    leaf_res = 0.0
+    reduce_res = 0.0
+    sign_violations = 0
+    for _ in range(samples):
+        z = rand_product(rng, 0.2, 5.0)
+        s0 = rectify_inverse(z)[3]
+        rep0 = fundamental_domain_reduce(spec, z)[1].coords()
+        for idx in rng.integers(0, len(ball), size=10):
+            gz = toral_act(spec, ball[int(idx)], z)
+            leaf_res = max(leaf_res, abs(rectify_inverse(gz)[3] - s0))
+            rep1 = fundamental_domain_reduce(spec, gz)[1].coords()
+            reduce_res = max(reduce_res, float(np.abs(rep1 - rep0).max()))
+            if gz.z1.y <= 0 or gz.z2.y <= 0:
+                sign_violations += 1
+
+    rel_res = 0.0
+    t_gen = (1, 0, 0)
+    for n in range(-2, 3):
+        for m in range(-2, 3):
+            lhs = sol_mul(sol_mul(sol_lattice_embed(spec, *t_gen),
+                                  sol_lattice_embed(spec, 0, n, m)),
+                          sol_lattice_embed(spec, *t_gen).inverse())
+            word = toral_compose(spec, toral_compose(spec, t_gen, (0, n, m)), (-1, 0, 0))
+            rhs = sol_lattice_embed(spec, *word)
+            rel_res = max(rel_res,
+                          abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
+
+    checks = (
+        check_row("leaf-preservation", leaf_res, 1e-10,
+                  "the lattice action preserves each leaf parameter s"),
+        check_row("reduction-invariance", reduce_res, 1e-8,
+                  "fundamental-domain representatives are constant on orbits"),
+        check_row("semidirect-relation", rel_res, 1e-12,
+                  "conjugating a translation by the cyclic generator applies the integer matrix"),
+        check_row("component-preservation", float(sign_violations), 0.0,
+                  "positive scaling preserves the four sign components of the imaginary parts"),
+    )
+    domain = "first height in [1, lam), horizontal pair in the unit cell of P^{-1} Z^2"
+    return QuotientReport(f"toral A={list(map(list, spec.A))}", 4, domain,
+                          checks, samples, seed)
+
+
+def _heis_quotient_reference(moduli, samples, seed):
+    rng = np.random.default_rng(seed)
+    d1, d2, d3 = moduli
+    height_res = 0.0
+    reduce_res = 0.0
+    for _ in range(samples):
+        m = rand_mixed(rng, 0.2, 5.0)
+        g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
+        rep0 = heis_reduce_mod_integer_lattice(g, moduli)[1]
+        for _ in range(10):
+            j, k, l = rng.integers(-3, 4, size=3)
+            ell = HeisElement(d1 * int(j), d2 * int(k), d3 * int(l))
+            height_res = max(height_res, abs(heis_act(ell, m).w.y - m.w.y))
+            rep1 = heis_reduce_mod_integer_lattice(heis_mul(ell, g), moduli)[1]
+            reduce_res = max(reduce_res,
+                             abs(rep1.a - rep0.a), abs(rep1.b - rep0.b),
+                             abs(rep1.c - rep0.c))
+
+    comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
+    comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))
+    checks = (
+        check_row("height-invariance", height_res, 0.0,
+                  "real translations leave the second-factor height unchanged"),
+        check_row("reduction-invariance", reduce_res, 1e-12,
+                  "cube representatives are constant on left cosets of the lattice"),
+        check_row("commutator", comm_res, 0.0,
+                  "the commutator of the two horizontal generators is the central generator"),
+    )
+    domain = f"half-open cube [0,{d1}) x [0,{d2}) x [0,{d3}) in (a, b, c)"
+    return QuotientReport(f"heisenberg lattice moduli={tuple(moduli)}", 1, domain,
+                          checks, samples, seed)
+
+
+def _assert_same_report(got, want):
+    assert got == want
+    for a, b in zip(got.checks, want.checks):
+        assert a.residual.hex() == b.residual.hex(), a.name
+
+
+@pytest.mark.parametrize("samples", [1, 7, 300])
+@pytest.mark.parametrize("A", [[[2, 1], [1, 1]], [[3, 2], [1, 1]], [[5, 4], [1, 1]]])
+def test_sol_quotient_matches_reference_loop(A, samples):
+    spec = ToralGroupSpec.from_matrix(A)
+    for seed in range(5):
+        _assert_same_report(sol_quotient_check(spec, samples, seed),
+                            _sol_quotient_reference(spec, samples, seed))
+
+
+@pytest.mark.parametrize("samples", [1, 7, 300])
+@pytest.mark.parametrize("moduli", [(1, 1, 1), (2, 3, 6), (4, 6, 3)])
+def test_heis_quotient_matches_reference_loop(moduli, samples):
+    for seed in range(5):
+        _assert_same_report(heis_quotient_check(moduli, samples, seed),
+                            _heis_quotient_reference(moduli, samples, seed))
+
+
+def _shifted(reduce):
+    """reduce with every representative coordinate moved by 1e-6."""
+    def wrapper(*args):
+        element, rep = reduce(*args)
+        if isinstance(rep, HeisElement):
+            return element, HeisElement(*(v + 1e-6 for v in rep.triple()))
+        return element, type(rep).from_coords(rep.coords() + 1e-6)
+    return wrapper
+
+
+def test_sol_reduction_invariance_compares_two_routes(monkeypatch):
+    # the base points go through the scalar reduction and the moved points
+    # through the array one, so a fault in either shows in the residual
+    monkeypatch.setattr(quotient, "fundamental_domain_reduce",
+                        _shifted(fundamental_domain_reduce))
+    row = {c.name: c for c in sol_quotient_check(SPEC, 50, 0).checks}["reduction-invariance"]
+    assert not row.passed
+    assert row.residual == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_heis_reduction_invariance_compares_two_routes(monkeypatch):
+    monkeypatch.setattr(quotient, "heis_reduce_mod_integer_lattice",
+                        _shifted(heis_reduce_mod_integer_lattice))
+    row = {c.name: c for c in heis_quotient_check((2, 3, 6), 50, 0).checks}["reduction-invariance"]
+    assert not row.passed
+    assert row.residual == pytest.approx(1e-6, rel=1e-6)
 
 
 def test_sol_quotient_report_passes():
