@@ -33,8 +33,8 @@ from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
 from .quotient import (CheckRow, check_row, heis_quotient_check,
                        sol_quotient_check)
 from .sol import (STANDARD, SolElement, SolParams, flow_equivariance_defect,
-                  flow_speed, leaf_embed, leaf_metric, leaf_separation_numeric,
-                  normal_flow, rectify, rectify_inverse,
+                  flow_speed, leaf_embed, leaf_metric, leaf_separation,
+                  leaf_separation_numeric, normal_flow, rectify, rectify_inverse,
                   rectify_isometric, rectify_isometric_inverse, shape_operator,
                   sol_act)
 
@@ -107,6 +107,11 @@ def _emit(text: str, out: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 # parsing
 
+def _check_finite(field: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(field, f"{field} must be finite")
+
+
 def _parse_int(field: str, lo: Optional[int] = None):
     def cast(s: str) -> int:
         try:
@@ -127,6 +132,7 @@ def _parse_pos_float(field: str):
             raise ConfigError(field, f"{field} must be a number, got {s!r}")
         if not v > 0:
             raise ConfigError(field, f"{field} must be positive")
+        _check_finite(field, v)
         return v
     return cast
 
@@ -144,9 +150,11 @@ def _parse_matrix(s: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
 
 def _parse_complex_token(field: str, token: str) -> complex:
     try:
-        return complex(token.strip().replace("i", "j"))
+        v = complex(token.strip().replace("i", "j"))
     except ValueError:
         raise ConfigError(field, f"cannot parse complex number {token!r}")
+    _check_finite(field, v.real, v.imag)
+    return v
 
 
 def _parse_base(s: str) -> Tuple[complex, complex]:
@@ -168,6 +176,7 @@ def _parse_point4(field: str):
             raise ConfigError(field, f"{field} entries must be numbers, got {s!r}")
         if vals[1] <= 0 or vals[3] <= 0:
             raise ConfigError(field, f"{field} heights must be positive")
+        _check_finite(field, *vals)
         return vals
     return cast
 
@@ -183,6 +192,8 @@ def _parse_range(field: str):
             raise ConfigError(field, f"{field} pieces must be numbers, got {s!r}")
         if step <= 0 or b < a:
             raise ConfigError(field, f"{field} needs stop >= start and step > 0")
+        # a finite (stop - start) / step keeps the value count finite
+        _check_finite(field, a, b, step, (b - a) / step)
         return (a, b, step)
     return cast
 
@@ -327,7 +338,7 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
                           "principal curvatures of every leaf are -1, -1, 0"))
 
     sep = leaf_separation_numeric(0.0, 1.0)
-    res = abs(sep.value - 1.0) + (0.0 if sep.converged else 1.0)
+    res = abs(sep.value - leaf_separation(0.0, 1.0)) + (0.0 if sep.converged else 1.0)
     rows.append(check_row("leaf-separation", res, 1e-4,
                           "distance between leaves equals the gap of their parameters"))
 
@@ -418,7 +429,8 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
                           "group-side and ambient-side intersection counts agree"))
 
     sep = heis_leaf_separation_numeric(0.0, 1.0)
-    res = abs(sep.value - 1.0) + (0.0 if sep.converged else 1.0)
+    # the leaves at heights e^{s0} and e^{s1} are |s1 - s0| apart, as in sol
+    res = abs(sep.value - leaf_separation(0.0, 1.0)) + (0.0 if sep.converged else 1.0)
     rows.append(check_row("leaf-separation", res, 1e-4,
                           "distance between orbit leaves equals the height gap"))
     return rows
@@ -489,7 +501,7 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
         z = rand_product(rng, 0.3, 4.0)
         direct = toral_act(spec, g, z).coords()
         via_sol = sol_act(STANDARD, sol_lattice_embed(spec, *g), z).coords()
-        M = toral_element(spec, *g, form="conjugated")
+        M = toral_element(spec, *g)
         img = projective_act(M, ProjectivePoint([z.z1.complex, z.z2.complex, 1.0]))
         w1, w2 = img.coords[0] / img.coords[2], img.coords[1] / img.coords[2]
         via_proj = np.array([w1.real, w1.imag, w2.real, w2.imag])
@@ -504,10 +516,9 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
 def _suite_quotient(cfg: Dict[str, object]) -> List[CheckRow]:
     spec = _spec_or_error(cfg["A"])
     n, seed = min(cfg["samples"], 300), cfg["seed"]
-    reports = (("sol", sol_quotient_check(spec, samples=n, seed=seed)),
-               ("heis", heis_quotient_check((1, 1, 1), samples=n, seed=seed)))
-    return [replace(c, name=f"{tag}-{c.name}")
-            for tag, rep in reports for c in rep.checks]
+    rows = (("sol", sol_quotient_check(spec, samples=n, seed=seed)),
+            ("heis", heis_quotient_check((1, 1, 1), samples=n, seed=seed)))
+    return [replace(c, name=f"{tag}-{c.name}") for tag, checks in rows for c in checks]
 
 
 _SUITES: Dict[str, Callable[[Dict[str, object]], List[CheckRow]]] = {

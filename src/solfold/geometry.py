@@ -66,15 +66,6 @@ class MixedPoint:
     z: complex
     w: UpperHalfPoint
 
-    @classmethod
-    def from_complex(cls, z: complex, w: complex) -> "MixedPoint":
-        return cls(complex(z), UpperHalfPoint.from_complex(w))
-
-    @classmethod
-    def from_coords(cls, c: Sequence[float]) -> "MixedPoint":
-        return cls(complex(float(c[0]), float(c[1])),
-                   UpperHalfPoint(float(c[2]), float(c[3])))
-
     def coords(self) -> np.ndarray:
         """Coordinates (Re z, Im z, Re w, Im w)."""
         return np.array([self.z.real, self.z.imag, self.w.x, self.w.y])
@@ -296,19 +287,3 @@ def mixed_distance(p: MixedPoint, q: MixedPoint) -> float:
     dh = hyperbolic_distance(p.w, q.w)
     return math.hypot(de, dh)
 
-
-def cross_r4(u: TangentVector4, v: TangentVector4, w: TangentVector4) -> TangentVector4:
-    """Triple cross product on R^4.
-
-    The result X is the unique vector with <X, z> = det(u, v, w, z) for all z,
-    so X is Euclidean-orthogonal to u, v, w and multilinear alternating.
-    """
-    bases = {tuple(_coords(t.base)) for t in (u, v, w)}
-    if len(bases) != 1:
-        raise ValueError("cross product requires a common base point")
-    M = np.vstack([u.array, v.array, w.array])
-    out = np.empty(4)
-    for i in range(4):
-        rows = np.vstack([M, np.eye(4)[i]])
-        out[i] = np.linalg.det(rows)
-    return TangentVector4(tuple(out), u.base)

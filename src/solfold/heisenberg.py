@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -17,12 +17,9 @@ from ._optim import SeparationResult, grid_then_descend
 from .geometry import (
     MetricSpec,
     MixedPoint,
-    TangentVector4,
     UpperHalfPoint,
     mixed_distance,
 )
-# the leaves at heights e^{s0} and e^{s1} are |s1 - s0| apart, as in sol
-from .sol import leaf_separation as heis_leaf_separation
 
 
 @dataclass(frozen=True)
@@ -58,24 +55,6 @@ def heis_matrix(g: HeisElement) -> np.ndarray:
                      [0.0, 0.0, 1.0]])
 
 
-def heis_from_symplectic(p: float, q: float, t: float) -> np.ndarray:
-    """Unipotent matrix of the symplectic coordinates (p, q, t).
-
-    Homomorphism from the product
-      (p,q,t) * (p',q',t') = (p+p', q+q', t+t' + (p q' - q p') / 2),
-    the symplectic area form carrying the one half.
-    """
-    return np.array([[1.0, p, t + p * q / 2.0],
-                     [0.0, 1.0, q],
-                     [0.0, 0.0, 1.0]])
-
-
-def symplectic_mul(u: Sequence[float], v: Sequence[float]) -> Tuple[float, float, float]:
-    p, q, t = u
-    pp, qq, tt = v
-    return (p + pp, q + qq, t + tt + (p * qq - q * pp) / 2.0)
-
-
 def heis_act(g: HeisElement, m: MixedPoint) -> MixedPoint:
     """Action (z, w) |-> (z + a w + c, w + b); preserves Im w."""
     return MixedPoint(m.z + g.a * m.w.complex + g.c,
@@ -95,16 +74,6 @@ def heis_leaf_jacobian(m: MixedPoint) -> np.ndarray:
         [0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0],
     ])
-
-
-def heis_normal_field(m: MixedPoint) -> TangentVector4:
-    """Unit normal q d/dy of the leaf through m, vertical in the half-plane factor."""
-    return TangentVector4((0.0, 0.0, 0.0, m.w.y), m)
-
-
-def heis_normal_flow(m: MixedPoint, t: float) -> MixedPoint:
-    """Integral curve of the normal field: (z, p + qi) |-> (z, p + e^t q i)."""
-    return MixedPoint(m.z, UpperHalfPoint(m.w.x, math.exp(t) * m.w.y))
 
 
 def heis_rectify(g: HeisElement, s: float) -> MixedPoint:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import ProductPoint, UpperHalfPoint
-from .sol import SolElement
+from .sol import SolElement, SolParams, phi
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,6 @@ class ProjectivePoint:
             raise ValueError("projective point needs 3 homogeneous coordinates")
         object.__setattr__(self, "coords", _normalize_homogeneous(c))
 
-    def gap(self, other: "ProjectivePoint") -> float:
-        return float(np.abs(self.coords - other.coords).max())
-
 
 @dataclass(frozen=True)
 class ProjectiveLine:
@@ -64,28 +61,6 @@ class ProjectiveLine:
         if d.shape != (3,):
             raise ValueError("projective line needs 3 dual coordinates")
         object.__setattr__(self, "dual", _normalize_homogeneous(d))
-
-    def gap(self, other: "ProjectiveLine") -> float:
-        return float(np.abs(self.dual - other.dual).max())
-
-    def contains(self, p: ProjectivePoint) -> bool:
-        """Whether |dual . p| is at most 1e-10."""
-        return abs(np.dot(self.dual, p.coords)) <= 1e-10
-
-
-def line_through(p: ProjectivePoint, q: ProjectivePoint) -> ProjectiveLine:
-    """The unique line through two distinct points, by the bilinear cross product."""
-    d = np.cross(p.coords, q.coords)
-    if np.abs(d).max() < 1e-12:
-        raise ValueError("points coincide, no unique line")
-    return ProjectiveLine(d)
-
-
-def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine) -> ProjectivePoint:
-    c = np.cross(l1.dual, l2.dual)
-    if np.abs(c).max() < 1e-12:
-        raise ValueError("lines coincide, no unique intersection")
-    return ProjectivePoint(c)
 
 
 def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine,
@@ -173,33 +148,16 @@ class ToralGroupSpec:
         P = np.column_stack([eigvec(lam), eigvec(mu)])
         return cls(tuple(tuple(r) for r in M), lam, P, np.linalg.inv(P))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array(self.A)
 
-
-def toral_element(spec: ToralGroupSpec, k: int, n: int, m: int,
-                  form: str = "integral") -> np.ndarray:
-    """3 x 3 matrix of the group element (k, n, m).
-
-    integral: exact integer block matrix [[A^k, (n, m)], [0, 1]].
-    conjugated: float matrix [[diag(lam^k, lam^-k), P^{-1}(n, m)], [0, 1]].
-    """
-    if form == "integral":
-        Ak = _ipow([list(r) for r in spec.A], k)
-        out = np.empty((3, 3), dtype=object)
-        out[0, 0], out[0, 1], out[0, 2] = Ak[0][0], Ak[0][1], n
-        out[1, 0], out[1, 1], out[1, 2] = Ak[1][0], Ak[1][1], m
-        out[2, 0], out[2, 1], out[2, 2] = 0, 0, 1
-        return out
-    if form == "conjugated":
-        out = np.zeros((3, 3))
-        out[0, 0] = spec.lam ** k
-        out[1, 1] = spec.lam ** (-k)
-        out[:2, 2] = spec.P_inv @ np.array([n, m], dtype=float)
-        out[2, 2] = 1.0
-        return out
-    raise ValueError(f"unknown form {form!r}")
+def toral_element(spec: ToralGroupSpec, k: int, n: int, m: int) -> np.ndarray:
+    """3 x 3 matrix [[diag(lam^k, lam^-k), P^{-1}(n, m)], [0, 1]] of the group
+    element (k, n, m) in conjugated coordinates."""
+    out = np.zeros((3, 3))
+    out[0, 0] = spec.lam ** k
+    out[1, 1] = spec.lam ** (-k)
+    out[:2, 2] = spec.P_inv @ np.array([n, m], dtype=float)
+    out[2, 2] = 1.0
+    return out
 
 
 def toral_act(spec: ToralGroupSpec, g: Tuple[int, int, int],
@@ -345,18 +303,6 @@ def classify_limit_line(line: ProjectiveLine):
         if abs(r.imag) <= tol:
             return ("pencil2", float(r.real))
     return ("unclassified", None)
-
-
-def reference_limit_lines() -> List[ProjectiveLine]:
-    """Closed-form members of the limit family: the line at infinity and two
-    members of each pencil, enough to witness four in general position."""
-    return [
-        ProjectiveLine([0, 0, 1]),
-        ProjectiveLine([1, 0, 0]),
-        ProjectiveLine([1, 0, -1]),
-        ProjectiveLine([0, 1, 0]),
-        ProjectiveLine([0, 1, -1]),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +521,12 @@ def proper_discontinuity_count(spec: ToralGroupSpec, box: Box4, n: int) -> int:
 def sol_lattice_embed(spec: ToralGroupSpec, k: int, n: int, m: int) -> SolElement:
     """Element of the continuous solvable group acting like (k, n, m).
 
-    The conjugated affine action matches the standard solvable action with
-    t = k log(lam) and the conjugated translation pair.
+    The conjugated affine action is that of (k, u, v) at scaling base lam,
+    (u, v) the conjugated translation pair; phi reads it in standard
+    coordinates, t = k log(lam).
     """
     u, v = spec.P_inv @ np.array([n, m], dtype=float)
-    return SolElement(k * math.log(spec.lam), float(u), float(v))
+    return phi(SolParams(spec.lam), SolElement(k, float(u), float(v)))
 
 
 @dataclass(frozen=True)

@@ -4,19 +4,19 @@ The conjugated toral action preserves every leaf parameter, so the foliated
 product of half planes factors through the quotient as (compact 3-manifold)
 times a line; the integer Heisenberg action on C x H does the same with the
 height of the second factor.  These routines verify the computable parts at
-sample scale and keep the purely topological conclusions as report-only
-notes.
+sample scale; the purely topological conclusions are stated, not computed,
+in the README.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .geometry import rand_mixed, rand_product
-from .heisenberg import (HeisElement, _heis_reduce_rows, heis_act, heis_commutator,
+from .heisenberg import (HeisElement, _heis_reduce_rows, heis_commutator, heis_matrix,
                          heis_mul, heis_reduce_mod_integer_lattice)
 from .kleinian import (ToralGroupSpec, _fundamental_domain_rows, fundamental_domain_reduce,
                        sol_lattice_embed, toral_compose, word_ball)
@@ -41,36 +41,14 @@ def check_row(name: str, residual: float, threshold: float,
     return CheckRow(name, res, threshold, res <= threshold, claim)
 
 
-@dataclass(frozen=True)
-class QuotientReport:
-    """Aggregated residuals for one quotient verification run."""
-
-    group: str
-    component_count: int
-    fundamental_domain: str
-    checks: Tuple[CheckRow, ...]
-    samples: int
-    seed: int
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def max_residual(self) -> float:
-        return max((c.residual for c in self.checks), default=0.0)
-
-
 def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
-                       seed: int = 0) -> QuotientReport:
+                       seed: int = 0) -> Tuple[CheckRow, ...]:
     """Sample-scale verification that the toral action respects the
     leaf structure and the fundamental domain, moving each sample by words
     of the radius-2 ball."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    group_desc = f"toral A={list(map(list, spec.A))}"
-    domain_desc = "first height in [1, lam), horizontal pair in the unit cell of P^{-1} Z^2"
     ball = [g for g in word_ball(2) if g != (0, 0, 0)]
     # each word acts as toral_act does: scale by lam^k, translate by P^{-1}(n, m)
     scale = np.array([spec.lam ** k for k, _, _ in ball])
@@ -110,7 +88,7 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
             rel_res = max(rel_res,
                           abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
 
-    checks = (
+    return (
         check_row("leaf-preservation", leaf_res, 1e-10,
                   "the lattice action preserves each leaf parameter s"),
         check_row("reduction-invariance", reduce_res, 1e-8,
@@ -120,21 +98,16 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
         check_row("component-preservation", float(sign_violations), 0.0,
                   "positive scaling preserves the four sign components of the imaginary parts"),
     )
-    return QuotientReport(group_desc, 4, domain_desc, checks, samples, seed)
 
 
 def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
-                        samples: int = 1000, seed: int = 0) -> QuotientReport:
+                        samples: int = 1000, seed: int = 0) -> Tuple[CheckRow, ...]:
     """Sample-scale verification for an integer Heisenberg sublattice."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-
-    d1, d2, d3 = moduli
     # validates the closure condition d3 | d1 d2
     heis_reduce_mod_integer_lattice(HeisElement.identity(), moduli)
-    group_desc = f"heisenberg lattice moduli={tuple(moduli)}"
-    domain_desc = f"half-open cube [0,{d1}) x [0,{d2}) x [0,{d3}) in (a, b, c)"
 
     # per sample: the draws, in the per-point loop's order (its ten size-3 integer
     # draws read the stream as one of size 30), and the scalar reduction
@@ -146,10 +119,12 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
         base.append(g.triple())
         rep0.append(heis_reduce_mod_integer_lattice(g, moduli)[1].triple())
         ell.append(rng.integers(-3, 4, size=30).reshape(10, 3) * moduli)
-        # heis_act and heis_mul are elementwise, so they take array coordinates
-        height_res = max(height_res, abs(heis_act(HeisElement(*ell[-1].T), m).w.y - m.w.y))
+        # the image of (z, w) under the first word, through the action's matrix
+        img = heis_matrix(HeisElement(*ell[-1][0])) @ np.array([m.z, m.w.complex, 1.0])
+        height_res = max(height_res, abs(img[1].imag - m.w.y))
     base, rep0, ell = np.array(base), np.array(rep0), np.concatenate(ell)
 
+    # heis_mul is elementwise, so it takes array coordinates
     moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))
     rep1 = _heis_reduce_rows(*moved.triple(), moduli)[1]
     reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())
@@ -157,7 +132,7 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
     comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
     comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))
 
-    checks = (
+    return (
         check_row("height-invariance", height_res, 0.0,
                   "real translations leave the second-factor height unchanged"),
         check_row("reduction-invariance", reduce_res, 1e-12,
@@ -165,38 +140,4 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
         check_row("commutator", comm_res, 0.0,
                   "the commutator of the two horizontal generators is the central generator"),
     )
-    return QuotientReport(group_desc, 1, domain_desc, checks, samples, seed)
 
-
-@dataclass(frozen=True)
-class StructuralNote:
-    statement: str
-    verified: bool
-    status: str
-
-
-def structural_notes(spec: Optional[ToralGroupSpec] = None) -> Tuple[StructuralNote, ...]:
-    """Topological conclusions recorded verbatim but never computed.
-
-    These accompany the numeric reports so consumers see the full claimed
-    picture together with an honest verification status.
-    """
-    notes = [
-        StructuralNote(
-            "Each component of the quotient of the discontinuity region is "
-            "claimed to be a T^2-bundle over S^1 x R, that is M_A x R with M_A "
-            "the mapping torus of A, four real dimensions like H x H.",
-            False, "NOT VERIFIED - REPORT ONLY"),
-        StructuralNote(
-            "Hyperbolic conjugacy classes in GL(2, Z) are countable, so these "
-            "groups form a countable family; pairwise distinction is decided "
-            "by lattice_iso_test.",
-            False, "NOT VERIFIED - REPORT ONLY"),
-    ]
-    if spec is not None:
-        notes.append(StructuralNote(
-            f"For A={list(map(list, spec.A))} the quotient of each half-plane "
-            "product component is claimed diffeomorphic to a compact solvable "
-            "3-manifold times a line.",
-            False, "NOT VERIFIED - REPORT ONLY"))
-    return tuple(notes)

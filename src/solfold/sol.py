@@ -34,10 +34,6 @@ class SolElement:
     x: float
     y: float
 
-    @classmethod
-    def identity(cls) -> "SolElement":
-        return cls(0.0, 0.0, 0.0)
-
     def inverse(self) -> "SolElement":
         return SolElement(-self.t, -math.exp(-self.t) * self.x, -math.exp(self.t) * self.y)
 
@@ -62,26 +58,8 @@ class SolParams:
         if self.lam <= 0 or self.lam == 1.0:
             raise ValueError("scaling base must be positive and different from 1")
 
-    @classmethod
-    def standard(cls) -> "SolParams":
-        return cls(math.e)
 
-
-STANDARD = SolParams.standard()
-
-
-def sol_mul_params(p: SolParams, g: SolElement, h: SolElement) -> SolElement:
-    """Group law twisted so that the lam matrix representation is a homomorphism."""
-    s = p.lam ** g.t
-    return SolElement(g.t + h.t, g.x + s * h.x, g.y + h.y / s)
-
-
-def sol_matrix_rep(g: SolElement, p: SolParams = STANDARD) -> np.ndarray:
-    """Upper triangular representation diag(lam^t, lam^{-t}, 1) with the translation column."""
-    s = p.lam ** g.t
-    return np.array([[s, 0.0, g.x],
-                     [0.0, 1 / s, g.y],
-                     [0.0, 0.0, 1.0]])
+STANDARD = SolParams(math.e)
 
 
 def sol_act(p: SolParams, g: SolElement, z: ProductPoint) -> ProductPoint:
@@ -97,44 +75,9 @@ def phi(p: SolParams, g: SolElement) -> SolElement:
     return SolElement(g.t * math.log(p.lam), g.x, g.y)
 
 
-def phi_inverse(p: SolParams, g: SolElement) -> SolElement:
-    return SolElement(g.t / math.log(p.lam), g.x, g.y)
-
-
 def leaf_embed(p: SolParams, z: ProductPoint, g: SolElement) -> ProductPoint:
     """Orbit parametrization f_z(g) = g . z of the leaf through z."""
     return sol_act(p, g, z)
-
-
-def leaf_embed_inverse(p: SolParams, z: ProductPoint, w: ProductPoint) -> SolElement:
-    """Left inverse of f_z: recovers g from w = f_z(g), using the first factor height."""
-    s = w.z1.y / z.z1.y  # lam^t
-    t = math.log(s) / math.log(p.lam)
-    return SolElement(t, w.z1.x - s * z.z1.x, w.z2.x - z.z2.x / s)
-
-
-def leaf_jacobian(p: SolParams, z: ProductPoint, g: SolElement) -> np.ndarray:
-    """4 x 3 Jacobian of f_z at g, columns ordered (d/dt, d/dx, d/dy)."""
-    ln = math.log(p.lam)
-    s = p.lam ** g.t
-    return np.array([
-        [ln * s * z.z1.x, 1.0, 0.0],
-        [ln * s * z.z1.y, 0.0, 0.0],
-        [-ln * z.z2.x / s, 0.0, 1.0],
-        [-ln * z.z2.y / s, 0.0, 0.0],
-    ])
-
-
-def leaf_normal(p: SolParams, z: ProductPoint, g: SolElement) -> TangentVector4:
-    """Euclidean normal field of the leaf at f_z(g).
-
-    Equals the triple cross product of the Jacobian columns up to positive
-    scale; its second and fourth components carry the opposite factor heights.
-    """
-    ln = math.log(p.lam)
-    s = p.lam ** g.t
-    base = leaf_embed(p, z, g)
-    return TangentVector4((0.0, -ln * z.z2.y / s, 0.0, -ln * s * z.z1.y), base)
 
 
 def normal_flow(z: ProductPoint, s: float) -> ProductPoint:
@@ -184,18 +127,6 @@ def _leaf_param(y1: float, y2: float) -> float:
     return 0.5 * math.log(2.0 * y1 * y2)
 
 
-def rectify_jacobian(t: float, x: float, y: float, s: float) -> np.ndarray:
-    """4 x 4 derivative of Psi, rows (x1, y1, x2, y2), columns (t, x, y, s)."""
-    a = math.exp(t + s) / SQRT2
-    b = math.exp(-t + s) / SQRT2
-    return np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [a, 0.0, 0.0, a],
-        [0.0, 0.0, 1.0, 0.0],
-        [-b, 0.0, 0.0, b],
-    ])
-
-
 def rectify_isometric(t: float, x: float, y: float, s: float) -> ProductPoint:
     """Variant Psi~(t, x, y, s) = Psi(t, e^s x, e^s y, s); each slice s = const
     pulls the ambient metric back to the Sol metric diag(1, e^{-2t}, e^{2t})."""
@@ -215,43 +146,6 @@ def leaf_metric(z: ProductPoint, t: float) -> np.ndarray:
     if z.z1.x != 0.0 or z.z2.x != 0.0:
         raise ValueError("leaf metric requires a purely imaginary base point")
     return MetricSpec.leaf_sol(z.z1.y, z.z2.y).matrix([t, 0.0, 0.0])
-
-
-Quad = Tuple[float, float, float, float]
-
-
-def sol_product_isometry(params: Quad, q: Quad) -> Quad:
-    """Leaf-preserving isometry of the rectified picture.
-
-    In Psi coordinates (t, x, y, s) the map sends
-      (t, x, y, s) |-> (t + t', e^{t'+s'} x + x', e^{-t'+s'} y + y', s + s')
-    and preserves the pulled-back product distance.
-    """
-    tp, xp, yp, sp = params
-    t, x, y, s = q
-    return (t + tp,
-            math.exp(tp + sp) * x + xp,
-            math.exp(-tp + sp) * y + yp,
-            s + sp)
-
-
-def sol_product_isometry_compose(p2: Quad, p1: Quad) -> Quad:
-    """Parameters of the composite map "apply p1, then p2"."""
-    t1, x1, y1, s1 = p1
-    t2, x2, y2, s2 = p2
-    return (t1 + t2,
-            math.exp(t2 + s2) * x1 + x2,
-            math.exp(-t2 + s2) * y1 + y2,
-            s1 + s2)
-
-
-def sol_product_isometry_between(src: Quad, dst: Quad) -> Quad:
-    """Parameters moving src to dst; witnesses transitivity."""
-    tp = dst[0] - src[0]
-    sp = dst[3] - src[3]
-    xp = dst[1] - math.exp(tp + sp) * src[1]
-    yp = dst[2] - math.exp(-tp + sp) * src[2]
-    return (tp, xp, yp, sp)
 
 
 def leaf_separation(s0: float, s1: float) -> float:

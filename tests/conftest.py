@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from solfold import TangentVector4
+
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
 
@@ -87,6 +89,16 @@ def fd_pullback(metric_fn: Callable, embed: Callable, x, h: float = 1e-3) -> np.
     return J.T @ G @ J
 
 
+def cross_r4(u: TangentVector4, v: TangentVector4, w: TangentVector4) -> TangentVector4:
+    """Triple cross product on R^4: the X with <X, z> = det(u, v, w, z) for all
+    z, so X is Euclidean-orthogonal to u, v, w and multilinear alternating."""
+    if len({tuple(t.base.coords()) for t in (u, v, w)}) != 1:
+        raise ValueError("cross product requires a common base point")
+    M = np.vstack([u.array, v.array, w.array])
+    return TangentVector4(tuple(np.linalg.det(np.vstack([M, np.eye(4)[i]])) for i in range(4)),
+                          u.base)
+
+
 # explicit coefficient matrices, written out rather than taken from the library
 
 def product_metric_matrix(c) -> np.ndarray:
@@ -109,6 +121,18 @@ def scaled_half_plane_distance(x1, y1, x2, y2) -> float:
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration oracles
+
+def toral_element_integral(spec, k: int, n: int, m: int) -> np.ndarray:
+    """Exact block matrix [[A^k, (n, m)], [0, 1]] of the toral element (k, n, m),
+    by |k| products of Python integers (A^-1 is the adjugate, det A = 1)."""
+    (a, b), (c, d) = spec.A
+    step = ((a, b), (c, d)) if k >= 0 else ((d, -b), (-c, a))
+    P = ((1, 0), (0, 1))
+    for _ in range(abs(k)):
+        P = tuple(tuple(P[i][0] * step[0][j] + P[i][1] * step[1][j] for j in range(2))
+                  for i in range(2))
+    return np.array([[P[0][0], P[0][1], n], [P[1][0], P[1][1], m], [0, 0, 1]], dtype=object)
+
 
 def heis_mul_ints(g: Tuple[int, int, int], h: Tuple[int, int, int]):
     return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])

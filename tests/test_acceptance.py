@@ -60,7 +60,8 @@ from solfold import (
 from solfold.geometry import MetricSpec
 from solfold.kleinian import ProjectivePoint
 
-from conftest import affine_box_hits_via_matrix, cube_hit_by_grid, fd_pullback, product_metric_matrix
+from conftest import (affine_box_hits_via_matrix, cube_hit_by_grid, fd_pullback,
+                      product_metric_matrix, toral_element_integral)
 
 SEED = 11
 
@@ -191,8 +192,8 @@ def test_criterion_06_rectification_round_trips(acceptance_log):
         again = rectify(*rectify_inverse(z)).coords()
         worst = max(worst, float(np.abs(again - z.coords()).max()))
     spec = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
-    report = sol_quotient_check(spec, samples=1000, seed=SEED)
-    leaf_check = {c.name: c for c in report.checks}["leaf-preservation"]
+    checks = sol_quotient_check(spec, samples=1000, seed=SEED)
+    leaf_check = {c.name: c for c in checks}["leaf-preservation"]
     ok = worst < 1e-12 and leaf_check.residual < 1e-10 and leaf_check.passed
     acceptance_log.record(6, "rectifying charts invert to 1e-12 and the "
                              "lattice action preserves leaves "
@@ -325,7 +326,7 @@ def test_criterion_10_box_intersections_stabilize(acceptance_log):
         large = set(intersecting_elements(spec, box, 12))
         brute = {g for g in word_ball(12)
                  if affine_box_hits_via_matrix(
-                     toral_element(spec, *g, form="conjugated"), box)}
+                     toral_element(spec, *g), box)}
         counts.append(len(large))
         ok = ok and small == large == brute
     elapsed = time.perf_counter() - start
@@ -347,7 +348,7 @@ def test_criterion_11_lattice_embedding(acceptance_log):
         through_sol = sol_act(STANDARD, sol_lattice_embed(spec, *g), z)
         worst = max(worst, float(np.abs(direct.coords()
                                         - through_sol.coords()).max()))
-        M = toral_element(spec, *g, form="conjugated")
+        M = toral_element(spec, *g)
         img = projective_act(M, ProjectivePoint([z.z1.complex, z.z2.complex, 1.0]))
         w1 = img.coords[0] / img.coords[2]
         w2 = img.coords[1] / img.coords[2]
@@ -363,8 +364,8 @@ def test_criterion_11_lattice_embedding(acceptance_log):
             n2 = A[0][0] * n + A[0][1] * m
             m2 = A[1][0] * n + A[1][1] * m
             exact = exact and conj == (0, n2, m2)
-            lhs = toral_element(spec, *toral_compose(spec, (2, n, m), (-1, m, n)))
-            rhs = toral_element(spec, 2, n, m) @ toral_element(spec, -1, m, n)
+            lhs = toral_element_integral(spec, *toral_compose(spec, (2, n, m), (-1, m, n)))
+            rhs = toral_element_integral(spec, 2, n, m) @ toral_element_integral(spec, -1, m, n)
             exact = exact and lhs.tolist() == rhs.tolist()
 
     ok = worst < 1e-10 and exact

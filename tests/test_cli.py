@@ -207,6 +207,27 @@ def test_export_orbit_rejects_malformed_base(base, capsys):
     assert json.loads(out)["error"]["field"] == "base"
 
 
+@pytest.mark.parametrize("argv, field", [
+    ("export flow --s-range 0:nan:0.1", "s-range"),
+    ("export flow --s-range 0:inf:1", "s-range"),
+    # finite pieces, but 1e600 values
+    ("export flow --s-range 0:1e300:1e-300", "s-range"),
+    ("export flow --z 0,nan,0,1", "z"),
+    ("export flow --z 0,inf,0,1", "z"),
+    ("export orbit --base 1i,nanj", "base"),
+    ("export leaf-metric --y1 inf", "y1"),
+    ("verify --suite sol --lambda inf", "lambda"),
+    ("verify --suite sol --tol-scale inf", "tol-scale"),
+], ids=["s-range-nan", "s-range-inf", "s-range-count", "z-nan", "z-inf", "base-nan",
+        "y1-inf", "lambda-inf", "tol-scale-inf"])
+def test_non_finite_flag_values_are_config_errors(argv, field, capsys):
+    rc, out = run(capsys, *argv.split())
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["field"] == field
+    assert err["message"] == f"{field} must be finite"
+
+
 @pytest.mark.parametrize("token, value", [
     ("i", 1j), ("-i", -1j), ("+i", 1j), ("1+i", 1 + 1j), ("2-i", 2 - 1j),
     ("0.5i", 0.5j), (" 3i ", 3j), ("-1+0.5i", -1 + 0.5j),

@@ -13,7 +13,6 @@ from solfold import (
     TangentVector4,
     UpperHalfPoint,
     christoffel,
-    cross_r4,
     geodesic_residual,
     hyperbolic_distance,
     hyperbolic_distance_scaled,
@@ -26,6 +25,7 @@ from solfold.geometry import MixedPoint
 
 from conftest import (
     SEED,
+    cross_r4,
     fd_christoffel,
     mixed_metric_matrix,
     product_metric_matrix,
@@ -50,9 +50,10 @@ def test_product_point_coordinate_round_trip():
 
 
 def test_mixed_point_coordinate_round_trip():
-    m = MixedPoint.from_complex(2 - 1j, 0.5 + 3j)
-    assert np.array_equal(m.coords(), [2.0, -1.0, 0.5, 3.0])
-    assert MixedPoint.from_coords(m.coords()) == m
+    m = MixedPoint(2 - 1j, UpperHalfPoint(0.5, 3.0))
+    c = m.coords()
+    assert np.array_equal(c, [2.0, -1.0, 0.5, 3.0])
+    assert MixedPoint(complex(c[0], c[1]), UpperHalfPoint(c[2], c[3])) == m
 
 
 def test_tangent_vector_needs_four_components():
@@ -228,8 +229,8 @@ def test_product_distance_triangle_inequality():
 
 
 def test_mixed_distance_combines_factors():
-    p = MixedPoint.from_complex(1 + 2j, 0.5 + 1j)
-    q = MixedPoint.from_complex(-1 + 0.5j, 0.7 + 3j)
+    p = MixedPoint(1 + 2j, UpperHalfPoint(0.5, 1.0))
+    q = MixedPoint(-1 + 0.5j, UpperHalfPoint(0.7, 3.0))
     de = abs(p.z - q.z)
     dh = hyperbolic_distance(p.w, q.w)
     assert abs(mixed_distance(p, q) - math.hypot(de, dh)) < 1e-14

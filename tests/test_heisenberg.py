@@ -16,23 +16,20 @@ from solfold import (
     factored_proper_discontinuity_check,
     heis_act,
     heis_commutator,
-    heis_from_symplectic,
     heis_leaf_jacobian,
-    heis_leaf_separation,
     heis_leaf_separation_numeric,
     heis_matrix,
     heis_mul,
-    heis_normal_field,
-    heis_normal_flow,
     heis_pullback_metric,
     heis_rectify,
     heis_rectify_inverse,
     heis_reduce_mod_integer_lattice,
     heis_word_ball,
+    leaf_separation,
     metric_inner,
     metric_norm,
-    symplectic_mul,
 )
+from solfold.geometry import TangentVector4
 from solfold.heisenberg import _heis_reduce_rows
 
 from conftest import cube_hit_by_grid, fd_jacobian, fd_pullback, heis_ball_dp, mixed_metric_matrix
@@ -47,6 +44,31 @@ def rand_mixed(rng) -> MixedPoint:
 
 def rand_element(rng, scale=3.0) -> HeisElement:
     return HeisElement(*rng.uniform(-scale, scale, size=3))
+
+
+# ---------------------------------------------------------------------------
+# second routes that no command takes, kept here as oracles
+
+def heis_from_symplectic(p, q, t):
+    """Unipotent matrix of the symplectic coordinates (p, q, t), a homomorphism
+    from (p,q,t) * (p',q',t') = (p+p', q+q', t+t' + (p q' - q p') / 2)."""
+    return np.array([[1.0, p, t + p * q / 2.0], [0.0, 1.0, q], [0.0, 0.0, 1.0]])
+
+
+def symplectic_mul(u, v):
+    p, q, t = u
+    pp, qq, tt = v
+    return (p + pp, q + qq, t + tt + (p * qq - q * pp) / 2.0)
+
+
+def heis_normal_field(m):
+    """Unit normal q d/dy of the leaf through m, vertical in the half-plane factor."""
+    return TangentVector4((0.0, 0.0, 0.0, m.w.y), m)
+
+
+def heis_normal_flow(m, t):
+    """Integral curve of the normal field: (z, p + qi) |-> (z, p + e^t q i)."""
+    return MixedPoint(m.z, UpperHalfPoint(m.w.x, math.exp(t) * m.w.y))
 
 
 def test_group_law_closed_form():
@@ -327,8 +349,8 @@ def test_factored_counts_agree_at_other_heights():
 
 
 def test_leaf_separation_closed_form():
-    assert heis_leaf_separation(0.0, 2.0) == 2.0
-    assert heis_leaf_separation(1.5, -0.5) == 2.0
+    assert leaf_separation(0.0, 2.0) == 2.0
+    assert leaf_separation(1.5, -0.5) == 2.0
 
 
 def test_leaf_separation_numeric_matches_height_gap():

@@ -7,9 +7,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "solfold"
 
-# Imported on purpose for the package namespace, not for the module's own use.
-REEXPORTS = {("heisenberg.py", "heis_leaf_separation")}
-
 
 def imported_names(tree: ast.AST):
     for node in ast.walk(tree):
@@ -32,6 +29,5 @@ def used_names(tree: ast.AST):
 def test_module_uses_every_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = used_names(tree)
-    unused = sorted(name for name in set(imported_names(tree))
-                    if name not in used and (path.name, name) not in REEXPORTS)
+    unused = sorted(name for name in set(imported_names(tree)) if name not in used)
     assert unused == [], f"{path.name} imports but never uses {unused}"

@@ -33,7 +33,3 @@ def test_separation_default_budget_result(name, evaluations):
     assert res.converged
     assert res.evaluations == evaluations
     assert abs(res.value - 1.0) < 1e-12
-
-
-def test_one_leaf_separation():
-    assert heisenberg.heis_leaf_separation is sol.leaf_separation

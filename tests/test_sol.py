@@ -15,15 +15,11 @@ from solfold import (
     SolElement,
     SolParams,
     UpperHalfPoint,
-    cross_r4,
     flow_equivariance_defect,
     flow_speed,
     geodesic_residual,
     leaf_embed,
-    leaf_embed_inverse,
-    leaf_jacobian,
     leaf_metric,
-    leaf_normal,
     leaf_separation,
     leaf_separation_numeric,
     metric_inner,
@@ -31,25 +27,18 @@ from solfold import (
     normal_flow,
     normal_flow_velocity,
     phi,
-    phi_inverse,
     product_distance,
     rectify,
     rectify_inverse,
     rectify_isometric,
     rectify_isometric_inverse,
-    rectify_jacobian,
     shape_operator,
     sol_act,
-    sol_matrix_rep,
     sol_mul,
-    sol_mul_params,
-    sol_product_isometry,
-    sol_product_isometry_between,
-    sol_product_isometry_compose,
 )
 from solfold.geometry import TangentVector4
 
-from conftest import fd_jacobian, fd_pullback, product_metric_matrix
+from conftest import cross_r4, fd_jacobian, fd_pullback, product_metric_matrix
 
 small = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -64,6 +53,73 @@ def rand_point(rng) -> ProductPoint:
 def rand_element(rng, scale=2.0) -> SolElement:
     return SolElement(rng.uniform(-scale, scale), rng.uniform(-scale, scale),
                       rng.uniform(-scale, scale))
+
+
+# ---------------------------------------------------------------------------
+# second routes that no command takes, kept here as oracles
+
+def sol_mul_params(p, g, h):
+    """Group law twisted so that the lam matrix representation is a homomorphism."""
+    s = p.lam ** g.t
+    return SolElement(g.t + h.t, g.x + s * h.x, g.y + h.y / s)
+
+
+def sol_matrix_rep(g, p=STANDARD):
+    """Upper triangular representation diag(lam^t, lam^-t, 1) with the translation column."""
+    s = p.lam ** g.t
+    return np.array([[s, 0.0, g.x], [0.0, 1 / s, g.y], [0.0, 0.0, 1.0]])
+
+
+def phi_inverse(p, g):
+    return SolElement(g.t / math.log(p.lam), g.x, g.y)
+
+
+def leaf_embed_inverse(p, z, w):
+    """Left inverse of f_z: recovers g from w = f_z(g), using the first factor height."""
+    s = w.z1.y / z.z1.y  # lam^t
+    return SolElement(math.log(s) / math.log(p.lam), w.z1.x - s * z.z1.x, w.z2.x - z.z2.x / s)
+
+
+def leaf_jacobian(p, z, g):
+    """4 x 3 Jacobian of f_z at g, columns ordered (d/dt, d/dx, d/dy)."""
+    ln, s = math.log(p.lam), p.lam ** g.t
+    return np.array([[ln * s * z.z1.x, 1.0, 0.0], [ln * s * z.z1.y, 0.0, 0.0],
+                     [-ln * z.z2.x / s, 0.0, 1.0], [-ln * z.z2.y / s, 0.0, 0.0]])
+
+
+def leaf_normal(p, z, g):
+    """Euclidean normal of the leaf at f_z(g), the triple cross product of the
+    Jacobian columns up to positive scale."""
+    ln, s = math.log(p.lam), p.lam ** g.t
+    return TangentVector4((0.0, -ln * z.z2.y / s, 0.0, -ln * s * z.z1.y), leaf_embed(p, z, g))
+
+
+def rectify_jacobian(t, x, y, s):
+    """4 x 4 derivative of rectify, rows (x1, y1, x2, y2), columns (t, x, y, s)."""
+    a, b = math.exp(t + s) / math.sqrt(2), math.exp(-t + s) / math.sqrt(2)
+    return np.array([[0.0, 1.0, 0.0, 0.0], [a, 0.0, 0.0, a],
+                     [0.0, 0.0, 1.0, 0.0], [-b, 0.0, 0.0, b]])
+
+
+def sol_product_isometry(params, q):
+    """Leaf-preserving isometry of the rectified picture,
+    (t, x, y, s) |-> (t + t', e^{t'+s'} x + x', e^{-t'+s'} y + y', s + s')."""
+    tp, xp, yp, sp = params
+    t, x, y, s = q
+    return (t + tp, math.exp(tp + sp) * x + xp, math.exp(-tp + sp) * y + yp, s + sp)
+
+
+def sol_product_isometry_compose(p2, p1):
+    """Parameters of the composite map "apply p1, then p2"."""
+    t1, x1, y1, s1 = p1
+    t2, x2, y2, s2 = p2
+    return (t1 + t2, math.exp(t2 + s2) * x1 + x2, math.exp(-t2 + s2) * y1 + y2, s1 + s2)
+
+
+def sol_product_isometry_between(src, dst):
+    """Parameters moving src to dst; witnesses transitivity."""
+    tp, sp = dst[0] - src[0], dst[3] - src[3]
+    return (tp, dst[1] - math.exp(tp + sp) * src[1], dst[2] - math.exp(-tp + sp) * src[2], sp)
 
 
 def test_group_law_closed_form():
@@ -89,7 +145,7 @@ def test_group_associative(t1, x1, y1, t2, x2, y2, t3, x3, y3):
 @given(t=small, x=small, y=small)
 def test_group_inverse_and_identity(t, x, y):
     g = SolElement(t, x, y)
-    e = SolElement.identity()
+    e = SolElement(0.0, 0.0, 0.0)
     for prod in (sol_mul(g, g.inverse()), sol_mul(g.inverse(), g)):
         assert abs(prod.t) < 1e-12 and abs(prod.x) < 1e-12 and abs(prod.y) < 1e-12
     assert sol_mul(g, e) == g
