@@ -18,13 +18,13 @@ import numpy as np
 
 from . import _fd
 from .geometry import (MetricSpec, MixedPoint, ProductPoint, UpperHalfPoint,
-                       geodesic_residual, rand_mixed, rand_product)
-from .heisenberg import (HeisElement, factored_proper_discontinuity_check,
-                         heis_act, heis_commutator, heis_leaf_jacobian,
+                       geodesic_residual, rand_product)
+from .heisenberg import (HeisElement, _heis_reduce_rows,
+                         factored_proper_discontinuity_check, heis_act,
+                         heis_commutator, heis_leaf_jacobian,
                          heis_leaf_separation_numeric, heis_mul,
                          heis_pullback_metric, heis_rectify,
-                         heis_rectify_inverse, heis_reduce_mod_integer_lattice,
-                         heis_word_ball)
+                         heis_rectify_inverse, heis_word_ball)
 from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
                        general_position_max, lattice_iso_test,
                        limit_general_position, proper_discontinuity_count,
@@ -124,7 +124,9 @@ def _parse_int(field: str, lo: Optional[int] = None):
     return cast
 
 
-def _parse_pos_float(field: str):
+def _parse_pos_float(field: str, bounds: Tuple[float, float] = (0.0, math.inf)):
+    lo, hi = bounds
+
     def cast(s: str) -> float:
         try:
             v = float(s)
@@ -133,8 +135,18 @@ def _parse_pos_float(field: str):
         if not v > 0:
             raise ConfigError(field, f"{field} must be positive")
         _check_finite(field, v)
+        if not lo <= v <= hi:
+            raise ConfigError(field, f"{field} must lie in [{lo:g}, {hi:g}]")
         return v
     return cast
+
+
+# The sol rows move heights in [0.3, 4) by lam^t and e^s with |t|, |s| <= 2, so
+# into [0.3 e^-2 lam^-2, 4 e^2 lam^2] for lam > 1 (lam^2 and lam^-2 swap below
+# 1).  At 1e153 that is [4.1e-308, 3.0e307]: every power, height and
+# coordinate stays a finite, normal, nonzero float.  Beyond about 2.5e153 a
+# height can overflow.
+_LAMBDA_RANGE = (1e-153, 1e153)
 
 
 def _parse_matrix(s: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -181,6 +193,9 @@ def _parse_point4(field: str):
     return cast
 
 
+_MAX_RANGE_VALUES = 10 ** 6
+
+
 def _parse_range(field: str):
     def cast(s: str) -> Tuple[float, float, float]:
         parts = s.split(":")
@@ -194,14 +209,20 @@ def _parse_range(field: str):
             raise ConfigError(field, f"{field} needs stop >= start and step > 0")
         # a finite (stop - start) / step keeps the value count finite
         _check_finite(field, a, b, step, (b - a) / step)
+        if _range_count((a, b, step)) > _MAX_RANGE_VALUES:
+            raise ConfigError(field, f"{field} has more than {_MAX_RANGE_VALUES} values")
         return (a, b, step)
     return cast
 
 
+def _range_count(r: Tuple[float, float, float]) -> int:
+    a, b, step = r
+    return int(math.floor((b - a) / step + 1e-9)) + 1
+
+
 def _range_values(r: Tuple[float, float, float]) -> List[float]:
     a, b, step = r
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(n)]
+    return [a + i * step for i in range(_range_count(r))]
 
 
 def _load_config_file(path: str) -> Dict[str, str]:
@@ -238,7 +259,7 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
                "samples": (_parse_int("samples", lo=1), 500),
                "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
                "A": (_parse_matrix, ((2, 1), (1, 1))),
-               "lambda": (_parse_pos_float("lambda"), None),
+               "lambda": (_parse_pos_float("lambda", _LAMBDA_RANGE), None),
                "N": (_parse_int("N", lo=0), 6),
                "out": (str, None), "format": (str, "json")},
     "flow": {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
@@ -283,6 +304,20 @@ def _resolve(ns: argparse.Namespace,
 # ---------------------------------------------------------------------------
 # verification suites
 
+# Bounds of the draws of rand_product(rng, 0.3, 4.0), in its order (x1, x2,
+# y1, y2), and of rand_mixed(rng, 0.3, 4.0) (Re z, Im z, Re w, Im w).
+_PRODUCT_DRAWS = ((-3, 3), (-3, 3), (0.3, 4.0), (0.3, 4.0))
+_MIXED_DRAWS = ((-3, 3), (-3, 3), (-3, 3), (0.3, 4.0))
+
+
+def _uniform_columns(rng: np.random.Generator, n: int, *bounds) -> np.ndarray:
+    """n rows of uniform draws, the j-th value of each in bounds[j], returned
+    as columns.  One block draw reads the stream, and gives the values, of a
+    loop that draws the values of each row in turn."""
+    lo, hi = np.array(bounds, dtype=float).T
+    return rng.uniform(lo, hi, size=(n, len(bounds))).T
+
+
 def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     rng = np.random.default_rng(cfg["seed"])
     samples, lam = cfg["samples"], cfg["lambda"]
@@ -293,11 +328,11 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     rows: List[CheckRow] = []
     ghyp = MetricSpec.half_hyperbolic_product()
 
-    worst = 0.0
-    for _ in range(samples):
-        z = rand_product(rng, 0.3, 4.0)
-        g = SolElement(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-3, 3))
-        worst = max(worst, flow_equivariance_defect(params, z, g, rng.uniform(-2, 2)))
+    # per sample: a point, an element (t, x, y), a flow time s
+    x1, x2, y1, y2, t, x, y, s = _uniform_columns(
+        rng, samples, *_PRODUCT_DRAWS, (-2, 2), (-3, 3), (-3, 3), (-2, 2))
+    z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+    worst = flow_equivariance_defect(params, z, SolElement(t, x, y), s)
     rows.append(check_row("flow-equivariance", worst, 1e-12,
                           "the normal flow commutes with every leaf action"))
 
@@ -342,16 +377,16 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     rows.append(check_row("leaf-separation", res, 1e-4,
                           "distance between leaves equals the gap of their parameters"))
 
-    worst = 0.0
-    for _ in range(samples):
-        t, x, y, s = rng.uniform(-2, 2, size=4)
-        back = rectify_inverse(rectify(t, x, y, s))
-        worst = max(worst, float(np.abs(np.array(back) - np.array([t, x, y, s])).max()))
-        backi = rectify_isometric_inverse(rectify_isometric(t, x, y, s))
-        worst = max(worst, float(np.abs(np.array(backi) - np.array([t, x, y, s])).max()))
-        z = rand_product(rng, 0.3, 4.0)
-        again = rectify(*rectify_inverse(z))
-        worst = max(worst, float(np.abs(again.coords() - z.coords()).max()))
+    # per sample: chart coordinates (t, x, y, s), then a point
+    t, x, y, s, x1, x2, y1, y2 = _uniform_columns(rng, samples, *[(-2, 2)] * 4,
+                                                  *_PRODUCT_DRAWS)
+    txys = np.array([t, x, y, s])
+    back = np.array(rectify_inverse(rectify(t, x, y, s)))
+    backi = np.array(rectify_isometric_inverse(rectify_isometric(t, x, y, s)))
+    z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+    again = rectify(*rectify_inverse(z))
+    worst = float(max(np.abs(back - txys).max(), np.abs(backi - txys).max(),
+                      np.abs(again.coords() - z.coords()).max()))
     rows.append(check_row("rectify-roundtrip", worst, 1e-12,
                           "the straightening charts invert exactly"))
     return rows
@@ -362,32 +397,27 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
     samples = cfg["samples"]
     rows: List[CheckRow] = []
 
-    worst = 0.0
-    for _ in range(samples):
-        g, h, k = (HeisElement(*rng.uniform(-3, 3, size=3)) for _ in range(3))
-        lhs = heis_mul(heis_mul(g, h), k)
-        rhs = heis_mul(g, heis_mul(h, k))
-        worst = max(worst, abs(lhs.a - rhs.a), abs(lhs.b - rhs.b), abs(lhs.c - rhs.c))
-        e = heis_mul(g, g.inverse())
-        worst = max(worst, abs(e.a), abs(e.b), abs(e.c))
+    # per sample: three elements g, h, k
+    g, h, k = (HeisElement(*abc) for abc in
+               _uniform_columns(rng, samples, *[(-3, 3)] * 9).reshape(3, 3, -1))
+    lhs = heis_mul(heis_mul(g, h), k)
+    rhs = heis_mul(g, heis_mul(h, k))
+    e = heis_mul(g, g.inverse())
+    worst = float(np.abs([lhs.a - rhs.a, lhs.b - rhs.b, lhs.c - rhs.c,
+                          e.a, e.b, e.c]).max())
     rows.append(check_row("group-axioms", worst, 1e-14,
                           "associativity and inverses hold to machine precision"))
 
-    bad = 0
-    for _ in range(min(samples, 200)):
-        m = rand_mixed(rng, 0.3, 4.0)
-        if np.linalg.matrix_rank(heis_leaf_jacobian(m)) != 3:
-            bad += 1
+    zr, zi, p, q = _uniform_columns(rng, min(samples, 200), *_MIXED_DRAWS)
+    m = MixedPoint(zr + 1j * zi, UpperHalfPoint(p, q))
+    bad = np.count_nonzero(np.linalg.matrix_rank(heis_leaf_jacobian(m)) != 3)
     rows.append(check_row("jacobian-rank", float(bad), 0.0,
                           "every orbit map is an immersion of rank 3"))
 
-    worst = 0.0
-    for _ in range(samples):
-        g = HeisElement(*rng.uniform(-3, 3, size=3))
-        s = rng.uniform(-2, 2)
-        g2, s2 = heis_rectify_inverse(heis_rectify(g, s))
-        worst = max(worst, abs(g2.a - g.a), abs(g2.b - g.b), abs(g2.c - g.c),
-                    abs(s2 - s))
+    # per sample: an element (a, b, c), then a height exponent s
+    a, b, c, s = _uniform_columns(rng, samples, *[(-3, 3)] * 3, (-2, 2))
+    g2, s2 = heis_rectify_inverse(heis_rectify(HeisElement(a, b, c), s))
+    worst = float(np.abs([g2.a - a, g2.b - b, g2.c - c, s2 - s]).max())
     rows.append(check_row("rectify-roundtrip", worst, 1e-12,
                           "the group-times-height chart inverts exactly"))
 
@@ -407,17 +437,13 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
     rows.append(check_row("commutator", max(abs(comm.a), abs(comm.b), abs(comm.c - 1)),
                           0.0, "the horizontal generators commute to the central one"))
 
-    worst = 0.0
-    for _ in range(samples):
-        g = HeisElement(*rng.uniform(-5, 5, size=3))
-        lat, rep = heis_reduce_mod_integer_lattice(g)
-        prod = heis_mul(lat, rep)
-        worst = max(worst, abs(prod.a - g.a), abs(prod.b - g.b), abs(prod.c - g.c))
-        if not (0 <= rep.a < 1 and 0 <= rep.b < 1 and 0 <= rep.c < 1):
-            worst = max(worst, 1.0)
-        lat2, rep2 = heis_reduce_mod_integer_lattice(rep)
-        worst = max(worst, abs(lat2.a), abs(lat2.b), abs(lat2.c),
-                    abs(rep2.a - rep.a), abs(rep2.b - rep.b), abs(rep2.c - rep.c))
+    g = _uniform_columns(rng, samples, *[(-5, 5)] * 3)
+    lat, rep = _heis_reduce_rows(*g, (1, 1, 1))
+    prod = heis_mul(HeisElement(*lat.T), HeisElement(*rep.T))
+    lat2, rep2 = _heis_reduce_rows(*rep.T, (1, 1, 1))
+    in_cube = ((0 <= rep) & (rep < 1)).all()
+    worst = float(max(np.abs(np.array(prod.triple()) - g).max(), 0.0 if in_cube else 1.0,
+                      np.abs(lat2).max(), np.abs(rep2 - rep).max()))
     rows.append(check_row("cube-reduction", worst, 1e-12,
                           "unit-cube representatives are unique and consistent"))
 

@@ -18,15 +18,29 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 
+def _per_element(f: Callable[[float], float], x):
+    """f(x), taken element by element when x is an array.
+
+    math.exp, math.log and float powers keep their bits this way; np.exp,
+    np.log and np.power can differ from them in the last place.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(f, x.tolist())))
+    return f(x)
+
+
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """Point x + iy of the upper half-plane, y > 0."""
+    """Point x + iy of the upper half-plane, y > 0.
+
+    x and y may be equal-length arrays: the points of a sample, one per entry.
+    """
 
     x: float
     y: float
 
     def __post_init__(self) -> None:
-        if not self.y > 0:
+        if not (np.all(self.y > 0) if isinstance(self.y, np.ndarray) else self.y > 0):
             raise ValueError(f"upper half-plane requires y > 0, got y={self.y}")
 
     @classmethod
@@ -35,6 +49,10 @@ class UpperHalfPoint:
 
     @property
     def complex(self) -> complex:
+        if isinstance(self.y, np.ndarray):
+            z = np.empty(np.broadcast(self.x, self.y).shape, dtype=complex)
+            z.real, z.imag = self.x, self.y
+            return z
         return complex(self.x, self.y)
 
 
@@ -55,7 +73,7 @@ class ProductPoint:
                    UpperHalfPoint(float(c[2]), float(c[3])))
 
     def coords(self) -> np.ndarray:
-        """Coordinates (x1, y1, x2, y2)."""
+        """Coordinates (x1, y1, x2, y2), a column per point on array fields."""
         return np.array([self.z1.x, self.z1.y, self.z2.x, self.z2.y])
 
 

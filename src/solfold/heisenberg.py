@@ -2,7 +2,9 @@
 
 Elements are unipotent upper triangular coordinates (a, b, c).  Orbits of
 points foliate C x H; the vertical hyperbolic direction is normal to every
-leaf, and the rectifying chart identifies Heis x R with C x H.
+leaf, and the rectifying chart identifies Heis x R with C x H.  The group
+law, the action and the chart also take array coordinates, one entry per
+element or point.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .geometry import (
     MetricSpec,
     MixedPoint,
     UpperHalfPoint,
+    _per_element,
     mixed_distance,
 )
 
@@ -62,29 +65,29 @@ def heis_act(g: HeisElement, m: MixedPoint) -> MixedPoint:
 
 
 def heis_leaf_jacobian(m: MixedPoint) -> np.ndarray:
-    """4 x 3 Jacobian of the orbit map (a, b, c) |-> (a,b,c) . m.
+    """4 x 3 Jacobian of the orbit map (a, b, c) |-> (a,b,c) . m, stacked
+    along the leading axes when m holds arrays.
 
     The action is affine in (a, b, c), so the Jacobian is the same at every
-    group element.
+    group element.  Its rows are (p, 0, 1), (q, 0, 0), (0, 1, 0), (0, 0, 0)
+    with w = p + q i.
     """
-    p, q = m.w.x, m.w.y
-    return np.array([
-        [p, 0.0, 1.0],
-        [q, 0.0, 0.0],
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ])
+    p, q = np.broadcast_arrays(m.w.x, m.w.y)
+    J = np.zeros(p.shape + (4, 3))
+    J[..., 0, 0], J[..., 1, 0] = p, q
+    J[..., 0, 2] = J[..., 2, 1] = 1.0
+    return J
 
 
 def heis_rectify(g: HeisElement, s: float) -> MixedPoint:
     """Chart (g, s) |-> g . (0, e^s i) identifying Heis x R with C x H."""
-    q = math.exp(s)
+    q = _per_element(math.exp, s)
     return heis_act(g, MixedPoint(0j, UpperHalfPoint(0.0, q)))
 
 
 def heis_rectify_inverse(m: MixedPoint) -> Tuple[HeisElement, float]:
     q = m.w.y
-    return (HeisElement(m.z.imag / q, m.w.x, m.z.real), math.log(q))
+    return (HeisElement(m.z.imag / q, m.w.x, m.z.real), _per_element(math.log, q))
 
 
 def heis_pullback_metric(y0: float) -> np.ndarray:

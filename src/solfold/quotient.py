@@ -66,8 +66,7 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     z = np.repeat(base, 10, axis=0)
     s, (u, v) = scale[words], shift[words].T
     gz = np.column_stack([s * z[:, 0] + u, s * z[:, 1], z[:, 2] / s + v, z[:, 3] / s])
-    s0, s1 = (np.array(list(map(_leaf_param, Z[:, 1].tolist(), Z[:, 3].tolist())))
-              for Z in (base, gz))
+    s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (base, gz))
     leaf_res = float(np.abs(s1 - np.repeat(s0, 10)).max())
     rep1 = _fundamental_domain_rows(spec, gz)[1]
     reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())

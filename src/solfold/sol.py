@@ -3,13 +3,15 @@
 An element (t, x, y) scales the half-plane factors by reciprocal exponential
 weights and translates them horizontally.  Orbits of base points foliate
 H x H by surfaces carrying left-invariant Sol metrics; the normal flow and a
-rectifying chart put the foliation in a standard product form.
+rectifying chart put the foliation in a standard product form.  The action,
+the flow and the charts also take array coordinates, one entry per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -21,6 +23,7 @@ from .geometry import (
     ProductPoint,
     TangentVector4,
     UpperHalfPoint,
+    _per_element,
     metric_inner,
     product_distance,
 )
@@ -63,8 +66,14 @@ STANDARD = SolParams(math.e)
 
 
 def sol_act(p: SolParams, g: SolElement, z: ProductPoint) -> ProductPoint:
-    s = p.lam ** g.t
-    return ProductPoint.from_complex(s * z.z1.complex + g.x, z.z2.complex / s + g.y)
+    """(z1, z2) |-> (s z1 + x, z2 / s + y) with s = lam^t, elementwise on arrays.
+
+    Taken on real and imaginary parts, which gives the values of Python's
+    complex product with and quotient by the real s, up to the sign of a zero.
+    """
+    s = _per_element(partial(pow, p.lam), g.t)
+    return ProductPoint(UpperHalfPoint(s * z.z1.x + g.x, s * z.z1.y),
+                        UpperHalfPoint(z.z2.x / s + g.y, z.z2.y / s))
 
 
 def phi(p: SolParams, g: SolElement) -> SolElement:
@@ -82,7 +91,7 @@ def leaf_embed(p: SolParams, z: ProductPoint, g: SolElement) -> ProductPoint:
 
 def normal_flow(z: ProductPoint, s: float) -> ProductPoint:
     """Unit-speed flow psi_s scaling both factor heights by e^s."""
-    es = math.exp(s)
+    es = _per_element(math.exp, s)
     return ProductPoint(UpperHalfPoint(z.z1.x, es * z.z1.y),
                         UpperHalfPoint(z.z2.x, es * z.z2.y))
 
@@ -100,7 +109,8 @@ def flow_speed(z: ProductPoint, s: float) -> float:
 
 
 def flow_equivariance_defect(p: SolParams, z: ProductPoint, g: SolElement, s: float) -> float:
-    """Sup-norm of psi_s(f_z(g)) - f_{psi_s(z)}(g)."""
+    """Sup-norm of psi_s(f_z(g)) - f_{psi_s(z)}(g), over every sample when
+    z, g and s hold arrays."""
     lhs = normal_flow(leaf_embed(p, z, g), s).coords()
     rhs = leaf_embed(p, normal_flow(z, s), g).coords()
     return float(np.abs(lhs - rhs).max())
@@ -113,30 +123,30 @@ Z0 = ProductPoint(UpperHalfPoint(0.0, 1 / SQRT2), UpperHalfPoint(0.0, 1 / SQRT2)
 
 def rectify(t: float, x: float, y: float, s: float) -> ProductPoint:
     """Chart Psi(t, x, y, s) = psi_s(f_{z0}(t, x, y)) identifying R^3 x R with H x H."""
-    return ProductPoint(UpperHalfPoint(x, math.exp(t + s) / SQRT2),
-                        UpperHalfPoint(y, math.exp(-t + s) / SQRT2))
+    return ProductPoint(UpperHalfPoint(x, _per_element(math.exp, t + s) / SQRT2),
+                        UpperHalfPoint(y, _per_element(math.exp, -t + s) / SQRT2))
 
 
 def rectify_inverse(z: ProductPoint) -> Tuple[float, float, float, float]:
-    t = 0.5 * math.log(z.z1.y / z.z2.y)
+    t = 0.5 * _per_element(math.log, z.z1.y / z.z2.y)
     return (t, z.z1.x, z.z2.x, _leaf_param(z.z1.y, z.z2.y))
 
 
 def _leaf_param(y1: float, y2: float) -> float:
     """Leaf parameter s of the points with heights y1 and y2."""
-    return 0.5 * math.log(2.0 * y1 * y2)
+    return 0.5 * _per_element(math.log, 2.0 * y1 * y2)
 
 
 def rectify_isometric(t: float, x: float, y: float, s: float) -> ProductPoint:
     """Variant Psi~(t, x, y, s) = Psi(t, e^s x, e^s y, s); each slice s = const
     pulls the ambient metric back to the Sol metric diag(1, e^{-2t}, e^{2t})."""
-    es = math.exp(s)
+    es = _per_element(math.exp, s)
     return rectify(t, es * x, es * y, s)
 
 
 def rectify_isometric_inverse(z: ProductPoint) -> Tuple[float, float, float, float]:
     t, X, Y, s = rectify_inverse(z)
-    es = math.exp(-s)
+    es = _per_element(math.exp, -s)
     return (t, es * X, es * Y, s)
 
 

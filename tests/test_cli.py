@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -622,3 +623,54 @@ def test_bad_matrix_messages(A, message, capsys):
         rc, out = run(capsys, *command, "--A", A)
         assert rc == 2
         assert json.loads(out)["error"] == {"field": "A", "message": message}
+
+
+@pytest.mark.parametrize("lam", [
+    "1e300",    # lam^2 overflows
+    "1e200",    # lam^-2 underflows to 0, and a height divides by it
+    "1e-320",   # subnormal: lam^2 is 0
+    repr(math.nextafter(1e153, math.inf)),
+    repr(math.nextafter(1e-153, 0.0)),
+])
+def test_lambda_outside_its_range_is_a_config_error(lam, capsys):
+    for suite in ("sol", "all", "kleinian"):
+        rc, out = run(capsys, "verify", "--suite", suite, "--samples", "5", "--lambda", lam)
+        assert rc == 2
+        assert json.loads(out)["error"] == {
+            "field": "lambda", "message": "lambda must lie in [1e-153, 1e+153]"}
+
+
+@pytest.mark.parametrize("lam", [1e153, 1e-153])
+def test_lambda_at_its_bounds_keeps_every_height_a_normal_float(lam, capsys):
+    # the sol rows move heights in [0.3, 4] by lam^t e^s with |t|, |s| <= 2
+    big = max(lam, 1 / lam)
+    assert 4.0 * big ** 2 * math.exp(2) < sys.float_info.max
+    assert 0.3 / big ** 2 * math.exp(-2) > sys.float_info.min
+    rc, out = run(capsys, "verify", "--suite", "sol", "--samples", "50", "--lambda", repr(lam))
+    # so the rows are computed; far from 1 the flow defect outgrows 1e-12
+    assert rc in (0, 1)
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 7 and all(math.isfinite(r["residual"]) for r in rows)
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("export flow --s-range 0:1e12:1", "s-range"),
+    ("export leaf-metric --t-range 0:1e12:1", "t-range"),
+    ("export flow --s-range -1:1:1e-7", "s-range"),
+])
+def test_ranges_with_too_many_values_exit_before_building_them(argv, field, monkeypatch,
+                                                                capsys):
+    def refuse(r):
+        raise AssertionError("the range was built")
+    monkeypatch.setattr(cli, "_range_values", refuse)
+    rc, out = run(capsys, *argv.split())
+    assert rc == 2
+    assert json.loads(out)["error"]["field"] == field
+
+
+def test_range_value_bound_is_inclusive():
+    parse = cli._parse_range("s-range")
+    assert cli._range_count(parse(f"0:{cli._MAX_RANGE_VALUES - 1}:1")) \
+        == cli._MAX_RANGE_VALUES
+    with pytest.raises(cli.ConfigError):
+        parse(f"0:{cli._MAX_RANGE_VALUES}:1")

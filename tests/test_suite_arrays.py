@@ -1,0 +1,519 @@
+"""The sol and heis verify suites against their per-sample loops.
+
+The suites compute six rows on arrays, each from one block draw.  The loops
+they replaced live on here as the reference: equal rows, residual bits
+included, the same rng stream position after every row, and a planted
+defect that each array row still catches.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from solfold import (
+    STANDARD,
+    HeisElement,
+    MetricSpec,
+    MixedPoint,
+    ProductPoint,
+    SolElement,
+    SolParams,
+    UpperHalfPoint,
+    factored_proper_discontinuity_check,
+    flow_speed,
+    geodesic_residual,
+    heis_act,
+    heis_commutator,
+    heis_mul,
+    heis_pullback_metric,
+    heis_rectify,
+    heis_rectify_inverse,
+    heis_reduce_mod_integer_lattice,
+    heis_word_ball,
+    leaf_metric,
+    leaf_separation,
+    normal_flow,
+    rectify,
+    rectify_inverse,
+    rectify_isometric,
+    rectify_isometric_inverse,
+    shape_operator,
+)
+import solfold.sol
+from solfold import _fd, cli, heis_leaf_separation_numeric, leaf_separation_numeric
+from solfold.cli import ConfigError
+from solfold.geometry import SQRT2, rand_mixed, rand_product
+from solfold.quotient import check_row
+
+
+# ---------------------------------------------------------------------------
+# the per-sample loops, with the scalar forms they called
+
+def _sol_act_complex(p, g, z):
+    """sol_act as the loops computed it, in Python complex arithmetic."""
+    s = p.lam ** g.t
+    return ProductPoint.from_complex(s * z.z1.complex + g.x, z.z2.complex / s + g.y)
+
+
+def _flow_equivariance_defect_reference(p, z, g, s):
+    lhs = normal_flow(_sol_act_complex(p, g, z), s).coords()
+    rhs = _sol_act_complex(p, g, normal_flow(z, s)).coords()
+    return float(np.abs(lhs - rhs).max())
+
+
+def _heis_leaf_jacobian_reference(m):
+    p, q = m.w.x, m.w.y
+    return np.array([
+        [p, 0.0, 1.0],
+        [q, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0],
+    ])
+
+
+def _suite_sol_reference(cfg):
+    rng = np.random.default_rng(cfg["seed"])
+    samples, lam = cfg["samples"], cfg["lambda"]
+    try:
+        params = STANDARD if lam is None else SolParams(lam)
+    except ValueError as e:
+        raise ConfigError("lambda", str(e))
+    rows = []
+    ghyp = MetricSpec.half_hyperbolic_product()
+
+    worst = 0.0
+    for _ in range(samples):
+        z = rand_product(rng, 0.3, 4.0)
+        g = SolElement(rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-3, 3))
+        worst = max(worst, _flow_equivariance_defect_reference(params, z, g,
+                                                               rng.uniform(-2, 2)))
+    rows.append(check_row("flow-equivariance", worst, 1e-12,
+                          "the normal flow commutes with every leaf action"))
+
+    worst = 0.0
+    for _ in range(min(samples, 100)):
+        z = rand_product(rng, 0.3, 4.0)
+        curve = lambda u: normal_flow(z, u).coords()
+        worst = max(worst, geodesic_residual(ghyp, curve, rng.uniform(-1.5, 1.5)))
+    rows.append(check_row("flow-geodesic", worst, 1e-6,
+                          "flow lines are geodesics of the product metric"))
+
+    worst = 0.0
+    for _ in range(min(samples, 200)):
+        z = rand_product(rng, 0.3, 4.0)
+        s = rng.uniform(-2, 2)
+        worst = max(worst, abs(flow_speed(z, s) - 1.0))
+    rows.append(check_row("flow-unit-speed", worst, 1e-10,
+                          "the normal field has unit length everywhere"))
+
+    worst = 0.0
+    for _ in range(min(samples, 60)):
+        y1, y2 = rng.uniform(0.4, 2.5, size=2)
+        base = ProductPoint(UpperHalfPoint(0.0, y1), UpperHalfPoint(0.0, y2))
+        txy = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-2, 2), rng.uniform(-2, 2)])
+        embed = lambda c: _sol_act_complex(STANDARD, SolElement(c[0], c[1], c[2]),
+                                           base).coords()
+        num = _fd.pullback(ghyp.matrix, embed, txy)
+        worst = max(worst, float(np.abs(num - leaf_metric(base, txy[0])).max()))
+    rows.append(check_row("leaf-metric", worst, 1e-10,
+                          "each leaf inherits the solvable model metric"))
+
+    worst = 0.0
+    for t in (-1.0, 0.0, 1.0):
+        for s in (-1.0, 0.0, 1.0):
+            ev = np.sort(shape_operator(t, s).eigenvalues)
+            worst = max(worst, float(np.abs(ev - np.array([-1.0, -1.0, 0.0])).max()))
+    rows.append(check_row("shape-spectrum", worst, 1e-6,
+                          "principal curvatures of every leaf are -1, -1, 0"))
+
+    sep = leaf_separation_numeric(0.0, 1.0)
+    res = abs(sep.value - leaf_separation(0.0, 1.0)) + (0.0 if sep.converged else 1.0)
+    rows.append(check_row("leaf-separation", res, 1e-4,
+                          "distance between leaves equals the gap of their parameters"))
+
+    worst = 0.0
+    for _ in range(samples):
+        t, x, y, s = rng.uniform(-2, 2, size=4)
+        back = rectify_inverse(rectify(t, x, y, s))
+        worst = max(worst, float(np.abs(np.array(back) - np.array([t, x, y, s])).max()))
+        backi = rectify_isometric_inverse(rectify_isometric(t, x, y, s))
+        worst = max(worst, float(np.abs(np.array(backi) - np.array([t, x, y, s])).max()))
+        z = rand_product(rng, 0.3, 4.0)
+        again = rectify(*rectify_inverse(z))
+        worst = max(worst, float(np.abs(again.coords() - z.coords()).max()))
+    rows.append(check_row("rectify-roundtrip", worst, 1e-12,
+                          "the straightening charts invert exactly"))
+    return rows
+
+
+def _suite_heis_reference(cfg):
+    rng = np.random.default_rng(cfg["seed"])
+    samples = cfg["samples"]
+    rows = []
+
+    worst = 0.0
+    for _ in range(samples):
+        g, h, k = (HeisElement(*rng.uniform(-3, 3, size=3)) for _ in range(3))
+        lhs = heis_mul(heis_mul(g, h), k)
+        rhs = heis_mul(g, heis_mul(h, k))
+        worst = max(worst, abs(lhs.a - rhs.a), abs(lhs.b - rhs.b), abs(lhs.c - rhs.c))
+        e = heis_mul(g, g.inverse())
+        worst = max(worst, abs(e.a), abs(e.b), abs(e.c))
+    rows.append(check_row("group-axioms", worst, 1e-14,
+                          "associativity and inverses hold to machine precision"))
+
+    bad = 0
+    for _ in range(min(samples, 200)):
+        m = rand_mixed(rng, 0.3, 4.0)
+        if np.linalg.matrix_rank(_heis_leaf_jacobian_reference(m)) != 3:
+            bad += 1
+    rows.append(check_row("jacobian-rank", float(bad), 0.0,
+                          "every orbit map is an immersion of rank 3"))
+
+    worst = 0.0
+    for _ in range(samples):
+        g = HeisElement(*rng.uniform(-3, 3, size=3))
+        s = rng.uniform(-2, 2)
+        g2, s2 = heis_rectify_inverse(heis_rectify(g, s))
+        worst = max(worst, abs(g2.a - g.a), abs(g2.b - g.b), abs(g2.c - g.c),
+                    abs(s2 - s))
+    rows.append(check_row("rectify-roundtrip", worst, 1e-12,
+                          "the group-times-height chart inverts exactly"))
+
+    worst = 0.0
+    geh = MetricSpec.euclidean_times_hyperbolic()
+    for _ in range(min(samples, 50)):
+        y0 = rng.uniform(0.4, 2.5)
+        abc = rng.uniform(-2, 2, size=3)
+        base = MixedPoint(0j, UpperHalfPoint(0.0, y0))
+        embed = lambda c: heis_act(HeisElement(c[0], c[1], c[2]), base).coords()
+        num = _fd.pullback(geh.matrix, embed, abc)
+        worst = max(worst, float(np.abs(num - heis_pullback_metric(y0)).max()))
+    rows.append(check_row("pullback-metric", worst, 1e-10,
+                          "orbit metric is flat left-invariant with height weights"))
+
+    comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
+    rows.append(check_row("commutator", max(abs(comm.a), abs(comm.b), abs(comm.c - 1)),
+                          0.0, "the horizontal generators commute to the central one"))
+
+    worst = 0.0
+    for _ in range(samples):
+        g = HeisElement(*rng.uniform(-5, 5, size=3))
+        lat, rep = heis_reduce_mod_integer_lattice(g)
+        prod = heis_mul(lat, rep)
+        worst = max(worst, abs(prod.a - g.a), abs(prod.b - g.b), abs(prod.c - g.c))
+        if not (0 <= rep.a < 1 and 0 <= rep.b < 1 and 0 <= rep.c < 1):
+            worst = max(worst, 1.0)
+        lat2, rep2 = heis_reduce_mod_integer_lattice(rep)
+        worst = max(worst, abs(lat2.a), abs(lat2.b), abs(lat2.c),
+                    abs(rep2.a - rep.a), abs(rep2.b - rep.b), abs(rep2.c - rep.c))
+    rows.append(check_row("cube-reduction", worst, 1e-12,
+                          "unit-cube representatives are unique and consistent"))
+
+    diff = 0
+    for n in range(1, 5):
+        cg, ca = factored_proper_discontinuity_check(heis_word_ball(n))
+        diff = max(diff, abs(cg - ca))
+    rows.append(check_row("factored-counts", float(diff), 0.0,
+                          "group-side and ambient-side intersection counts agree"))
+
+    sep = heis_leaf_separation_numeric(0.0, 1.0)
+    res = abs(sep.value - leaf_separation(0.0, 1.0)) + (0.0 if sep.converged else 1.0)
+    rows.append(check_row("leaf-separation", res, 1e-4,
+                          "distance between orbit leaves equals the height gap"))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# the array rows against the loops
+
+def _cfg(seed, samples, lam=None):
+    cfg = {key: default for key, (_, default) in cli._FLAGS["verify"].items()}
+    cfg.update(seed=seed, samples=samples, **{"lambda": lam})
+    return cfg
+
+
+def _bits(rows):
+    return [(r.name, r.residual.hex(), r.threshold, r.passed, r.claim) for r in rows]
+
+
+SEEDS = (0, 7, 110007)
+SAMPLES = (1, 7, 60, 150, 500)
+
+
+@pytest.mark.parametrize("lam", [None, 2.0, 0.37])
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_sol_rows_equal_the_loop(samples, lam):
+    for seed in SEEDS:
+        cfg = _cfg(seed, samples, lam)
+        assert _bits(cli._suite_sol(cfg)) == _bits(_suite_sol_reference(cfg))
+
+
+@pytest.mark.parametrize("samples", SAMPLES)
+def test_heis_rows_equal_the_loop(samples):
+    for seed in SEEDS:
+        cfg = _cfg(seed, samples)
+        assert _bits(cli._suite_heis(cfg)) == _bits(_suite_heis_reference(cfg))
+
+
+@pytest.mark.parametrize("lam", [1e153, 1e-153])
+def test_sol_rows_equal_the_loop_at_the_lambda_bounds(lam):
+    cfg = _cfg(3, 60, lam)
+    rows = cli._suite_sol(cfg)
+    assert _bits(rows) == _bits(_suite_sol_reference(cfg))
+    assert all(math.isfinite(r.residual) for r in rows)
+
+
+class _Recording:
+    """Wraps a Generator and notes its bit generator's state after every draw."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.states = []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            self.states.append(self.rng.bit_generator.state)
+            return out
+        return recorded
+
+
+def _draw_states(suite, cfg, monkeypatch):
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(_Recording(default_rng(seed)))
+        return made[-1]
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", recording)
+        suite(cfg)
+    return made[0].states
+
+
+@pytest.mark.parametrize("suite, reference, blocks", [
+    (cli._suite_sol, _suite_sol_reference, 2),
+    (cli._suite_heis, _suite_heis_reference, 4),
+], ids=["sol", "heis"])
+@pytest.mark.parametrize("samples", [1, 60, 500])
+def test_block_draws_leave_the_stream_where_the_loop_does(suite, reference, blocks,
+                                                          samples, monkeypatch):
+    cfg = _cfg(5, samples)
+    block = _draw_states(suite, cfg, monkeypatch)
+    loop = _draw_states(reference, cfg, monkeypatch)
+    # each draw of the suite, block or per sample, ends where a draw of the
+    # loop ends, in the same order; so each block draw reads exactly the
+    # values its loop read, and leaves the stream where the loop left it
+    rest = iter(loop)
+    assert all(any(state == s for s in rest) for state in block)
+    assert block[-1] == loop[-1]
+    # one block draw stands for all the draws of each array row
+    per_sample = {1: 1, 60: 60, 500: 500}[samples]
+    assert len(loop) - len(block) >= blocks * (per_sample - 1)
+
+
+# ---------------------------------------------------------------------------
+# a planted defect fails each array row
+
+def _row(suite, name, cfg):
+    return {r.name: r for r in suite(cfg)}[name]
+
+
+def _fails_only_when_planted(suite, name, monkeypatch, target, attr, planted):
+    cfg = _cfg(0, 60)
+    assert _row(suite, name, cfg).passed
+    monkeypatch.setattr(target, attr, planted)
+    row = _row(suite, name, cfg)
+    assert not row.passed
+    return row
+
+
+def test_flow_equivariance_sees_a_flow_that_moves_real_parts(monkeypatch):
+    def flow(z, s):
+        es = np.exp(s)
+        return ProductPoint(UpperHalfPoint(es * z.z1.x, es * z.z1.y),
+                            UpperHalfPoint(es * z.z2.x, es * z.z2.y))
+    _fails_only_when_planted(cli._suite_sol, "flow-equivariance", monkeypatch,
+                             solfold.sol, "normal_flow", flow)
+
+
+def test_sol_rectify_roundtrip_sees_a_shifted_leaf_parameter(monkeypatch):
+    def shifted(z):
+        t, x, y, s = rectify_inverse(z)
+        return (t, x, y, s + 1e-9)
+    row = _fails_only_when_planted(cli._suite_sol, "rectify-roundtrip", monkeypatch,
+                                   cli, "rectify_inverse", shifted)
+    assert row.residual >= 1e-9 * (1 - 1e-6)
+
+
+def test_group_axioms_see_a_non_associative_law(monkeypatch):
+    def skewed(g, h):
+        return HeisElement(g.a + h.a, g.b + h.b, g.c + h.c + g.a * h.b + 1e-9 * g.c * h.c)
+    _fails_only_when_planted(cli._suite_heis, "group-axioms", monkeypatch,
+                             cli, "heis_mul", skewed)
+
+
+def test_heis_rectify_roundtrip_sees_a_shifted_height(monkeypatch):
+    def shifted(m):
+        g, s = heis_rectify_inverse(m)
+        return g, s + 1e-9
+    _fails_only_when_planted(cli._suite_heis, "rectify-roundtrip", monkeypatch,
+                             cli, "heis_rectify_inverse", shifted)
+
+
+def test_cube_reduction_sees_a_representative_outside_the_cube(monkeypatch):
+    reduce_rows = cli._heis_reduce_rows
+
+    def outside(a, b, c, moduli):
+        # (A - 1, B, C) (alpha + 1, beta, gamma + beta) is still the element,
+        # and the second reduction returns the shifted representative itself
+        lat, rep = reduce_rows(a, b, c, moduli)
+        lat[:, 0] -= 1.0
+        rep[:, 2] += rep[:, 1]
+        rep[:, 0] += 1.0
+        return lat, rep
+    row = _fails_only_when_planted(cli._suite_heis, "cube-reduction", monkeypatch,
+                                   cli, "_heis_reduce_rows", outside)
+    assert row.residual >= 1.0
+
+
+def test_jacobian_rank_counts_rank_deficient_jacobians(monkeypatch):
+    jacobian = cli.heis_leaf_jacobian
+
+    def deficient(m):
+        # dropping q leaves the first column parallel to the third
+        J = jacobian(m)
+        J[::2, 1, 0] = 0.0
+        return J
+    row = _fails_only_when_planted(cli._suite_heis, "jacobian-rank", monkeypatch,
+                                   cli, "heis_leaf_jacobian", deficient)
+    assert row.residual == 30.0
+
+
+# ---------------------------------------------------------------------------
+# the array forms give the scalar bits
+
+def test_sol_act_equals_the_complex_form(rng):
+    cases = [(x1, x2, gx, gy) for x1, x2, gx, gy in itertools.product(
+        [0.0, -0.0, 1.5], [0.0, -0.0, -2.25], [0.0, -0.0, 0.5], [0.0, -0.0, 3.0])]
+    cases += [tuple(v) for v in rng.uniform(-3, 3, size=(2000, 4))]
+    for lam in (math.e, 2.0, 0.37, 1e153):
+        p = SolParams(lam)
+        for x1, x2, gx, gy in cases:
+            z = ProductPoint(UpperHalfPoint(x1, rng.uniform(0.3, 4)),
+                             UpperHalfPoint(x2, rng.uniform(0.3, 4)))
+            g = SolElement(rng.uniform(-2, 2), gx, gy)
+            got, want = cli.sol_act(p, g, z).coords(), _sol_act_complex(p, g, z).coords()
+            # the values agree; a zero may differ in sign only where x2 and g.y
+            # are both -0.0
+            assert np.array_equal(got, want)
+            if not (math.copysign(1, x2) < 0 and math.copysign(1, gy) < 0 and x2 == 0):
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# the scalar bodies as the loops ran them, on Python floats with math's functions
+
+def _rectify_math(t, x, y, s):
+    return (x, math.exp(t + s) / SQRT2, y, math.exp(-t + s) / SQRT2)
+
+
+def _rectify_inverse_math(x1, y1, x2, y2):
+    return (0.5 * math.log(y1 / y2), x1, x2, 0.5 * math.log(2.0 * y1 * y2))
+
+
+def _rectify_isometric_math(t, x, y, s):
+    es = math.exp(s)
+    return _rectify_math(t, es * x, es * y, s)
+
+
+def _rectify_isometric_inverse_math(x1, y1, x2, y2):
+    t, X, Y, s = _rectify_inverse_math(x1, y1, x2, y2)
+    es = math.exp(-s)
+    return (t, es * X, es * Y, s)
+
+
+def _normal_flow_math(x1, y1, x2, y2, s):
+    es = math.exp(s)
+    return (x1, es * y1, x2, es * y2)
+
+
+def _heis_rectify_math(a, b, c, s):
+    q = math.exp(s)
+    z = 0j + a * complex(0.0, q) + c
+    return (z.real, z.imag, 0.0 + b, q)
+
+
+def _heis_rectify_inverse_math(zr, zi, wx, q):
+    return (zi / q, wx, zr, math.log(q))
+
+
+def _point(x1, y1, x2, y2):
+    return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+
+
+def _heis_chart_coords(a, b, c, s):
+    m = heis_rectify(HeisElement(a, b, c), s)
+    return np.array([m.z.real, m.z.imag, m.w.x, m.w.y])
+
+
+def _heis_chart_roundtrip(a, b, c, s):
+    g, s2 = heis_rectify_inverse(heis_rectify(HeisElement(a, b, c), s))
+    return np.array([*g.triple(), s2])
+
+
+def test_array_and_scalar_forms_give_the_bits_of_the_math_loops(rng):
+    n = 2000
+    t, x, y, s = rng.uniform(-2, 2, size=(4, n))
+    x1, x2 = rng.uniform(-3, 3, size=(2, n))
+    y1, y2 = rng.uniform(0.3, 4, size=(2, n))
+    # np.exp differs from math.exp on some of these, so a numpy shortcut fails
+    assert np.any(np.exp(t + s) != np.array([math.exp(v) for v in (t + s).tolist()]))
+    p = SolParams(0.37)
+    cases = [  # (the loop's scalar body, the library call, its arguments)
+        (_rectify_math, lambda *v: rectify(*v).coords(), (t, x, y, s)),
+        (_rectify_isometric_math, lambda *v: rectify_isometric(*v).coords(), (t, x, y, s)),
+        (_rectify_inverse_math, lambda *v: np.array(rectify_inverse(_point(*v))),
+         (x1, y1, x2, y2)),
+        (_rectify_isometric_inverse_math,
+         lambda *v: np.array(rectify_isometric_inverse(_point(*v))), (x1, y1, x2, y2)),
+        (_normal_flow_math, lambda *v: normal_flow(_point(*v[:4]), v[4]).coords(),
+         (x1, y1, x2, y2, s)),
+        (lambda *v: _sol_act_complex(p, SolElement(*v[:3]), _point(*v[3:])).coords(),
+         lambda *v: cli.sol_act(p, SolElement(*v[:3]), _point(*v[3:])).coords(),
+         (t, x, y, x1, y1, x2, y2)),
+        (_heis_rectify_math, _heis_chart_coords, (x1, x2, t, s)),
+        (lambda *v: _heis_rectify_inverse_math(*_heis_rectify_math(*v)),
+         _heis_chart_roundtrip, (x1, x2, t, s)),
+    ]
+    for loop_body, library, args in cases:
+        rows = list(zip(*(a.tolist() for a in args)))
+        want = np.array([loop_body(*v) for v in rows])
+        assert library(*args).T.tobytes() == want.tobytes()
+        assert np.array([library(*v) for v in rows]).tobytes() == want.tobytes()
+
+
+def test_stacked_jacobians_equal_the_single_ones(rng):
+    n = 500
+    wx, wy = rng.uniform(-3, 3, size=n), rng.uniform(0.3, 4, size=n)
+    J = cli.heis_leaf_jacobian(MixedPoint(0j, UpperHalfPoint(wx, wy)))
+    assert J.shape == (n, 4, 3)
+    for i in range(n):
+        single = cli.heis_leaf_jacobian(MixedPoint(0j, UpperHalfPoint(wx[i], wy[i])))
+        ref = _heis_leaf_jacobian_reference(MixedPoint(0j, UpperHalfPoint(wx[i], wy[i])))
+        assert single.tobytes() == ref.tobytes() == J[i].tobytes()
+    ranks = np.linalg.matrix_rank(J)
+    assert ranks.tolist() == [np.linalg.matrix_rank(J[i]) for i in range(n)]
+
+
+def test_array_half_plane_points():
+    x, y = np.array([-0.0, 0.0, 1.5]), np.array([1.0, 2.0, 0.5])
+    z = UpperHalfPoint(x, y).complex
+    assert [(v.real.hex(), v.imag.hex()) for v in z.tolist()] == \
+        [(complex(a, b).real.hex(), complex(a, b).imag.hex()) for a, b in zip(x, y)]
+    with pytest.raises(ValueError):
+        UpperHalfPoint(x, np.array([1.0, 0.0, 2.0]))
