@@ -8,6 +8,7 @@ configuration and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -25,8 +26,8 @@ from .heisenberg import (HeisElement, _heis_reduce_rows,
                          heis_leaf_separation_numeric, heis_mul,
                          heis_pullback_metric, heis_rectify,
                          heis_rectify_inverse, heis_word_ball)
-from .kleinian import (ProjectivePoint, ToralGroupSpec, classify_limit_line,
-                       general_position_max, lattice_iso_test,
+from .kleinian import (MAX_BALL_ROWS, ProjectivePoint, ToralGroupSpec, _ball_size,
+                       classify_limit_line, general_position_max, lattice_iso_test,
                        limit_general_position, proper_discontinuity_count,
                        projective_act, pseudo_limit_kernels, sol_lattice_embed,
                        toral_act, toral_element, word_ball)
@@ -112,7 +113,7 @@ def _check_finite(field: str, *values: float) -> None:
         raise ConfigError(field, f"{field} must be finite")
 
 
-def _parse_int(field: str, lo: Optional[int] = None):
+def _parse_int(field: str, lo: Optional[int] = None, hi: Optional[int] = None):
     def cast(s: str) -> int:
         try:
             v = int(s)
@@ -120,6 +121,8 @@ def _parse_int(field: str, lo: Optional[int] = None):
             raise ConfigError(field, f"{field} must be an integer, got {s!r}")
         if lo is not None and v < lo:
             raise ConfigError(field, f"{field} must be at least {lo}")
+        if hi is not None and v > hi:
+            raise ConfigError(field, f"{field} must be at most {hi}")
         return v
     return cast
 
@@ -194,6 +197,8 @@ def _parse_point4(field: str):
 
 
 _MAX_RANGE_VALUES = 10 ** 6
+# the largest word-ball radius N whose ball fits in MAX_BALL_ROWS rows
+_MAX_N = next(n for n in itertools.count() if _ball_size(n + 1) > MAX_BALL_ROWS)
 
 
 def _parse_range(field: str):
@@ -260,7 +265,7 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
                "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
                "A": (_parse_matrix, ((2, 1), (1, 1))),
                "lambda": (_parse_pos_float("lambda", _LAMBDA_RANGE), None),
-               "N": (_parse_int("N", lo=0), 6),
+               "N": (_parse_int("N", lo=0, hi=_MAX_N), 6),
                "out": (str, None), "format": (str, "json")},
     "flow": {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
              "s-range": (_parse_range("s-range"), (-2.0, 2.0, 0.1)),
@@ -270,11 +275,11 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
                     "t-range": (_parse_range("t-range"), (-2.0, 2.0, 0.25)),
                     "out": (str, None), "format": (str, "csv")},
     "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-                  "N": (_parse_int("N", lo=0), 8),
+                  "N": (_parse_int("N", lo=0, hi=_MAX_N), 8),
                   "seed": (_parse_int("seed", lo=0), 0),
                   "out": (str, None), "format": (str, "json")},
     "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-              "N": (_parse_int("N", lo=0), 4),
+              "N": (_parse_int("N", lo=0, hi=_MAX_N), 4),
               "base": (_parse_base, (1j, 1j)),
               "out": (str, None), "format": (str, "csv")},
     "domain": {"A": (_parse_matrix, ((2, 1), (1, 1))),
@@ -521,7 +526,7 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
                           "mismatches"))
 
     worst = 0.0
-    ball = word_ball(2)
+    ball = word_ball(2).tolist()
     for _ in range(min(samples, 300)):
         g = ball[int(rng.integers(0, len(ball)))]
         z = rand_product(rng, 0.3, 4.0)
@@ -647,9 +652,8 @@ def _cmd_export(ns: argparse.Namespace) -> int:
                                       "half planes")
         z = ProductPoint.from_complex(b1, b2)
         rows = []
-        for g in word_ball(cfg["N"]):
-            c = toral_act(spec, g, z).coords()
-            rows.append([g[0], g[1], g[2], *c])
+        for g in word_ball(cfg["N"]).tolist():
+            rows.append([*g, *toral_act(spec, g, z).coords()])
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
     # domain
     if cfg["format"] != "json":

@@ -189,15 +189,39 @@ def toral_compose(spec: ToralGroupSpec,
     return (k + k2, n + Ak[0][0] * n2 + Ak[0][1] * m2, m + Ak[1][0] * n2 + Ak[1][1] * m2)
 
 
-def word_ball(n: int) -> List[Tuple[int, int, int]]:
-    """Elements (k, n, m) with |k| + |n| + |m| <= n, sorted; the same
-    coordinate set for every A."""
+# the most rows word_ball builds: radius 90 has 988 441, radius 91 1 021 567
+MAX_BALL_ROWS = 10 ** 6
+
+
+def _ball_size(n: int) -> int:
+    """Rows of the radius-n ball, (2n + 1)(2n^2 + 2n + 3) / 3."""
+    return (2 * n + 1) * (2 * n * n + 2 * n + 3) // 3
+
+
+def _centred_runs(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Run index and value of each entry of range(-r_i, r_i + 1), i in order,
+    concatenated."""
+    width = 2 * r + 1
+    run = np.repeat(np.arange(len(r)), width)
+    start = np.cumsum(width) - width
+    return run, np.arange(int(width.sum()), dtype=np.int64) - (start + r)[run]
+
+
+def word_ball(n: int) -> np.ndarray:
+    """Elements (k, n, m) with |k| + |n| + |m| <= n, one per row of a
+    C-contiguous (M, 3) int64 array, rows sorted; the same coordinate set for
+    every A.  Callers read rows through .tolist(): arithmetic on the Python
+    ints cannot wrap, and lam ** k stays a float power, not np.power.
+    """
     if n < 0:
         raise ValueError("word bound must be nonnegative")
-    return [(k, a, b)
-            for k in range(-n, n + 1)
-            for a in range(abs(k) - n, n - abs(k) + 1)
-            for b in range(abs(k) + abs(a) - n, n - abs(k) - abs(a) + 1)]
+    if _ball_size(n) > MAX_BALL_ROWS:
+        raise ValueError(f"word bound {n} gives more than {MAX_BALL_ROWS} ball rows")
+    k = np.arange(-n, n + 1, dtype=np.int64)
+    i, a = _centred_runs(n - np.abs(k))
+    k = k[i]
+    j, b = _centred_runs(n - np.abs(k) - np.abs(a))
+    return np.stack([k[j], a[j], b], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +274,7 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
     lines: List[ProjectiveLine] = []
     weights: List[int] = []
     families: List[str] = []
-    for (k, x, y) in word_ball(n):
+    for (k, x, y) in word_ball(n).tolist():
         if k == 0:
             if x == 0 and y == 0:
                 continue
@@ -489,17 +513,16 @@ def intersecting_elements(spec: ToralGroupSpec, box: Box4,
 
     The action is interval-exact: z1 scales by lam^k and translates, z2 by
     lam^{-k}; overlaps are padded outward by 1e-12.  The four interval tests
-    run over the whole ball at once.  lam^k is a Python float power per k
-    (np.power can differ in the last bit), and (u, v) = P^{-1}(a, b) is
-    multiplied and added entrywise, not by matmul, which may fuse the
-    multiply and the add.
+    run on the columns of the ball array at once.  lam^k is a Python float
+    power per k (np.power can differ in the last bit), and (u, v) =
+    P^{-1}(a, b) is multiplied and added entrywise, not by matmul, which may
+    fuse the multiply and the add.  Hits come back as tuples of Python ints.
     """
     _check_box(box)
     (x1, y1, x2, y2) = box
     pad = 1e-12
     ball = word_ball(n)
-    k, a, b = np.fromiter(itertools.chain.from_iterable(ball), dtype=np.int64,
-                          count=3 * len(ball)).reshape(-1, 3).T
+    k, a, b = ball.T
     s = np.array([spec.lam ** j for j in range(-n, n + 1)])[k + n]
     u = spec.P_inv[0, 0] * a + spec.P_inv[0, 1] * b
     v = spec.P_inv[1, 0] * a + spec.P_inv[1, 1] * b
@@ -507,7 +530,7 @@ def intersecting_elements(spec: ToralGroupSpec, box: Box4,
     miss |= (y2[0] / s > y2[1] + pad) | (y2[1] / s < y2[0] - pad)
     miss |= (s * x1[0] + u > x1[1] + pad) | (s * x1[1] + u < x1[0] - pad)
     miss |= (x2[0] / s + v > x2[1] + pad) | (x2[1] / s + v < x2[0] - pad)
-    return [ball[i] for i in np.flatnonzero(~miss).tolist()]
+    return list(map(tuple, ball[~miss].tolist()))
 
 
 def proper_discontinuity_count(spec: ToralGroupSpec, box: Box4, n: int) -> int:

@@ -49,7 +49,7 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    ball = [g for g in word_ball(2) if g != (0, 0, 0)]
+    ball = [g for g in word_ball(2).tolist() if g != [0, 0, 0]]
     # each word acts as toral_act does: scale by lam^k, translate by P^{-1}(n, m)
     scale = np.array([spec.lam ** k for k, _, _ in ball])
     shift = np.array([spec.P_inv @ np.array([n, m], dtype=float) for _, n, m in ball])

@@ -324,7 +324,7 @@ def test_criterion_10_box_intersections_stabilize(acceptance_log):
         spec = ToralGroupSpec.from_matrix(A)
         small = set(intersecting_elements(spec, box, 6))
         large = set(intersecting_elements(spec, box, 12))
-        brute = {g for g in word_ball(12)
+        brute = {g for g in map(tuple, word_ball(12).tolist())
                  if affine_box_hits_via_matrix(
                      toral_element(spec, *g), box)}
         counts.append(len(large))

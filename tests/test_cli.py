@@ -186,7 +186,7 @@ def test_export_orbit_row_count_matches_ball(capsys):
         rc, out = run(capsys, "export", "orbit", "--N", str(N))
         assert rc == 0
         lines = out.strip().split("\n")
-        ball = word_ball(N)
+        ball = list(map(tuple, word_ball(N).tolist()))
         assert len(lines) == 1 + len(ball)
         triples = [tuple(int(v) for v in l.split(",")[:3]) for l in lines[1:]]
         assert triples == ball
@@ -592,6 +592,25 @@ def test_negative_seed_is_config_error(command, tmp_path, capsys):
         rc, out = run(capsys, *command, *extra)
         assert rc == 2
         assert json.loads(out)["error"]["field"] == "seed"
+
+
+@pytest.mark.parametrize("command", [("verify", "--suite", "kleinian"),
+                                     ("export", "limit-set"), ("export", "orbit")])
+def test_N_above_the_ball_cap_is_config_error(command, tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the radius must be rejected before any ball is built")
+
+    for name in ("word_ball", "pseudo_limit_kernels", "proper_discontinuity_count"):
+        monkeypatch.setattr(cli, name, forbidden)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("N=91\n")
+    for extra in (("--N", "91"), ("--config", str(cfg))):
+        rc, out = run(capsys, *command, *extra)
+        assert rc == 2
+        err = json.loads(out)["error"]
+        assert err["field"] == "N" and "at most 90" in err["message"]
+    table = command[0] if command[0] == "verify" else command[1]
+    assert cli._FLAGS[table]["N"][0]("90") == 90
 
 
 # a flag of another export target, with a value that target would accept

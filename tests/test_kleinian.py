@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from solfold import (
     projective_act,
     word_ball,
 )
-from solfold.kleinian import _dedupe_lines, _fundamental_domain_rows, _normalize_homogeneous
+from solfold import kleinian
+from solfold.kleinian import (MAX_BALL_ROWS, _dedupe_lines, _fundamental_domain_rows,
+                              _normalize_homogeneous)
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 SPEC_B = ToralGroupSpec.from_matrix([[3, 2], [1, 1]])
@@ -229,14 +232,49 @@ def test_word_ball_size_formula():
 
 
 def test_word_ball_contents():
-    ball = word_ball(3)
+    ball = list(map(tuple, word_ball(3).tolist()))
     assert ball == sorted(set(ball))
     assert all(abs(k) + abs(n) + abs(m) <= 3 for (k, n, m) in ball)
     for N in range(21):
-        ball = word_ball(N)
+        ball = list(map(tuple, word_ball(N).tolist()))
         assert ball == sorted(set(ball))
     with pytest.raises(ValueError):
         word_ball(-1)
+
+
+def _word_ball_reference(n):
+    """Second route to word_ball: the sorted ball as a list of tuples, one
+    comprehension level per coordinate."""
+    return [(k, a, b)
+            for k in range(-n, n + 1)
+            for a in range(abs(k) - n, n - abs(k) + 1)
+            for b in range(abs(k) + abs(a) - n, n - abs(k) - abs(a) + 1)]
+
+
+def test_word_ball_matches_reference():
+    for n in range(31):
+        ball = word_ball(n)
+        expected = _word_ball_reference(n)
+        assert ball.dtype == np.int64 and ball.flags.c_contiguous
+        assert ball.shape == (len(expected), 3)
+        assert list(map(tuple, ball.tolist())) == expected
+
+
+def test_word_ball_cap():
+    # radius 90 is the largest ball under MAX_BALL_ROWS
+    assert len(word_ball(90)) == 988441 <= MAX_BALL_ROWS
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used before the cap was checked")
+
+
+@pytest.mark.parametrize("n", [91, 100000, 10 ** 12])
+def test_word_ball_over_the_cap_raises_before_allocating(n, monkeypatch):
+    monkeypatch.setattr(kleinian, "np", _NoNumpy())
+    with pytest.raises(ValueError, match="ball rows"):
+        word_ball(n)
 
 
 def _expected_limit_families(spec, n):
@@ -249,7 +287,7 @@ def _expected_limit_families(spec, n):
     """
     pencil1, pencil2 = [], []
     infinity = 0
-    for (k, a, b) in word_ball(n):
+    for (k, a, b) in word_ball(n).tolist():
         if (k, a, b) == (0, 0, 0):
             continue
         u, v = spec.P_inv @ np.array([a, b], dtype=float)
@@ -305,6 +343,47 @@ def test_limit_kernels_match_fixed_point_oracle():
         assert weight1 + weight2 + weight_inf == ball_size - 1
 
 
+def _largest_key_term(A, n):
+    """Largest |p|, |q| or |r| of the exact pencil-line keys
+    (p + q sqrt D) / r of the radius-n ball, before the gcd reduction, in
+    Python ints."""
+    (a, _), (c, d) = A
+    t = a + d
+    D = t * t - 4
+    powers = [(2, 0)]                   # lam^k = (X + Y sqrt D) / 2, k = 0..n
+    for _ in range(n):
+        X, Y = powers[-1]
+        powers.append(((t * X + D * Y) // 2, (X + t * Y) // 2))
+    largest = 0
+    for (k, x, y) in _word_ball_reference(n):
+        if k == 0:
+            continue
+        X, Y = powers[abs(k)]
+        alpha, beta = 2 * c * x + (t - 2 * a) * y, y if k > 0 else -y
+        gamma, delta = X - 2, Y
+        largest = max(largest, abs(alpha * gamma - beta * delta * D),
+                      abs(beta * gamma - alpha * delta), abs(gamma * gamma - D * delta * delta))
+    return largest
+
+
+def test_limit_kernels_read_the_ball_as_python_ints(monkeypatch):
+    # at N = 40 the exact keys of [[3, 2], [1, 1]] pass 2^63, so an int64 word
+    # in the key arithmetic would wrap or raise
+    A = [[3, 2], [1, 1]]
+    assert _largest_key_term(A, 40) > 2 ** 63
+    spec = ToralGroupSpec.from_matrix(A)
+    hits = intersecting_elements(spec, TEST_BOX, 40)
+    assert all(type(x) is int for g in hits for x in g)
+    shipped = pseudo_limit_kernels(spec, 40)
+    monkeypatch.setattr(kleinian, "word_ball",
+                        lambda n: SimpleNamespace(tolist=lambda: _word_ball_reference(n)))
+    reference = pseudo_limit_kernels(spec, 40)
+    assert len(shipped.lines) == len(reference.lines)
+    for got, want in zip(shipped.lines, reference.lines):
+        assert got.line.dual.tobytes() == want.line.dual.tobytes()
+        assert (got.weight, got.family) == (want.weight, want.family)
+
+
 def test_limit_kernels_trivial_ball():
     res = pseudo_limit_kernels(SPEC, 0)
     assert res.lines == [] and res.points == [] and res.nonconverged == []
@@ -332,7 +411,7 @@ def _power_limit_lines(spec, n):
     word, its SVD kernel, and a linear-scan dedupe at sup-gap 1e-9, in ball
     order."""
     lines, weights = [], []
-    for g in word_ball(n):
+    for g in map(tuple, word_ball(n).tolist()):
         if g == (0, 0, 0):
             continue
         limit = _power_limit(toral_element(spec, *g))
@@ -727,7 +806,7 @@ def test_intersecting_elements_match_corner_oracle():
         for n in (4, 8):
             lib = set(intersecting_elements(spec, TEST_BOX, n))
             oracle = {
-                g for g in word_ball(n)
+                g for g in map(tuple, word_ball(n).tolist())
                 if affine_box_hits_via_matrix(
                     toral_element(spec, *g), TEST_BOX)
             }
@@ -747,7 +826,7 @@ def _intersecting_elements_reference(spec, box, n):
     (x1, y1, x2, y2) = box
     pad = 1e-12
     hits = []
-    for (k, a, b) in word_ball(n):
+    for (k, a, b) in word_ball(n).tolist():
         s = spec.lam ** k
         u, v = spec.P_inv @ np.array([a, b], dtype=float)
         if s * y1[0] > y1[1] + pad or s * y1[1] < y1[0] - pad:

@@ -33,7 +33,7 @@ SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 
 def _sol_quotient_reference(spec, samples, seed):
     rng = np.random.default_rng(seed)
-    ball = [g for g in word_ball(2) if g != (0, 0, 0)]
+    ball = [g for g in map(tuple, word_ball(2).tolist()) if g != (0, 0, 0)]
     leaf_res = 0.0
     reduce_res = 0.0
     sign_violations = 0
