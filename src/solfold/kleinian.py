@@ -246,8 +246,8 @@ class LimitLine:
 @dataclass(frozen=True)
 class LimitKernelResult:
     lines: List[LimitLine]
-    points: List[Tuple[ProjectivePoint, int]]      # always empty; kept for the export schema
-    nonconverged: List[Tuple[int, int, int]]       # always empty; kept for the export schema
+    points: List[Tuple[ProjectivePoint, int]]      # always empty; the benchmark tracer reads it
+    nonconverged: List[Tuple[int, int, int]]       # always empty; the benchmark tracer reads it
 
 
 def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
@@ -257,19 +257,21 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
     (u, v) = P^{-1}(x, y), accumulate on a rank-one map whose kernel is the
     pencil-1 line z1 = -u / (lam^k - 1) z3 for k > 0, the pencil-2 line
     z2 = -v / (lam^-k - 1) z3 for k < 0, and the line at infinity for k = 0;
-    each line carries that family, read from the sign of k.  Each parameter
-    lies in Q(sqrt D), D = tr^2 - 4, so lines are merged by an exact integer
-    key and the counts hold at every n.  Lines keep the order of their first
-    word in the sorted ball; no kernel is a point and no power sequence fails
-    to converge, so points and nonconverged stay empty.
+    each line carries that family, read from the sign of k.  The pencil
+    parameter is a coordinate of P^{-1} x*, where x* = -(A^k - I)^{-1}(x, y)
+    in Q^2 is the word's fixed point.  The eigendirections are irrational, so
+    two rational points with the same coordinate are equal: (sign k, x*) in
+    lowest integer terms is an exact key, and the line counts and weights
+    hold at every n.  Lines keep the order of their first word in the sorted
+    ball; no kernel is a point and no power sequence fails to converge, so
+    points and nonconverged stay empty.
     """
-    (a, _), (c, d) = spec.A
-    t = a + d
-    D = t * t - 4
-    powers = [(2, 0)]                   # lam^k = (X + Y sqrt D) / 2, k = 0..n
-    for _ in range(n):
-        X, Y = powers[-1]
-        powers.append(((t * X + D * Y) // 2, (X + t * Y) // 2))
+    A = [list(r) for r in spec.A]
+    levels = {}                         # k -> entries and determinant of A^k - I
+    for k in range(-n, n + 1):
+        if k:
+            (e, f), (g, h) = _ipow(A, k)
+            levels[k] = (e - 1, f, g, h - 1, (e - 1) * (h - 1) - f * g)
     index = {}
     lines: List[ProjectiveLine] = []
     weights: List[int] = []
@@ -280,18 +282,11 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
                 continue
             key = (0,)
         else:
-            # the parameter is a fixed multiple, per pencil, of (c x + (ev - a) y)
-            # / (lam^|k| - 1), ev = lam or 1/lam by the sign of k; doubled, that is
-            # (alpha + beta sqrt D) / (gamma + delta sqrt D) = (p + q sqrt D) / r
-            alpha = 2 * c * x + (t - 2 * a) * y
-            beta = y if k > 0 else -y
-            X, Y = powers[abs(k)]
-            gamma, delta = X - 2, Y
-            p = alpha * gamma - beta * delta * D
-            q = beta * gamma - alpha * delta
-            r = gamma * gamma - D * delta * delta
-            g = math.gcd(p, q, r) if r > 0 else -math.gcd(p, q, r)
-            key = (1 if k > 0 else -1, p // g, q // g, r // g)
+            # x* = (f y - h x, g x - e y) / det
+            e, f, g, h, det = levels[k]
+            p, q = f * y - h * x, g * x - e * y
+            s = math.gcd(p, q, det) if det > 0 else -math.gcd(p, q, det)
+            key = (1 if k > 0 else -1, p // s, q // s, det // s)
         i = index.get(key)
         if i is not None:
             weights[i] += 1

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -343,27 +344,130 @@ def test_limit_kernels_match_fixed_point_oracle():
         assert weight1 + weight2 + weight_inf == ball_size - 1
 
 
-def _largest_key_term(A, n):
-    """Largest |p|, |q| or |r| of the exact pencil-line keys
-    (p + q sqrt D) / r of the radius-n ball, before the gcd reduction, in
-    Python ints."""
-    (a, _), (c, d) = A
+PARTITION_MATRICES = ([[2, 1], [1, 1]], [[3, 2], [1, 1]], [[5, 4], [1, 1]], [[7, 4], [5, 3]])
+
+
+def _qsqrtd_limit_kernels(spec, rows):
+    """(dual bytes, weight, family) of each kernel line of the words in rows,
+    merged by an exact key in Q(sqrt D), D = tr^2 - 4, in first-word order.
+
+    The parameter is a fixed multiple, per pencil, of (c x + (ev - a) y) /
+    (lam^|k| - 1), ev = lam or 1/lam by the sign of k; doubled, that is
+    (alpha + beta sqrt D) / (gamma + delta sqrt D) = (p + q sqrt D) / r, with
+    lam^k = (X + Y sqrt D) / 2.  The dual of each line is built from its
+    first word by the library's float formula.
+    """
+    (a, _), (c, d) = spec.A
     t = a + d
     D = t * t - 4
-    powers = [(2, 0)]                   # lam^k = (X + Y sqrt D) / 2, k = 0..n
-    for _ in range(n):
+    top = max((abs(k) for k, _, _ in rows), default=0)
+    powers = [(2, 0)]
+    for _ in range(top):
         X, Y = powers[-1]
         powers.append(((t * X + D * Y) // 2, (X + t * Y) // 2))
+    index, out = {}, []
+    for (k, x, y) in rows:
+        if k == 0:
+            if x == 0 and y == 0:
+                continue
+            key = (0,)
+        else:
+            alpha = 2 * c * x + (t - 2 * a) * y
+            beta = y if k > 0 else -y
+            X, Y = powers[abs(k)]
+            gamma, delta = X - 2, Y
+            p = alpha * gamma - beta * delta * D
+            q = beta * gamma - alpha * delta
+            r = gamma * gamma - D * delta * delta
+            g = math.gcd(p, q, r) if r > 0 else -math.gcd(p, q, r)
+            key = (1 if k > 0 else -1, p // g, q // g, r // g)
+        if key in index:
+            out[index[key]][1] += 1
+            continue
+        index[key] = len(out)
+        u, v = spec.P_inv @ np.array([x, y], dtype=float)
+        line = ProjectiveLine([1.0, 0.0, u / (spec.lam ** k - 1.0)] if k > 0 else
+                              [0.0, 1.0, v / (spec.lam ** -k - 1.0)] if k < 0 else
+                              [0.0, 0.0, 1.0])
+        out.append([line.dual.tobytes(), 1,
+                    "pencil1" if k > 0 else "pencil2" if k < 0 else "infinity"])
+    return [tuple(o) for o in out]
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16, 20])
+@pytest.mark.parametrize("A", PARTITION_MATRICES)
+def test_fixed_point_keys_match_the_qsqrtd_keys(A, n, monkeypatch):
+    # the same lines, first-word order, weights, families and dual bytes, on
+    # the sorted ball and on the ball reversed, whose first words differ
+    spec = ToralGroupSpec.from_matrix(A)
+    rows = _word_ball_reference(n)
+    for order in (rows, rows[::-1]):
+        monkeypatch.setattr(kleinian, "word_ball",
+                            lambda n, order=order: SimpleNamespace(tolist=lambda: order))
+        got = [(l.line.dual.tobytes(), l.weight, l.family)
+               for l in pseudo_limit_kernels(spec, n).lines]
+        assert got == _qsqrtd_limit_kernels(spec, order)
+
+
+def _int_powers(A, n):
+    """A^k for |k| <= n as integer 2 x 2 lists, by repeated products."""
+    (a, b), (c, d) = A
+    out = {0: [[1, 0], [0, 1]]}
+    for step, M in ((1, [[a, b], [c, d]]), (-1, [[d, -b], [-c, a]])):
+        P = out[0]
+        for k in range(1, n + 1):
+            P = [[P[0][0] * M[0][0] + P[0][1] * M[1][0], P[0][0] * M[0][1] + P[0][1] * M[1][1]],
+                 [P[1][0] * M[0][0] + P[1][1] * M[1][0], P[1][0] * M[0][1] + P[1][1] * M[1][1]]]
+            out[step * k] = P
+    return out
+
+
+def _largest_key_term(A, n):
+    """Largest |f y - h x|, |g x - e y| or |det| of the fixed-point keys
+    (f y - h x, g x - e y) / det of the radius-n ball, [[e, f], [g, h]] =
+    A^k - I, before the gcd reduction, in Python ints."""
+    powers = _int_powers(A, n)
     largest = 0
     for (k, x, y) in _word_ball_reference(n):
         if k == 0:
             continue
-        X, Y = powers[abs(k)]
-        alpha, beta = 2 * c * x + (t - 2 * a) * y, y if k > 0 else -y
-        gamma, delta = X - 2, Y
-        largest = max(largest, abs(alpha * gamma - beta * delta * D),
-                      abs(beta * gamma - alpha * delta), abs(gamma * gamma - D * delta * delta))
+        (e, f), (g, h) = powers[k]
+        e, h = e - 1, h - 1
+        largest = max(largest, abs(f * y - h * x), abs(g * x - e * y), abs(e * h - f * g))
     return largest
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("A", PARTITION_MATRICES)
+def test_pencil_weights_match_the_periodic_point_count(A, n):
+    # the words with fixed point x* and sign s are (k, (I - A^k) x*) for the k
+    # of sign s with A^k x* = x* mod Z^2, so a pencil line's weight counts the
+    # k with |k| + |(I - A^k) x*|_1 <= n
+    spec = ToralGroupSpec.from_matrix(A)
+    powers = _int_powers(A, n)
+    fixed = {}
+    for (k, x, y) in _word_ball_reference(n):
+        if k != 0:
+            (e, f), (g, h) = powers[k]
+            det = (e - 1) * (h - 1) - f * g
+            star = (Fraction(f * y - (h - 1) * x, det), Fraction(g * x - (e - 1) * y, det))
+            fixed.setdefault((1 if k > 0 else -1, star), None)
+    pencils = [l for l in pseudo_limit_kernels(spec, n).lines if l.family != "infinity"]
+    assert len(pencils) == len(fixed)
+    for line, (sign, (p, q)) in zip(pencils, fixed):
+        assert line.family == ("pencil1" if sign > 0 else "pencil2")
+        param = (spec.P_inv @ np.array([float(p), float(q)]))[0 if sign > 0 else 1]
+        assert abs(line.parameter - param) <= 1e-9 * max(1.0, abs(param))
+        # x* = (p, q) / r over a common denominator, so (I - A^k) x* = (bp, bq) / r
+        r = p.denominator * q.denominator // math.gcd(p.denominator, q.denominator)
+        p, q = int(p * r), int(q * r)
+        weight = 0
+        for k in range(sign, sign * (n + 1), sign):
+            (e, f), (g, h) = powers[k]
+            bp, bq = p - e * p - f * q, q - g * p - h * q
+            if bp % r == 0 and bq % r == 0 and abs(k) * r + abs(bp) + abs(bq) <= n * r:
+                weight += 1
+        assert line.weight == weight
 
 
 def test_limit_kernels_read_the_ball_as_python_ints(monkeypatch):

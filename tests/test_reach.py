@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "solfold"
 # name -> why it stays in the library although no command reaches it
 ALLOWED = {
     "kleinian.kulkarni_membership": "kept for the rows that check Kulkarni's limit "
-                                    "set against the computed lines (ROADMAP item 2)",
+                                    "set against the computed lines (ROADMAP item 6)",
 }
 
 
