@@ -2,9 +2,9 @@
 their leaf geometry, and the projective limit sets of hyperbolic toral
 groups."""
 
-from .geometry import (BasePoint, MetricKind, MetricSpec, MixedPoint,
-                       ProductPoint, TangentVector4, UpperHalfPoint,
-                       christoffel, geodesic_residual, hyperbolic_distance,
+from .geometry import (BasePoint, MetricSpec, MixedPoint, ProductPoint,
+                       TangentVector4, UpperHalfPoint, christoffel,
+                       geodesic_residual, hyperbolic_distance,
                        hyperbolic_distance_scaled, metric_inner, metric_norm,
                        mixed_distance, product_distance)
 from .heisenberg import (HeisElement, UNIT_CUBE,

@@ -2,16 +2,15 @@
 
 The two ambient spaces are the product of two upper half-planes, carried
 with the half-scaled hyperbolic product metric, and the product of the
-Euclidean plane with one upper half-plane.  Induced leaf metrics live on
-3-dimensional coordinate charts.
+Euclidean plane with one upper half-plane.  The induced leaf metrics are
+computed where their foliations are, in sol and heisenberg.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,78 +121,42 @@ class TangentVector4:
         return np.array(self.components)
 
 
-class MetricKind(Enum):
-    HALF_HYPERBOLIC_PRODUCT = "half_hyperbolic_product"
-    EUCLIDEAN_TIMES_HYPERBOLIC = "euclidean_times_hyperbolic"
-    LEAF_SOL = "leaf_sol"
-    HEIS_PULLBACK = "heis_pullback"
-
-
 @dataclass(frozen=True)
 class MetricSpec:
-    """A named metric family together with its closed-form coefficients.
+    """One of the two ambient metrics, given by its half-plane factors.
 
-    Coordinate conventions:
-      HALF_HYPERBOLIC_PRODUCT   (x1, y1, x2, y2) on H x H, ds^2 per factor (dx^2+dy^2)/(2y^2)
-      EUCLIDEAN_TIMES_HYPERBOLIC (x, y, p, q) on C x H, dx^2+dy^2 + (dp^2+dq^2)/q^2
-      LEAF_SOL                  (t, x, y), dt^2 + e^{-2t}/(2 y1^2) dx^2 + e^{2t}/(2 y2^2) dy^2
-      HEIS_PULLBACK             (p, q, t), y0^2 dp^2 + dq^2/y0^2 + dt^2
+    A factor ((ix, iy), d) carries (dx^2 + dy^2) / (d y^2) on the coordinates
+    x = p[ix], y = p[iy] > 0; every other coordinate is Euclidean.
+      half_hyperbolic_product     (x1, y1, x2, y2) on H x H, factors (0, 1) and (2, 3), d = 2
+      euclidean_times_hyperbolic  (x, y, p, q) on C x H, factor (2, 3), d = 1
     """
 
-    kind: MetricKind
-    y1: float = 1.0
-    y2: float = 1.0
-    y0: float = 1.0
+    factors: Tuple[Tuple[Tuple[int, int], int], ...]
 
     @classmethod
     def half_hyperbolic_product(cls) -> "MetricSpec":
-        return cls(MetricKind.HALF_HYPERBOLIC_PRODUCT)
+        return cls((((0, 1), 2), ((2, 3), 2)))
 
     @classmethod
     def euclidean_times_hyperbolic(cls) -> "MetricSpec":
-        return cls(MetricKind.EUCLIDEAN_TIMES_HYPERBOLIC)
-
-    @classmethod
-    def leaf_sol(cls, y1: float, y2: float) -> "MetricSpec":
-        if y1 <= 0 or y2 <= 0:
-            raise ValueError("leaf metric requires y1, y2 > 0")
-        return cls(MetricKind.LEAF_SOL, y1=y1, y2=y2)
-
-    @classmethod
-    def heis_pullback(cls, y0: float) -> "MetricSpec":
-        if y0 <= 0:
-            raise ValueError("pullback metric requires y0 > 0")
-        return cls(MetricKind.HEIS_PULLBACK, y0=y0)
-
-    @property
-    def dim(self) -> int:
-        if self.kind in (MetricKind.HALF_HYPERBOLIC_PRODUCT,
-                         MetricKind.EUCLIDEAN_TIMES_HYPERBOLIC):
-            return 4
-        return 3
+        return cls((((2, 3), 1),))
 
     def matrix(self, p: Sequence[float]) -> np.ndarray:
         """Metric coefficient matrix g_ij at coordinates p."""
         c = _coords(p)
-        if len(c) != self.dim:
-            raise ValueError(f"expected {self.dim} coordinates, got {len(c)}")
-        if self.kind is MetricKind.HALF_HYPERBOLIC_PRODUCT:
-            y1, y2 = c[1], c[3]
-            if y1 <= 0 or y2 <= 0:
-                raise ValueError("point outside H x H")
-            return np.diag([1 / (2 * y1 ** 2), 1 / (2 * y1 ** 2),
-                            1 / (2 * y2 ** 2), 1 / (2 * y2 ** 2)])
-        if self.kind is MetricKind.EUCLIDEAN_TIMES_HYPERBOLIC:
-            q = c[3]
-            if q <= 0:
-                raise ValueError("point outside C x H")
-            return np.diag([1.0, 1.0, 1 / q ** 2, 1 / q ** 2])
-        if self.kind is MetricKind.LEAF_SOL:
-            t = c[0]
-            return np.diag([1.0,
-                            math.exp(-2 * t) / (2 * self.y1 ** 2),
-                            math.exp(2 * t) / (2 * self.y2 ** 2)])
-        return np.diag([self.y0 ** 2, 1 / self.y0 ** 2, 1.0])
+        if len(c) != 4:
+            raise ValueError(f"expected 4 coordinates, got {len(c)}")
+        g = [1.0] * 4
+        for (ix, iy), d in self.factors:
+            y = _height(c, iy)
+            g[ix] = g[iy] = 1 / (d * y ** 2)
+        return np.diag(g)
+
+
+def _height(c: np.ndarray, iy: int) -> float:
+    if c[iy] <= 0:
+        raise ValueError(f"point outside the upper half-plane in coordinate {iy}")
+    return c[iy]
 
 
 def _coords(p) -> np.ndarray:
@@ -217,7 +180,7 @@ def metric_inner(m: MetricSpec, p, u, v) -> float:
     ua = _vector(u, expect_base=p if isinstance(u, TangentVector4) else None)
     va = _vector(v, expect_base=p if isinstance(v, TangentVector4) else None)
     g = m.matrix(c)
-    if len(ua) != m.dim or len(va) != m.dim:
+    if len(ua) != 4 or len(va) != 4:
         raise ValueError("vector dimension does not match the metric")
     return float(ua @ g @ va)
 
@@ -227,34 +190,18 @@ def metric_norm(m: MetricSpec, p, u) -> float:
 
 
 def christoffel(m: MetricSpec, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the metric in closed form."""
+    """Christoffel symbols Gamma[k, i, j] of the metric in closed form.
+
+    A constant factor of the metric leaves them unchanged, so each half-plane
+    factor contributes the same symbols whatever its divisor.
+    """
     c = _coords(p)
-    n = m.dim
-    G = np.zeros((n, n, n))
-    if m.kind is MetricKind.HALF_HYPERBOLIC_PRODUCT:
-        for (ix, iy) in ((0, 1), (2, 3)):
-            y = c[iy]
-            if y <= 0:
-                raise ValueError("point outside H x H")
-            G[ix, ix, iy] = G[ix, iy, ix] = -1 / y
-            G[iy, ix, ix] = 1 / y
-            G[iy, iy, iy] = -1 / y
-    elif m.kind is MetricKind.EUCLIDEAN_TIMES_HYPERBOLIC:
-        q = c[3]
-        if q <= 0:
-            raise ValueError("point outside C x H")
-        G[2, 2, 3] = G[2, 3, 2] = -1 / q
-        G[3, 2, 2] = 1 / q
-        G[3, 3, 3] = -1 / q
-    elif m.kind is MetricKind.LEAF_SOL:
-        t = c[0]
-        A = math.exp(-2 * t) / (2 * m.y1 ** 2)
-        B = math.exp(2 * t) / (2 * m.y2 ** 2)
-        G[0, 1, 1] = A
-        G[0, 2, 2] = -B
-        G[1, 0, 1] = G[1, 1, 0] = -1.0
-        G[2, 0, 2] = G[2, 2, 0] = 1.0
-    # HEIS_PULLBACK has constant coefficients, all symbols vanish
+    G = np.zeros((4, 4, 4))
+    for (ix, iy), _ in m.factors:
+        y = _height(c, iy)
+        G[ix, ix, iy] = G[ix, iy, ix] = -1 / y
+        G[iy, ix, ix] = 1 / y
+        G[iy, iy, iy] = -1 / y
     return G
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from ._optim import SeparationResult, grid_then_descend
 from .geometry import (
-    MetricSpec,
     MixedPoint,
     UpperHalfPoint,
     _per_element,
@@ -91,8 +90,11 @@ def heis_rectify_inverse(m: MixedPoint) -> Tuple[HeisElement, float]:
 
 
 def heis_pullback_metric(y0: float) -> np.ndarray:
-    """Metric induced on the leaf through (0, y0 i), constant in the group coordinates."""
-    return MetricSpec.heis_pullback(y0).matrix([0.0, 0.0, 0.0])
+    """Metric induced on the leaf through (0, y0 i), constant in the group
+    coordinates: y0^2 da^2 + db^2 / y0^2 + dc^2."""
+    if y0 <= 0:
+        raise ValueError("pullback metric requires y0 > 0")
+    return np.diag([y0 ** 2, 1 / y0 ** 2, 1.0])
 
 
 def heis_leaf_separation_numeric(s0: float, s1: float,

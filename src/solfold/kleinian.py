@@ -135,8 +135,6 @@ class ToralGroupSpec:
     def from_matrix(cls, A) -> "ToralGroupSpec":
         M = _validate_hyperbolic(A, positive=True)
         tr = M[0][0] + M[1][1]
-        lam = (tr + math.sqrt(tr * tr - 4)) / 2.0
-        mu = 1.0 / lam
 
         def eigvec(ev: float) -> np.ndarray:
             # the off-diagonal entries of a hyperbolic matrix are nonzero
@@ -145,7 +143,11 @@ class ToralGroupSpec:
             lead = v[np.nonzero(np.abs(v) > 1e-12)[0][0]]
             return v if lead > 0 else -v
 
-        P = np.column_stack([eigvec(lam), eigvec(mu)])
+        try:
+            lam = (tr + math.sqrt(tr * tr - 4)) / 2.0
+            P = np.column_stack([eigvec(lam), eigvec(1.0 / lam)])
+        except OverflowError:
+            raise ValueError("matrix entries too large for float eigendata") from None
         return cls(tuple(tuple(r) for r in M), lam, P, np.linalg.inv(P))
 
 
@@ -564,17 +566,16 @@ def _conjugates_to(U, A, B) -> bool:
     return UA == BU
 
 
-# inverses of the letters R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]
-_LETTER_INV = {"R": [[1, -1], [0, 1]], "L": [[1, 0], [-1, 1]]}
-
-
-def _rl_reduce(M) -> Tuple[List[List[int]], str]:
+def _rl_reduce(M) -> Tuple[List[List[int]], Tuple[int, ...]]:
     """Conjugate a determinant-one M with trace above two to a positive word.
 
-    Returns V in SL(2, Z) and the word w in R, L with V M V^{-1} the product
-    of w, rotated to its least rotation.  Positive words conjugate in
-    SL(2, Z) are rotations of one another (Katok 2003; Karpenkov 2013), so w
-    is a complete conjugacy invariant.
+    Returns V in SL(2, Z) and the run lengths (l1, r1, l2, r2, ...) of the
+    word w = L^l1 R^r1 L^l2 R^r2 ... in R = [[1, 1], [0, 1]] and
+    L = [[1, 0], [1, 1]] with V M V^{-1} the product of w, rotated to its
+    least rotation (L before R).  Positive words conjugate in SL(2, Z) are
+    rotations of one another (Katok 2003; Karpenkov 2013), so the runs are a
+    complete conjugacy invariant.  Each run costs one division, as in a
+    continued fraction, so the time is logarithmic in the entries.
     """
     (a, b), (c, d) = M
     t = a + d
@@ -589,17 +590,31 @@ def _rl_reduce(M) -> Tuple[List[List[int]], str]:
             break
         a, b, c, d = d, -c, -b, a
         V = _imul([[0, -1], [1, 0]], V)
-    # all entries are positive now; the dominating row carries the first letter
-    word = ""
+    # all entries are positive now, and one row dominates the other entrywise:
+    # it carries the next letter, as many times as it still dominates
+    runs = []                          # (letter, length), letters alternating
     while b or c:
         if a >= c and b >= d:
-            word, a, b = word + "R", a - c, b - d
+            q = b // d if c == 0 else min(a // c, b // d)
+            runs.append(("R", q))
+            a, b = a - q * c, b - q * d
         else:
-            word, c, d = word + "L", c - a, d - b
-    i = min(range(len(word)), key=lambda j: word[j:] + word[:j])
-    for x in word[:i]:
-        V = _imul(_LETTER_INV[x], V)
-    return V, word[i:] + word[:i]
+            q = c // a if b == 0 else min(c // a, d // b)
+            runs.append(("L", q))
+            c, d = c - q * a, d - q * b
+    # the runs of w read cyclically, (first run in runs, letter, length) in
+    # the order they start in w: equal end letters make one run, the last
+    cyc = [(k, x, q) for k, (x, q) in enumerate(runs)]
+    if runs[0][0] == runs[-1][0]:
+        cyc = cyc[1:-1] + [(len(runs) - 1, runs[0][0], runs[-1][1] + runs[0][1])]
+    # the least rotation starts at an L run: a longer L run, then a shorter R
+    # run, comes first, and min keeps the first start in w among equals
+    signed = [-q if x == "L" else q for _, x, q in cyc]
+    j = min((j for j, (_, x, _) in enumerate(cyc) if x == "L"),
+            key=lambda j: signed[j:] + signed[:j])
+    for x, q in runs[:cyc[j][0]]:
+        V = _imul([[1, -q], [0, 1]] if x == "R" else [[1, 0], [-q, 1]], V)
+    return V, tuple(abs(q) for q in signed[j:] + signed[:j])
 
 
 def lattice_iso_test(A, B) -> LatticeIsoResult:
@@ -632,7 +647,10 @@ def lattice_iso_test(A, B) -> LatticeIsoResult:
                 if not _conjugates_to(U, Ai, T):
                     raise ArithmeticError("equal R/L words without an "
                                           "integer conjugator")
-                return LatticeIsoResult("found", np.array(U), name)
+                # exact at any size: int64 while every entry fits, else Python ints
+                fits = all(-2 ** 63 <= x < 2 ** 63 for row in U for x in row)
+                return LatticeIsoResult("found", np.array(U, dtype=np.int64 if fits
+                                                          else object), name)
     return LatticeIsoResult("refuted", None, None)
 
 

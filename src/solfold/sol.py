@@ -23,7 +23,9 @@ from .geometry import (
     ProductPoint,
     TangentVector4,
     UpperHalfPoint,
+    _coords,
     _per_element,
+    christoffel,
     metric_inner,
     product_distance,
 )
@@ -155,7 +157,9 @@ def leaf_metric(z: ProductPoint, t: float) -> np.ndarray:
     in coordinates (t, x, y)."""
     if z.z1.x != 0.0 or z.z2.x != 0.0:
         raise ValueError("leaf metric requires a purely imaginary base point")
-    return MetricSpec.leaf_sol(z.z1.y, z.z2.y).matrix([t, 0.0, 0.0])
+    # dt^2 + e^{-2t}/(2 y1^2) dx^2 + e^{2t}/(2 y2^2) dy^2
+    y1, y2 = z.z1.y, z.z2.y
+    return np.diag([1.0, math.exp(-2 * t) / (2 * y1 ** 2), math.exp(2 * t) / (2 * y2 ** 2)])
 
 
 def leaf_separation(s0: float, s1: float) -> float:
@@ -203,8 +207,6 @@ def normal_covariant_derivative(point) -> np.ndarray:
     step 1e-5; the connection correction uses the closed-form Christoffel
     symbols.
     """
-    from .geometry import christoffel, _coords
-
     h = 1e-5
     c = _coords(point)
     m = MetricSpec.half_hyperbolic_product()

@@ -644,6 +644,18 @@ def test_bad_matrix_messages(A, message, capsys):
         assert json.loads(out)["error"] == {"field": "A", "message": message}
 
 
+@pytest.mark.parametrize("command", [("verify", "--suite", "kleinian", "--samples", "5"),
+                                     ("export", "limit-set"), ("export", "orbit"),
+                                     ("export", "domain")])
+def test_matrix_too_large_for_a_float_eigenvalue_is_a_config_error(command, capsys):
+    # the trace passes 1.3e154, where its square overflows a float
+    h = 10 ** 160
+    rc, out = run(capsys, *command, "--A", f"{h},1,{h - 1},1")
+    assert rc == 2
+    assert json.loads(out)["error"] == {
+        "field": "A", "message": "matrix entries too large for float eigendata"}
+
+
 @pytest.mark.parametrize("lam", [
     "1e300",    # lam^2 overflows
     "1e200",    # lam^-2 underflows to 0, and a height divides by it

@@ -14,8 +14,10 @@ from solfold import (
     UpperHalfPoint,
     christoffel,
     geodesic_residual,
+    heis_pullback_metric,
     hyperbolic_distance,
     hyperbolic_distance_scaled,
+    leaf_metric,
     metric_inner,
     metric_norm,
     mixed_distance,
@@ -64,11 +66,20 @@ def test_tangent_vector_needs_four_components():
 
 def test_metric_spec_validates_parameters():
     with pytest.raises(ValueError):
-        MetricSpec.leaf_sol(0.0, 1.0)
+        heis_pullback_metric(-1.0)
     with pytest.raises(ValueError):
-        MetricSpec.heis_pullback(-1.0)
+        heis_pullback_metric(0.0)
     with pytest.raises(ValueError):
         MetricSpec.half_hyperbolic_product().matrix([0.0, 1.0, 0.0])
+    for m, bad in ((MetricSpec.half_hyperbolic_product(), [0.0, 1.0, 0.0, -1.0]),
+                   (MetricSpec.half_hyperbolic_product(), [0.0, 0.0, 0.0, 1.0]),
+                   (MetricSpec.euclidean_times_hyperbolic(), [0.0, 1.0, 0.0, 0.0])):
+        with pytest.raises(ValueError):
+            m.matrix(bad)
+        with pytest.raises(ValueError):
+            christoffel(m, bad)
+    # the C x H metric is Euclidean in its first factor: a negative y is a point
+    assert MetricSpec.euclidean_times_hyperbolic().matrix([0.0, -1.0, 0.0, 1.0])[1, 1] == 1.0
 
 
 def test_product_metric_matches_explicit_coefficients():
@@ -86,19 +97,48 @@ def test_mixed_metric_matches_explicit_coefficients():
 
 
 def test_leaf_metric_coefficients():
-    m = MetricSpec.leaf_sol(0.5, 2.0)
+    z = ProductPoint.from_coords([0.0, 0.5, 0.0, 2.0])
     t = 0.7
     expected = np.diag([1.0,
                         math.exp(-2 * t) / (2 * 0.5 ** 2),
                         math.exp(2 * t) / (2 * 2.0 ** 2)])
-    assert np.allclose(m.matrix([t, 3.0, -1.0]), expected, rtol=0, atol=1e-15)
+    assert np.allclose(leaf_metric(z, t), expected, rtol=0, atol=1e-15)
 
 
 def test_heis_pullback_coefficients_constant():
-    m = MetricSpec.heis_pullback(1.5)
     expected = np.diag([1.5 ** 2, 1 / 1.5 ** 2, 1.0])
-    for p in ([0.0, 0.0, 0.0], [4.0, -2.0, 9.0]):
-        assert np.array_equal(m.matrix(p), expected)
+    assert np.array_equal(heis_pullback_metric(1.5), expected)
+    assert np.array_equal(heis_pullback_metric(1.5), heis_pullback_metric(1.5))
+
+
+def _literal_coefficients(p_hh, p_ch, z, t, y0):
+    """The coefficient matrices as each metric spelled them when it was a
+    kind of its own, term for term and on the same number types."""
+    y1, y2 = np.asarray(p_hh, dtype=float)[[1, 3]]
+    q = np.asarray(p_ch, dtype=float)[3]
+    t = np.asarray([t, 0.0, 0.0], dtype=float)[0]
+    return (np.diag([1 / (2 * y1 ** 2), 1 / (2 * y1 ** 2),
+                     1 / (2 * y2 ** 2), 1 / (2 * y2 ** 2)]),
+            np.diag([1.0, 1.0, 1 / q ** 2, 1 / q ** 2]),
+            np.diag([1.0, math.exp(-2 * t) / (2 * z.z1.y ** 2),
+                     math.exp(2 * t) / (2 * z.z2.y ** 2)]),
+            np.diag([y0 ** 2, 1 / y0 ** 2, 1.0]))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (1e-151, 1e-149), (1e149, 1e151)])
+def test_coefficients_keep_their_bits(lo, hi):
+    rng = np.random.default_rng(SEED + 7)
+    hh = MetricSpec.half_hyperbolic_product()
+    ch = MetricSpec.euclidean_times_hyperbolic()
+    for _ in range(200):
+        y1, y2, q, y0 = rng.uniform(lo, hi, size=4).tolist()
+        x1, x2, t = rng.uniform(-3.0, 3.0, size=3).tolist()
+        p_hh, p_ch = [x1, y1, x2, y2], [x1, x2, t, q]
+        z = ProductPoint.from_coords([0.0, y1, 0.0, y2])
+        got = (hh.matrix(p_hh), ch.matrix(p_ch), leaf_metric(z, t),
+               heis_pullback_metric(y0))
+        for g, w in zip(got, _literal_coefficients(p_hh, p_ch, z, t, y0)):
+            assert np.array_equal(g, w)
 
 
 @given(x1=coord, y1=height, x2=coord, y2=height,
@@ -114,14 +154,17 @@ def test_metric_inner_symmetric(x1, y1, x2, y2, u, v):
 
 def test_metric_positive_definite(rng):
     specs = [
-        (MetricSpec.half_hyperbolic_product(), lambda: [rng.uniform(-3, 3), rng.uniform(0.1, 5), rng.uniform(-3, 3), rng.uniform(0.1, 5)]),
-        (MetricSpec.euclidean_times_hyperbolic(), lambda: [rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.1, 5)]),
-        (MetricSpec.leaf_sol(0.7, 1.3), lambda: [rng.uniform(-2, 2), rng.uniform(-3, 3), rng.uniform(-3, 3)]),
-        (MetricSpec.heis_pullback(0.8), lambda: [0.0, 0.0, 0.0]),
+        lambda: MetricSpec.half_hyperbolic_product().matrix(
+            [rng.uniform(-3, 3), rng.uniform(0.1, 5), rng.uniform(-3, 3), rng.uniform(0.1, 5)]),
+        lambda: MetricSpec.euclidean_times_hyperbolic().matrix(
+            [rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0.1, 5)]),
+        lambda: leaf_metric(ProductPoint.from_coords(
+            [0.0, rng.uniform(0.1, 5), 0.0, rng.uniform(0.1, 5)]), rng.uniform(-2, 2)),
+        lambda: heis_pullback_metric(rng.uniform(0.1, 5)),
     ]
-    for m, sample in specs:
+    for sample in specs:
         for _ in range(50):
-            assert np.linalg.eigvalsh(m.matrix(sample())).min() > 0
+            assert np.linalg.eigvalsh(sample()).min() > 0
 
 
 def test_metric_inner_rejects_foreign_base_point():
@@ -146,10 +189,6 @@ def test_christoffel_matches_finite_differences(rng):
          lambda: [rng.uniform(-2, 2), rng.uniform(0.3, 3), rng.uniform(-2, 2), rng.uniform(0.3, 3)]),
         (MetricSpec.euclidean_times_hyperbolic(),
          lambda: [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.3, 3)]),
-        (MetricSpec.leaf_sol(0.6, 1.4),
-         lambda: [rng.uniform(-1.5, 1.5), rng.uniform(-2, 2), rng.uniform(-2, 2)]),
-        (MetricSpec.heis_pullback(1.2),
-         lambda: [rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)]),
     ]
     for m, sample in cases:
         for _ in range(20):

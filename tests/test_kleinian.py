@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from types import SimpleNamespace
@@ -1214,6 +1215,112 @@ def test_lattice_iso_refutes_same_trace_non_conjugates():
     res = lattice_iso_test([[5, 4], [1, 1]], [[3, 2], [4, 3]])
     assert res.status == "refuted"
     assert res.conjugator is None and res.target is None
+
+
+def _rl_reduce_by_letters(M):
+    """The positive-word reduction one letter at a time, with the least
+    rotation found by comparing the rotated strings: the oracle of the
+    run-length form, which takes each run in one division."""
+    (a, b), (c, d) = M
+    t = a + d
+    V = ((1, 0), (0, 1))
+    while True:
+        k = ((t - 2 * a) * c + c * c) // (2 * c * c)
+        a, b, d = a + k * c, b + k * (d - a) - k * k * c, d - k * c
+        V = _mat_mul(((1, k), (0, 1)), V)
+        if b > 0 and c > 0:
+            break
+        a, b, c, d = d, -c, -b, a
+        V = _mat_mul(((0, -1), (1, 0)), V)
+    word = ""
+    while b or c:
+        if a >= c and b >= d:
+            word, a, b = word + "R", a - c, b - d
+        else:
+            word, c, d = word + "L", c - a, d - b
+    i = min(range(len(word)), key=lambda j: word[j:] + word[:j])
+    for x in word[:i]:
+        V = _mat_mul(_LETTERS[x.lower()], V)
+    return [list(r) for r in V], word[i:] + word[:i]
+
+
+def _runs_to_word(runs):
+    return "".join(("L" if i % 2 == 0 else "R") * q for i, q in enumerate(runs))
+
+
+def test_rl_runs_match_the_letter_by_letter_reduction():
+    box = [A for ms in _box_matrices(12).values() for A in ms if A[0][0] + A[1][1] > 2]
+    periodic = []
+    for w in ("RRL" * 5, "RL" * 6, "RRLL" * 3, "LRR" * 4, "LLRLLR", "RLRRLRRR",
+              "RLLR" * 3, "LRRL" * 4):
+        U = ((1, 0), (0, 1))
+        for x in w:
+            U = _mat_mul(U, _LETTERS[x])
+        periodic.append(U)
+    assert len(box) == 548
+    for A in box + periodic:
+        V, runs = kleinian._rl_reduce([list(r) for r in A])
+        assert (V, _runs_to_word(runs)) == _rl_reduce_by_letters(A), A
+
+
+def _planted(A, U):
+    """U A U^-1 for U in GL(2, Z)."""
+    det = U[0][0] * U[1][1] - U[0][1] * U[1][0]
+    return _mat_mul(_mat_mul(U, A), tuple(tuple(det * x for x in r) for r in _mat_inv(U)))
+
+
+def _power(M, k):
+    out = ((1, 0), (0, 1))
+    for _ in range(k):
+        out = _mat_mul(out, M)
+    return out
+
+
+@pytest.mark.parametrize("k", [34, 40])
+def test_lattice_iso_conjugator_is_exact_past_int64(k):
+    # (RRL)^34 gives a conjugator entry in [2^63, 2^64), which an int64 or
+    # float64 array cannot hold; (RRL)^40 gives entries above 2^64
+    A = ((2, 1), (1, 1))
+    B = _planted(A, _power(((3, 2), (1, 1)), k))
+    res = lattice_iso_test(A, B)
+    assert res.status == "found"
+    assert max(abs(x) for row in res.conjugator.tolist() for x in row) >= 2 ** 63
+    assert all(type(x) is int for row in res.conjugator.tolist() for x in row)
+    _verify_conjugator(res.conjugator, A, B if res.target == "B" else _mat_inv(B))
+
+
+def test_lattice_iso_conjugator_is_int64_while_it_fits():
+    res = lattice_iso_test([[2, 1], [1, 1]], [[3, -1], [1, 0]])
+    assert res.conjugator.dtype == np.int64
+
+
+def test_lattice_iso_decides_entries_past_1e18_quickly():
+    A = ((10 ** 18, 1), (10 ** 18 - 1, 1))
+    B = _planted(A, ((5, 3), (-2, -1)))
+    t0 = time.perf_counter()
+    res = lattice_iso_test(A, B)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status == "found"
+    _verify_conjugator(res.conjugator, A, B if res.target == "B" else _mat_inv(B))
+    big = ((10 ** 60, 1), (10 ** 60 - 1, 1))
+    assert lattice_iso_test(big, _planted(big, _power(((1, 1), (1, 2)), 9))).status == "found"
+
+
+def test_lattice_iso_refutes_a_same_trace_pair_under_large_conjugators():
+    A = _planted(((5, 4), (1, 1)), _power(((3, 2), (1, 1)), 30))
+    B = _planted(((3, 2), (4, 3)), _power(((2, 1), (1, 1)), 45))
+    assert max(abs(x) for r in A + B for x in r) > 10 ** 30
+    res = lattice_iso_test(A, B)
+    assert res.status == "refuted"
+    assert res.conjugator is None and res.target is None
+
+
+def test_spec_rejects_a_matrix_too_large_for_float_eigendata():
+    h = 10 ** 160
+    a = 10 ** 310      # small trace, entries past the float range
+    for A in ([[h, 1], [h - 1, 1]], [[a, -1], [a * a - 3 * a + 1, 3 - a]]):
+        with pytest.raises(ValueError, match="too large"):
+            ToralGroupSpec.from_matrix(A)
 
 
 @pytest.mark.parametrize("bad", [[[1.5, 1], [1, 1]], [[2, 0], [0, 1]], [[2, 1], [1, 0]]])

@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Check that the command-line output of the working tree matches a git revision.
+
+    python tools/same_bytes.py REV
+
+REV is checked out with `git worktree add --detach` into a temporary
+directory.  One fixed list of `python -m solfold.cli` commands then runs
+against the `src` of each tree, and for each command the script compares
+stdout, stderr, the exit code and the file named by `--out`.  Each tree's
+own paths are masked first, so only what the program says can differ.  The
+commands that differ are printed; the exit code is 1 if any does, else 0.
+The worktree is removed at the end.
+
+The list covers the verify suites at several seeds, every export in each of
+its formats, the limit-set and domain exports of several matrices and radii,
+and the bad-input cases.  A change meant to keep every report and export
+byte for byte runs this against its parent commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, Optional
+
+ROOT = Path(__file__).resolve().parents[1]
+OUT = "{out}"       # stands for the output directory of the tree being run
+HUGE = 10 ** 160    # a trace whose square overflows a float
+
+
+def commands() -> List[List[str]]:
+    """The fixed command list, as argv lists after `python -m solfold.cli`."""
+    cmds = []
+    for seed in ("0", "7", "11", "110007"):
+        for suite in ("sol", "heis", "kleinian", "quotient", "all"):
+            cmds.append(["verify", "--suite", suite, "--seed", seed,
+                         "--out", f"{OUT}/verify-{suite}-{seed}.json"])
+    cmds += [
+        ["report", "--in", f"{OUT}/verify-all-0.json", "--out", f"{OUT}/report.txt"],
+        ["verify", "--suite", "all", "--lambda", "2.5"],
+        ["verify", "--suite", "all", "--tol-scale", "1e-3"],
+    ]
+    for target, formats in (("flow", ("csv", "json")), ("leaf-metric", ("csv", "json")),
+                            ("orbit", ("csv", "json")), ("domain", ("json",)),
+                            ("limit-set", ("json",))):
+        for fmt in formats:
+            cmds.append(["export", target, "--format", fmt,
+                         "--out", f"{OUT}/{target}.{fmt}"])
+    cmds.append(["export", "leaf-metric", "--y1", "0.3", "--y2", "2.5",
+                 "--t-range", "-1:1:0.125"])
+    for A in ("2,1,1,1", "3,2,1,1", "5,4,1,1", "7,4,5,3"):
+        for N in ("0", "1", "8", "20"):
+            cmds.append(["export", "limit-set", "--A", A, "--N", N])
+    for A in ("2,1,1,1", "3,2,1,1", "7,4,5,3"):
+        cmds.append(["export", "domain", "--A", A])
+    cmds += [
+        ["export", "orbit", "--N", "91"],
+        ["verify", "--suite", "kleinian", "--A", "2,1,1"],
+        ["verify", "--suite", "kleinian", "--A", f"{HUGE},1,{HUGE - 1},1"],
+        ["export", "domain", "--A", f"{HUGE},1,{HUGE - 1},1"],
+    ]
+    return cmds
+
+
+def run(tree: Path, out: Path, argv: List[str]) -> tuple:
+    """(stdout, stderr, exit code, --out bytes or None) of one command, with
+    the tree's and the output directory's paths masked."""
+    argv = [a.replace(OUT, str(out)) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "solfold.cli", *argv],
+                          cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+                          capture_output=True)
+
+    def mask(b: bytes) -> bytes:
+        return b.replace(str(out).encode(), b"<out>").replace(str(tree).encode(), b"<tree>")
+
+    target: Optional[bytes] = None
+    if "--out" in argv:
+        path = Path(argv[argv.index("--out") + 1])
+        target = mask(path.read_bytes()) if path.exists() else None
+    return mask(proc.stdout), mask(proc.stderr), proc.returncode, target
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="git revision to compare the working tree with")
+    rev = parser.parse_args(argv).rev
+    cmds = commands()
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="same-bytes-") as tmp:
+        base = Path(tmp) / "rev"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
+                        "--quiet", str(base), rev], check=True)
+        try:
+            out_rev, out_work = Path(tmp) / "out-rev", Path(tmp) / "out-work"
+            out_rev.mkdir()
+            out_work.mkdir()
+            for cmd in cmds:
+                old = run(base, out_rev, cmd)
+                new = run(ROOT, out_work, cmd)
+                parts = [part for part, a, b in zip(("stdout", "stderr", "exit code", "--out file"),
+                                                    old, new) if a != b]
+                if parts:
+                    differ += 1
+                    print(f"differs in {', '.join(parts)}: {shlex.join(cmd)}"
+                          f" (exit {old[2]} -> {new[2]})")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(base)], check=True)
+    print(f"{len(cmds) - differ} of {len(cmds)} commands agree with {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
