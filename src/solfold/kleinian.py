@@ -647,10 +647,8 @@ def lattice_iso_test(A, B) -> LatticeIsoResult:
                 if not _conjugates_to(U, Ai, T):
                     raise ArithmeticError("equal R/L words without an "
                                           "integer conjugator")
-                # exact at any size: int64 while every entry fits, else Python ints
-                fits = all(-2 ** 63 <= x < 2 ** 63 for row in U for x in row)
-                return LatticeIsoResult("found", np.array(U, dtype=np.int64 if fits
-                                                          else object), name)
+                # Python ints, exact at any size
+                return LatticeIsoResult("found", np.array(U, dtype=object), name)
     return LatticeIsoResult("refuted", None, None)
 
 

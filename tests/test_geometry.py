@@ -108,7 +108,6 @@ def test_leaf_metric_coefficients():
 def test_heis_pullback_coefficients_constant():
     expected = np.diag([1.5 ** 2, 1 / 1.5 ** 2, 1.0])
     assert np.array_equal(heis_pullback_metric(1.5), expected)
-    assert np.array_equal(heis_pullback_metric(1.5), heis_pullback_metric(1.5))
 
 
 def _literal_coefficients(p_hh, p_ch, z, t, y0):
