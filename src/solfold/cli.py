@@ -61,8 +61,25 @@ _json_str = json.encoder.encode_basestring_ascii   # what json.dumps gives a str
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    # float first: it is the common leaf, and np.float64 is a float
-    if isinstance(obj, float):
+    # containers by exact type, the common case: their finite float items are
+    # formatted in place, the rest recurse
+    t = type(obj)
+    if t is dict or t is list or t is tuple:
+        if not obj:
+            return "{}" if t is dict else "[]"
+        inner = "\n" + "  " * (indent + 1)
+        # no local holds the item texts, so they are freed once joined
+        if t is dict:
+            return ("{" + inner + ("," + inner).join(
+                [_json_str(str(k)) + ": "
+                 + (format(v, ".17g") if type(v) is float and math.isfinite(v)
+                    else _json_text(v, indent + 1)) for k, v in obj.items()])
+                + "\n" + "  " * indent + "}")
+        return ("[" + inner + ("," + inner).join(
+            [format(v, ".17g") if type(v) is float and math.isfinite(v)
+             else _json_text(v, indent + 1) for v in obj])
+            + "\n" + "  " * indent + "]")
+    if isinstance(obj, (float, np.floating)):
         return _fmt_float(obj)
     if isinstance(obj, str):
         return _json_str(obj)
@@ -72,21 +89,11 @@ def _json_text(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, np.floating):
-        return _fmt_float(obj)
+    # subclasses of the container types
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = "\n" + "  " * (indent + 1)
-        return ("{" + inner + ("," + inner).join(
-            [_json_str(str(k)) + ": " + _json_text(v, indent + 1) for k, v in obj.items()])
-            + "\n" + "  " * indent + "}")
+        return _json_text(dict(obj), indent)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = "\n" + "  " * (indent + 1)
-        return ("[" + inner + ("," + inner).join([_json_text(v, indent + 1) for v in obj])
-                + "\n" + "  " * indent + "]")
+        return _json_text(list(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -622,10 +629,13 @@ def _cmd_export(ns: argparse.Namespace) -> int:
             raise ConfigError("format", "limit-set export is json only")
         spec = _spec_or_error(cfg["A"])
         res = pseudo_limit_kernels(spec, cfg["N"])
+        # (re, im) of every dual entry as Python floats, read from one array
+        duals = np.array([item.line.dual for item in res.lines],
+                         dtype=complex).view(float).reshape(-1, 3, 2).tolist()
         lines = []
-        for item in res.lines:
+        for item, dual in zip(res.lines, duals):
             lines.append({
-                "dual": [[z.real, z.imag] for z in item.line.dual.tolist()],
+                "dual": dual,
                 "cluster_size": item.weight,
                 "family": item.family,
                 "parameter": item.parameter,
@@ -649,7 +659,7 @@ def _cmd_export(ns: argparse.Namespace) -> int:
                                       "half planes")
         z = ProductPoint.from_complex(b1, b2)
         rows = []
-        for g in word_ball(cfg["N"]).tolist():
+        for g in zip(*word_ball(cfg["N"]).T.tolist()):
             rows.append([*g, *toral_act(spec, g, z).coords()])
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
     # domain

@@ -24,17 +24,27 @@ from .sol import SolElement, SolParams, phi
 # projective primitives
 
 def _normalize_homogeneous(v: np.ndarray) -> np.ndarray:
-    """Scale to sup-norm one with the first entry above 1e-12 in modulus real
-    positive."""
-    v = np.asarray(v, dtype=complex)
+    """Scale the complex array v to sup-norm one with the first entry above
+    1e-12 in modulus real positive."""
     m = np.abs(v).max()
     if m == 0:
         raise ValueError("homogeneous data cannot be identically zero")
     v = v / m
-    flat = v.flatten()
-    idx = np.nonzero(np.abs(flat) > 1e-12)[0][0]
-    pivot = flat[idx]
+    flat = v.ravel()
+    pivot = flat[(np.abs(flat) > 1e-12).tolist().index(True)]
     return v * (pivot.conjugate() / abs(pivot))
+
+
+def _normalize_rows(V: np.ndarray) -> np.ndarray:
+    """_normalize_homogeneous on each row of the complex (L, 3) array V, bit for
+    bit: the same ufuncs row-wise, with |pivot| by np.hypot, which matches the
+    scalar abs where np.abs on an array can differ in the last bit."""
+    m = np.abs(V).max(axis=1, keepdims=True)
+    if not m.all():
+        raise ValueError("homogeneous data cannot be identically zero")
+    V = V / m
+    p = V[np.arange(len(V)), (np.abs(V) > 1e-12).argmax(axis=1)][:, None]
+    return V * (p.conjugate() / np.hypot(p.real, p.imag))
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,13 @@ class ProjectiveLine:
         if d.shape != (3,):
             raise ValueError("projective line needs 3 dual coordinates")
         object.__setattr__(self, "dual", _normalize_homogeneous(d))
+
+    @classmethod
+    def _normalized(cls, dual: np.ndarray) -> "ProjectiveLine":
+        """Wrap a dual that is already normalized, without normalizing again."""
+        line = object.__new__(cls)
+        object.__setattr__(line, "dual", dual)
+        return line
 
 
 def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine,
@@ -212,8 +229,9 @@ def _centred_runs(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def word_ball(n: int) -> np.ndarray:
     """Elements (k, n, m) with |k| + |n| + |m| <= n, one per row of a
     C-contiguous (M, 3) int64 array, rows sorted; the same coordinate set for
-    every A.  Callers read rows through .tolist(): arithmetic on the Python
-    ints cannot wrap, and lam ** k stays a float power, not np.power.
+    every A.  Callers read rows through .tolist(), or as tuples through
+    zip(*ball.T.tolist()), which builds no list per row: arithmetic on the
+    Python ints cannot wrap, and lam ** k stays a float power, not np.power.
     """
     if n < 0:
         raise ValueError("word bound must be nonnegative")
@@ -275,9 +293,8 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
             (e, f), (g, h) = _ipow(A, k)
             levels[k] = (e - 1, f, g, h - 1, (e - 1) * (h - 1) - f * g)
     index = {}
-    lines: List[ProjectiveLine] = []
+    first: List[Tuple[int, int, int]] = []
     weights: List[int] = []
-    families: List[str] = []
     for (k, x, y) in word_ball(n).tolist():
         if k == 0:
             if x == 0 and y == 0:
@@ -293,14 +310,27 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
         if i is not None:
             weights[i] += 1
             continue
-        index[key] = len(lines)
+        index[key] = len(first)
         weights.append(1)
-        families.append("pencil1" if k > 0 else "pencil2" if k < 0 else "infinity")
-        u, v = spec.P_inv @ np.array([x, y], dtype=float)
-        lines.append(ProjectiveLine([1.0, 0.0, u / (spec.lam ** k - 1.0)] if k > 0 else
-                                    [0.0, 1.0, v / (spec.lam ** -k - 1.0)] if k < 0 else
-                                    [0.0, 0.0, 1.0]))
-    return LimitKernelResult([LimitLine(*t) for t in zip(lines, weights, families)],
+        first.append((k, x, y))
+    # the dual of each line from its first word: [1, 0, u / (lam^k - 1)],
+    # [0, 1, v / (lam^-k - 1)] or [0, 0, 1], with (u, v) = P^{-1}(x, y) by
+    # stacked matmuls (an entrywise a x + b y may fuse into an FMA) and a
+    # Python float power per level (np.power can differ in the last bit)
+    words = np.array(first, dtype=np.int64).reshape(-1, 3)
+    k = words[:, 0]
+    uv = np.matmul(spec.P_inv, words[:, 1:, None].astype(float))[:, :, 0]
+    den = np.array([spec.lam ** j - 1.0 for j in range(1, n + 1)])
+    rows = np.flatnonzero(k)
+    col = (k[rows] < 0).astype(np.intp)          # 0 on pencil 1, 1 on pencil 2
+    V = np.zeros((len(first), 3), dtype=complex)
+    V[rows, col] = 1.0
+    V[rows, 2] = uv[rows, col] / den[np.abs(k[rows]) - 1]
+    V[k == 0, 2] = 1.0
+    families = ["pencil1" if j > 0 else "pencil2" if j < 0 else "infinity"
+                for j, _, _ in first]
+    return LimitKernelResult([LimitLine(ProjectiveLine._normalized(d), w, f)
+                              for d, w, f in zip(_normalize_rows(V), weights, families)],
                              [], [])
 
 

@@ -445,7 +445,8 @@ def test_json_writer_matches_the_recursive_reference(doc, indent):
 @pytest.mark.parametrize("bad, error", [
     (float("nan"), ValueError), ([1.0, float("inf")], ValueError),
     ({"x": np.float64("-inf")}, ValueError), ({"x": {1, 2}}, TypeError),
-    ([np.bool_(True)], TypeError), (np.array([1.0]), TypeError)])
+    ([np.bool_(True)], TypeError), (np.array([1.0]), TypeError),
+    ({"x": float("nan")}, ValueError), ([[0.5, float("-inf")]], ValueError)])
 def test_json_writer_rejects_what_the_reference_rejects(bad, error):
     with pytest.raises(error):
         _json_text_reference(bad)

@@ -45,7 +45,7 @@ from solfold import (
 )
 from solfold import kleinian
 from solfold.kleinian import (MAX_BALL_ROWS, _dedupe_lines, _fundamental_domain_rows,
-                              _normalize_homogeneous)
+                              _normalize_homogeneous, _normalize_rows)
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 SPEC_B = ToralGroupSpec.from_matrix([[3, 2], [1, 1]])
@@ -95,6 +95,32 @@ def test_projective_normalization_properties():
         ProjectivePoint([0, 0, 0])
     with pytest.raises(ValueError):
         ProjectivePoint([1, 2])
+
+
+def test_normalize_rows_matches_the_per_object_rule():
+    # seeded complex rows at scales 1e-8 to 1e8, with zero and -0.0 entries,
+    # leading entries either side of the 1e-12 pivot threshold after scaling,
+    # and real-only rows; the array path must give the per-object bits
+    rng = np.random.default_rng(20181)
+    n = 4000
+    V = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    V *= 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    V[0::9, 0] = 0.0
+    V[1::9, 1] = complex(-0.0, -0.0)
+    V[2::9, 2] = complex(0.0, -0.0)
+    for j, lead in enumerate((1e-13, 0.999e-12, 1.001e-12, -1e-13j, 1e-13 - 1e-13j)):
+        rows = V[3 + j::9]
+        rows[:, 0] = lead * np.abs(rows[:, 1:]).max(axis=1)
+    V[::5] = V[::5].real
+    got = _normalize_rows(V)
+    want = np.array([_normalize_homogeneous(v) for v in V])
+    assert got.tobytes() == want.tobytes()
+    assert np.abs(got.imag).max() > 0.1          # the rows do need a rotation
+    V[7] = 0.0
+    with pytest.raises(ValueError, match="identically zero"):
+        _normalize_rows(V)
+    with pytest.raises(ValueError, match="identically zero"):
+        _normalize_homogeneous(V[7])
 
 
 def test_line_point_duality():
