@@ -56,7 +56,7 @@ def commands() -> List[List[str]]:
     for A in ("2,1,1,1", "3,2,1,1", "5,4,1,1", "7,4,5,3"):
         for N in ("0", "1", "8", "20"):
             cmds.append(["export", "limit-set", "--A", A, "--N", N])
-    # the largest radius the tests reach is 20; the dual arrays run to |k| = 40
+    # the commands above stop at N = 20; the dual arrays run to |k| = N
     cmds.append(["export", "limit-set", "--A", "3,2,1,1", "--N", "40"])
     for A in ("2,1,1,1", "3,2,1,1", "7,4,5,3"):
         cmds.append(["export", "domain", "--A", A])
