@@ -8,6 +8,7 @@ configuration and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -63,7 +64,8 @@ _json_str = json.encoder.encode_basestring_ascii   # what json.dumps gives a str
 
 def _json_text(obj, indent: int = 0) -> str:
     # containers by exact type, the common case: their finite float items are
-    # formatted in place, the rest recurse
+    # formatted in place, a list of records goes through _record_texts, the
+    # rest recurse
     t = type(obj)
     if t is dict or t is list or t is tuple:
         if not obj:
@@ -77,6 +79,7 @@ def _json_text(obj, indent: int = 0) -> str:
                     else _json_text(v, indent + 1)) for k, v in obj.items()])
                 + "\n" + "  " * indent + "}")
         return ("[" + inner + ("," + inner).join(
+            _record_texts(obj, indent + 1) if type(obj[0]) is dict else
             [format(v, ".17g") if type(v) is float and math.isfinite(v)
              else _json_text(v, indent + 1) for v in obj])
             + "\n" + "  " * indent + "]")
@@ -96,6 +99,80 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         return _json_text(list(obj), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# The % slot of each leaf kind a record template carries.  "%.17g" is the
+# conversion of format(v, ".17g"); a str or bool slot takes the leaf's JSON
+# text, and None is written in place.
+_SLOTS = {float: "%.17g", int: "%d", str: "%s", bool: "%s", type(None): "null"}
+
+
+def _record_layout(obj, indent: int, steps: list) -> Optional[str]:
+    """The % template of obj's text at indent, with a slot for each float,
+    int, str and bool leaf, after appending to steps one (type, keys or
+    length) pair per node of obj in document order.  None when obj holds a
+    leaf of another kind or a dict key that is not a str."""
+    t = type(obj)
+    if t is dict or t is list or t is tuple:
+        steps.append((t, tuple(obj) if t is dict else len(obj)))
+        if not obj:
+            return "{}" if t is dict else "[]"
+        parts = [_record_layout(v, indent + 1, steps)
+                 for v in (obj.values() if t is dict else obj)]
+        if None in parts or (t is dict and not all(type(k) is str for k in obj)):
+            return None
+        inner = "\n" + "  " * (indent + 1)
+        if t is dict:
+            # keys are literal text, so a % in one is doubled
+            parts = [_json_str(k).replace("%", "%%") + ": " + p for k, p in zip(obj, parts)]
+            return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "}"
+        return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "]"
+    steps.append((t, None))
+    return _SLOTS.get(t)
+
+
+def _record_text(obj, template: str, steps: list) -> Optional[str]:
+    """obj's text through a template of _record_layout, or None when obj
+    does not have the layout that steps describe or holds a non-finite
+    float.  The nodes are visited in document order from a stack, one step
+    each, so no call is made per node."""
+    stack = [obj]
+    slots = []
+    for t, arg in steps:
+        v = stack.pop()
+        if type(v) is not t:
+            return None
+        if t is float:
+            if not math.isfinite(v):
+                return None
+            slots.append(v)
+        elif t is dict:
+            if tuple(v) != arg:
+                return None
+            stack += reversed(v.values())
+        elif t is list or t is tuple:
+            if len(v) != arg:
+                return None
+            stack += reversed(v)
+        elif t is str:
+            slots.append(_json_str(v))
+        elif t is bool:
+            slots.append("true" if v else "false")
+        elif t is int:
+            slots.append(v)
+    return template % tuple(slots)
+
+
+def _record_texts(items: Sequence, indent: int) -> List[str]:
+    """The texts at indent of items, the first a dict.  Each item with the
+    first one's keys and leaf layout is rendered through one % template
+    built from that layout; any other item, or every item when the first
+    holds a leaf the template cannot carry, goes through _json_text."""
+    steps: list = []
+    template = _record_layout(items[0], indent, steps)
+    if template is None:
+        return [_json_text(v, indent) for v in items]
+    return [_record_text(v, template, steps) or _json_text(v, indent) for v in items]
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -720,7 +797,11 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Parsing leaves a parser unchanged, so
+    its three subparsers and 26 arguments are built once, not on every call
+    of main."""
     p = argparse.ArgumentParser(prog="solfold",
                                 description="verify and export the foliation "
                                             "and limit-set computations")

@@ -428,8 +428,38 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _text = st.text(st.sampled_from('ab"\\/\n\té€😀\x00'), max_size=6)
 _json_leaves = (_finite | _finite.map(np.float64) | st.integers() | st.booleans()
                 | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.none() | _text)
+# the kinds a record value keeps from item to item: leaves, nested lists and
+# tuples of dicts
+_record_kinds = [_finite, _finite | st.none(), _finite.map(np.float64), st.booleans(),
+                 st.integers(), _text, st.lists(_finite, min_size=2, max_size=2),
+                 st.lists(st.lists(_finite | st.integers(), max_size=2), max_size=3),
+                 st.tuples(st.dictionaries(_text, _finite | st.none(), max_size=2))]
+
+
+@st.composite
+def _record_lists(draw):
+    """A list or tuple of dicts like the exports' records: one set of keys,
+    each value of one kind, except that an item may give a value another
+    kind, lack a key or carry an extra one."""
+    keys = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(_record_kinds)) for _ in keys]
+    items = []
+    for _ in range(draw(st.integers(1, 6))):
+        item = {}
+        for key, kind in zip(keys, kinds):
+            change = draw(st.integers(0, 9))     # 0: another kind, 1: no key
+            if change == 0:
+                kind = draw(st.sampled_from(_record_kinds))
+            if change != 1:
+                item[key] = draw(kind)
+        if draw(st.integers(0, 9)) == 0:
+            item[draw(_text)] = draw(_finite)
+        items.append(item)
+    return items if draw(st.booleans()) else tuple(items)
+
+
 _json_docs = st.recursive(
-    _json_leaves,
+    _json_leaves | _record_lists(),
     lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
                   | st.dictionaries(_text, kids, max_size=4)),
     max_leaves=30)
@@ -438,6 +468,15 @@ _json_docs = st.recursive(
 @given(_json_docs, st.integers(0, 3))
 @example({"a": [-0.0, 5e-324, 2.2250738585072014e-308, np.float64(-0.0)],
           "": [[], {}, ()], 'q"\u00e9': (None, True, False, np.int64(-7), 10**30)}, 0)
+# keys that hold a NUL or a %, which the record template writes as literal text
+@example([{"a%d": 1.5, "\x00": None, "%": [1.0, "%s"]},
+          {"a%d": -2.5, "\x00": None, "%": [3.0, "%%"]}], 1)
+# items with a missing, an extra or a reordered key, a longer last list, and
+# keys that are not str (1 and True are equal keys with different texts)
+@example([{"x": 1.0, "y": 2.0}, {"x": 1.0}, {"x": 1.0, "y": 2.0, "z": None},
+          {"y": 3.0, "x": 4.0}, {"x": 0.5, "y": True}], 0)
+@example([{"a": 1, "b": [1.0, 2.0]}, {"a": 1, "b": [1.0, 2.0, 3.0]}], 0)
+@example(({1: 1.0, "b": [{}]}, {True: 2.0, "b": [{}]}, {1: 3.0, "b": [{"c": 1}]}), 2)
 def test_json_writer_matches_the_recursive_reference(doc, indent):
     assert cli._json_text(doc, indent) == _json_text_reference(doc, indent)
 
@@ -446,12 +485,43 @@ def test_json_writer_matches_the_recursive_reference(doc, indent):
     (float("nan"), ValueError), ([1.0, float("inf")], ValueError),
     ({"x": np.float64("-inf")}, ValueError), ({"x": {1, 2}}, TypeError),
     ([np.bool_(True)], TypeError), (np.array([1.0]), TypeError),
-    ({"x": float("nan")}, ValueError), ([[0.5, float("-inf")]], ValueError)])
+    ({"x": float("nan")}, ValueError), ([[0.5, float("-inf")]], ValueError),
+    # a non-finite float, or a leaf no writer takes, in a late record
+    ([{"a": [1.0, 2.0]}, {"a": [3.0, 4.0]}, {"a": [5.0, float("nan")]}], ValueError),
+    (({"a": 1.0}, {"a": 2.0}, {"a": float("inf")}), ValueError),
+    ([{"a": 1.0}, {"a": 2.0}, {"a": {1, 2}}], TypeError)])
 def test_json_writer_rejects_what_the_reference_rejects(bad, error):
     with pytest.raises(error):
         _json_text_reference(bad)
     with pytest.raises(error):
         cli._json_text(bad)
+
+
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    """main parses with one cached parser; two subcommands, a bad flag (an
+    argparse error, exit 2) and a good call after it must give what a
+    parser built afresh for each call gives."""
+    calls = [("verify", "--suite", "heis", "--samples", "5"),
+             ("export", "orbit", "--N", "1"),
+             ("export", "domain", "--no-such-flag", "1"),
+             ("export", "limit-set", "--N", "2")]
+
+    def outputs():
+        got = []
+        for argv in calls:
+            try:
+                rc = main(list(argv))
+            except SystemExit as e:
+                rc = e.code
+            got.append((rc, *capsys.readouterr()))
+        return got
+
+    cached = outputs()
+    assert cli._build_parser() is cli._build_parser()
+    assert [rc for rc, _, _ in cached] == [0, 0, 2, 0]
+    assert "unrecognized arguments: --no-such-flag" in cached[2][2]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outputs() == cached
 
 
 def test_report_renders_passing_table(tmp_path, capsys):

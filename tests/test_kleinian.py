@@ -133,6 +133,68 @@ def test_normalize_rows_matches_the_per_object_rule():
         _normalize_homogeneous(V[7])
 
 
+def _normalize_homogeneous_reference(v):
+    """_normalize_homogeneous with the sup norm taken by np.max, then the
+    same ufuncs: the reference for its max over the moduli as Python
+    floats."""
+    m = np.abs(v).max()
+    if m == 0:
+        raise ValueError("homogeneous data cannot be identically zero")
+    v = v / m
+    flat = v.ravel()
+    pivot = flat[(np.abs(flat) > 1e-12).tolist().index(True)]
+    return v * (pivot.conjugate() / abs(pivot))
+
+
+def _normalize_outcome(f, v):
+    """The bytes f returns on v, or the ValueError it raises."""
+    try:
+        return f(v).tobytes()
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def test_normalize_homogeneous_matches_the_np_max_reference():
+    # 20 000 seeded rows at scales 1e-8 to 1e8, with zero and -0.0 entries,
+    # leading entries either side of the 1e-12 pivot threshold after scaling,
+    # and real-only rows; then the same draws as 3 x 3 arrays
+    rng = np.random.default_rng(20261019)
+    n = 20000
+    V = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    V *= 10.0 ** rng.uniform(-8, 8, size=(n, 1))
+    V[0::11, 0] = 0.0
+    V[1::11, 1] = complex(-0.0, -0.0)
+    V[2::11, 2] = complex(0.0, -0.0)
+    V[3::11, :2] = complex(-0.0, 0.0)
+    for j, lead in enumerate((1e-13, 0.999e-12, 1e-12, 1.001e-12, -1e-13j, 1e-13 - 1e-13j)):
+        rows = V[4 + j::11]
+        rows[:, 0] = lead * np.abs(rows[:, 1:]).max(axis=1)
+    V[::5] = V[::5].real
+    got = np.array([_normalize_homogeneous(v) for v in V])
+    want = np.array([_normalize_homogeneous_reference(v) for v in V])
+    assert got.tobytes() == want.tobytes()
+    for M in V[:3000].reshape(-1, 3, 3):
+        assert _normalize_homogeneous(M).tobytes() == _normalize_homogeneous_reference(M).tobytes()
+
+
+@pytest.mark.parametrize("v", [
+    [0, 0, 0], [-0.0, 0j, complex(0.0, -0.0)],
+    [math.nan, 1, 2], [1, math.nan, 2], [0, math.nan, 0], [0, 0, math.nan],
+    [complex(1, math.nan), 2, 0], [3, 0, complex(math.nan, 0)],
+    [math.inf, 1, 0], [1, -math.inf, math.nan], [complex(1e308, 1e308), 1, 0],
+    [1e308, 1e308, 1e308], [1e-320, 0, 5e-324], [5e-324, 0, 0]])
+def test_normalize_homogeneous_fails_where_the_reference_fails(v):
+    # a Python max over moduli with a NaN among them need not be NaN, so the
+    # NaN rows pin that the pivot lookup still raises; the overflowing and
+    # subnormal rows pin the sup norm at the ends of the float range
+    v = np.array(v, dtype=complex)
+    with np.errstate(all="ignore"):
+        want = _normalize_outcome(_normalize_homogeneous_reference, v)
+        assert _normalize_outcome(_normalize_homogeneous, v) == want
+    if np.isnan(v).any() or not np.abs(v).max():
+        assert want[0] == "ValueError"
+
+
 def test_line_point_duality():
     def on(line, point):
         return abs(np.dot(line.dual, point.coords)) <= 1e-10
@@ -744,16 +806,24 @@ def _dedupe_reference(lines):
 
 def _general_position_reference(lines, tol=1e-8):
     """Scalar form of general_position_max: one determinant per triple, and a
-    greedy scan that takes each compatible line in index order."""
+    greedy scan that takes each compatible line in index order.  Each
+    triple's determinant is taken once per call, on its rows in index
+    order, and looked up after that."""
     ls = _dedupe_reference(lines)
     nl = len(ls)
     if nl == 0:
         return GeneralPositionResult(0, (), True)
     duals = np.array([l.dual for l in ls])
+    concurrent = {}
 
     def compatible(idx, chosen):
-        return all(abs(np.linalg.det(duals[[a, b, idx]])) > tol
-                   for a, b in itertools.combinations(chosen, 2))
+        for a, b in itertools.combinations(chosen, 2):
+            t = tuple(sorted((a, b, idx)))
+            if t not in concurrent:
+                concurrent[t] = abs(np.linalg.det(duals[list(t)])) <= tol
+            if concurrent[t]:
+                return False
+        return True
 
     def greedy(start):
         chosen = tuple(start)
@@ -820,9 +890,10 @@ def _grid_duals(draw, min_through, max_through):
 def _planted_lines(draw):
     """Grid lines (_grid_duals) and near-duplicates of some of them: z2 or z3
     moved by 5e-10, which must merge, or by 2e-9, which must stay, in the
-    real or imaginary direction, up or down.  Each grid line's coordinate sum
-    is a multiple of 1/64, so it sits on a boundary of the dedupe's 1e-8
-    index cells and the moves down and up plant pairs on both sides of it."""
+    real or imaginary direction, up or down.  A grid line with |z3| <= 1
+    keeps its drawn coordinates, so its dedupe key (_index_cell) is a
+    multiple of 1/64, a whole number of the 2^-25 wide cells: it sits on a
+    cell boundary, and the moves down and up plant pairs on both sides."""
     duals = draw(_grid_duals(21, 40))
     picks = draw(st.lists(st.tuples(st.integers(0, len(duals) - 1),
                                     st.sampled_from([5e-10, 2e-9]),
@@ -866,15 +937,19 @@ def test_general_position_is_the_first_largest_subset(duals):
 
 
 def _index_cell(line):
-    d = line.dual
-    return math.floor((d.real.sum() + d.imag.sum()) / 1e-8)
+    """The dedupe's index cell of a line, by scalar arithmetic: the key
+    sum_j (j + 1) Re d_j + (j + 4) Im d_j in cells 2^-25 wide."""
+    a, b, c = line.dual.tolist()
+    key = a.real + 2 * b.real + 3 * c.real + 4 * a.imag + 5 * b.imag + 6 * c.imag
+    return math.floor(key * 2 ** 25)
 
 
 def test_dedupe_compares_lines_across_index_cells():
-    """Centres at and beside a cell boundary, each with near-duplicates whose
-    z2 and z3 move diagonally by 0.9e-9 (merge) or 1.1e-9 (stay) to either
-    side: the coordinate sum shifts by up to 3.1e-9, into the next cell, and
-    neighbouring centres chain the merges, so the kept set depends on order."""
+    """Centres on a cell boundary (each key is dyadic) and 1.5e-9 to either
+    side of it, each with near-duplicates whose z2 and z3 move diagonally by
+    0.9e-9 (merge) or 1.1e-9 (stay) to either side: the key shifts by up to
+    1.4e-8, into the next cell, and neighbouring centres chain the merges,
+    so the kept set depends on order."""
     groups = []
     for base in ([1, 0, 0], [1, 0.25, -0.5j], [1, 1 / 16 + 3j / 16, 0.5]):
         group = []
@@ -897,6 +972,36 @@ def test_dedupe_compares_lines_across_index_cells():
         kept = dedupe(order)
         assert [id(l) for l in kept] == [id(l) for l in _dedupe_reference(order)]
         assert len(kept) < len(lines)
+
+
+def test_dedupe_separates_mirrored_pencil_lines():
+    """[1, 0, c] and [0, 1, c] have the same plain coordinate sum, and for a
+    symmetric A such as [[2, 1], [1, 1]] every limit line has such a twin.
+    The weighted key puts the twins in different cells, here with
+    near-duplicates of each at sup-gap 5e-10 (merge) and 2e-9 (stay), and on
+    the N = 8 limit lines; the kept lines must be those of the all-pairs
+    scan in every order."""
+    lines = []
+    for c in (0.0, 0.25, -0.5, 1 / 3, 0.7, -0.9, 1.0):
+        for base in ([1, 0, c], [0, 1, c]):
+            base = np.array(base, dtype=complex)
+            lines.append(ProjectiveLine(base))
+            for gap in (5e-10, 2e-9):
+                for step in (gap, -gap, 1j * gap):
+                    lines.append(ProjectiveLine(base + [0, 0, step]))
+    bases = lines[::7]
+    for one, two in zip(bases[::2], bases[1::2]):
+        assert _index_cell(one) != _index_cell(two)
+    assert len(dedupe(lines)) == 2 * 7 * 4
+    orders = [lines, lines[::-1]]
+    for seed in range(10):
+        shuffled = list(lines)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    for order in orders:
+        assert [id(l) for l in dedupe(order)] == [id(l) for l in _dedupe_reference(order)]
+    limit = [ll.line for ll in pseudo_limit_kernels(SPEC, 8).lines]
+    assert [id(l) for l in dedupe(limit)] == [id(l) for l in _dedupe_reference(limit)]
 
 
 @pytest.mark.parametrize("spec, kept, result", [
