@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
@@ -46,23 +45,25 @@ def pattern_search(f: Callable[[np.ndarray], float], x0: np.ndarray,
     return x, fx, spent, True
 
 
-def grid_then_descend(f: Callable[[np.ndarray], float],
+def grid_then_descend(f: Callable[[np.ndarray], np.ndarray],
                       axes: Sequence[np.ndarray], budget: int) -> SeparationResult:
-    """Scan the product grid of axes (last axis fastest), then refine the
-    best grid point by pattern search from step 0.5 down to 1e-6.
+    """Evaluate f once on the product grid of axes, then refine the best grid
+    point by pattern search from step 0.5 down to 1e-6.
 
-    At most budget evaluations are spent; a grid cut short by the budget
-    skips the descent and reports converged=False.
+    f takes the grid points as the columns of a (d, M) array, in
+    itertools.product order (last axis fastest) cut to the budget, and
+    returns their M values; the pattern search calls it on single points.
+    np.argmin keeps the first least value, the point a scan with a strict <
+    keeps.  At most budget evaluations are spent; a grid cut short by the
+    budget skips the descent and reports converged=False.
     """
-    best, bx = math.inf, None
-    spent = 0
-    for point in itertools.islice(itertools.product(*axes), budget):
-        v = np.array(point)
-        fv = f(v)
-        spent += 1
-        if fv < best:
-            best, bx = fv, v
+    if budget < 0:
+        raise ValueError(f"evaluation budget must be nonnegative, got {budget}")
+    grid = np.array(np.meshgrid(*axes, indexing="ij")).reshape(len(axes), -1)[:, :budget]
+    values = f(grid)
+    spent = grid.shape[1]
     if spent >= budget:
-        return SeparationResult(best, False, spent)
-    _, fx, spent, converged = pattern_search(f, bx, 0.5, 1e-6, budget, spent)
+        return SeparationResult(float(values.min(initial=math.inf)), False, spent)
+    x0 = grid[:, np.argmin(values)]
+    _, fx, spent, converged = pattern_search(f, x0, 0.5, 1e-6, budget, spent)
     return SeparationResult(fx, converged, spent)

@@ -691,16 +691,14 @@ def _cmd_export(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _FLAGS[sub])
     if sub == "flow":
         z = ProductPoint.from_coords(cfg["z"])
-        rows = [[s, *normal_flow(z, s).coords()] for s in _range_values(cfg["s-range"])]
-        header = ["s", "x1", "y1", "x2", "y2"]
-        return _emit_table(cfg, header, rows)
+        rows = [[s, *normal_flow(z, s).coords().tolist()]
+                for s in _range_values(cfg["s-range"])]
+        return _emit_table(cfg, ["s", "x1", "y1", "x2", "y2"], rows)
     if sub == "leaf-metric":
         base = ProductPoint(UpperHalfPoint(0.0, cfg["y1"]),
                             UpperHalfPoint(0.0, cfg["y2"]))
-        rows = []
-        for t in _range_values(cfg["t-range"]):
-            g = leaf_metric(base, t)
-            rows.append([t, g[0, 0], g[1, 1], g[2, 2]])
+        rows = [[t, *leaf_metric(base, t).diagonal().tolist()]
+                for t in _range_values(cfg["t-range"])]
         return _emit_table(cfg, ["t", "g_tt", "g_xx", "g_yy"], rows)
     if sub == "limit-set":
         if cfg["format"] != "json":
@@ -738,7 +736,7 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         z = ProductPoint.from_complex(b1, b2)
         rows = []
         for g in zip(*word_ball(cfg["N"]).T.tolist()):
-            rows.append([*g, *toral_act(spec, g, z).coords()])
+            rows.append([*g, *toral_act(spec, g, z).coords().tolist()])
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
     # domain
     if cfg["format"] != "json":

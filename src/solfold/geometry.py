@@ -17,15 +17,16 @@ import numpy as np
 SQRT2 = math.sqrt(2.0)
 
 
-def _per_element(f: Callable[[float], float], x):
-    """f(x), taken element by element when x is an array.
+def _per_element(f: Callable[..., float], *xs):
+    """f(*xs), taken element by element, after broadcasting, when any x is
+    an array.
 
-    math.exp, math.log and float powers keep their bits this way; np.exp,
-    np.log and np.power can differ from them in the last place.
+    math.exp, math.log, math.acosh, math.hypot, complex abs and float powers
+    keep their bits this way; their NumPy forms can differ in the last place.
     """
-    if isinstance(x, np.ndarray):
-        return np.array(list(map(f, x.tolist())))
-    return f(x)
+    if any(isinstance(x, np.ndarray) for x in xs):
+        return np.array(list(map(f, *(a.tolist() for a in np.broadcast_arrays(*xs)))))
+    return f(*xs)
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,8 @@ class MixedPoint:
     w: UpperHalfPoint
 
     def coords(self) -> np.ndarray:
-        """Coordinates (Re z, Im z, Re w, Im w)."""
-        return np.array([self.z.real, self.z.imag, self.w.x, self.w.y])
+        """Coordinates (Re z, Im z, Re w, Im w), a column per point on array fields."""
+        return np.array(np.broadcast_arrays(self.z.real, self.z.imag, self.w.x, self.w.y))
 
 
 BasePoint = Union[ProductPoint, MixedPoint]
@@ -233,22 +234,23 @@ def hyperbolic_distance_scaled(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
 
 
 def hyperbolic_distance(p: UpperHalfPoint, q: UpperHalfPoint) -> float:
-    """Standard upper half-plane distance, cosh d = 1 + |p - q|^2 / (2 y_p y_q)."""
+    """Standard upper half-plane distance, cosh d = 1 + |p - q|^2 / (2 y_p y_q).
+
+    The distances of all pairs, one per entry, when the points hold arrays.
+    """
     dx, dy = p.x - q.x, p.y - q.y
     arg = 1.0 + (dx * dx + dy * dy) / (2 * p.y * q.y)
-    return math.acosh(max(arg, 1.0))
+    return _per_element(lambda a: math.acosh(max(a, 1.0)), arg)
 
 
 def product_distance(p: ProductPoint, q: ProductPoint) -> float:
     """Distance on H x H, the square root of the sum of squared factor distances."""
-    r1 = hyperbolic_distance_scaled(p.z1, q.z1)
-    r2 = hyperbolic_distance_scaled(p.z2, q.z2)
-    return math.hypot(r1, r2)
+    return _per_element(math.hypot, hyperbolic_distance_scaled(p.z1, q.z1),
+                        hyperbolic_distance_scaled(p.z2, q.z2))
 
 
 def mixed_distance(p: MixedPoint, q: MixedPoint) -> float:
     """Distance on C x H: Euclidean in the first factor, hyperbolic in the second."""
-    de = abs(p.z - q.z)
-    dh = hyperbolic_distance(p.w, q.w)
-    return math.hypot(de, dh)
+    return _per_element(math.hypot, _per_element(abs, p.z - q.z),
+                        hyperbolic_distance(p.w, q.w))
 

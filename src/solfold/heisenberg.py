@@ -102,7 +102,8 @@ def heis_leaf_separation_numeric(s0: float, s1: float,
     """Minimize the C x H distance between the leaves at heights e^{s0}, e^{s1}.
 
     Left translation by isometries of the product pins the first point to
-    (0, e^{s0} i); the search runs over the second group element.
+    (0, e^{s0} i); the search runs over the second group element, measured
+    on the whole grid as one array of elements.
     """
     base = MixedPoint(0j, UpperHalfPoint(0.0, math.exp(s0)))
 

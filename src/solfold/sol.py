@@ -172,7 +172,8 @@ def leaf_separation_numeric(s0: float, s1: float,
     """Minimize the product distance between the leaves s = s0 and s = s1.
 
     Points are taken in the rectified parametrization; a coarse grid over the
-    leaf parameters seeds a coordinate descent refined to step 1e-6.
+    leaf parameters, measured as one array of points, seeds a coordinate
+    descent refined to step 1e-6.
     """
     def dist(v: np.ndarray) -> float:
         t0, t1, dx, dy = v

@@ -194,6 +194,23 @@ def test_export_orbit_row_count_matches_ball(capsys):
         assert all(h > 0 for h in heights)
 
 
+@pytest.mark.parametrize("argv", [("export", "flow"), ("export", "leaf-metric"),
+                                  ("export", "orbit", "--N", "3")])
+def test_table_exports_fill_one_record_template(argv, monkeypatch, capsys):
+    """The JSON rows of the table exports hold Python floats, so every row
+    goes through the first row's template; the text is the recursion's."""
+    layouts, misses = [], []
+    layout, record = cli._record_layout, cli._record_text
+    monkeypatch.setattr(cli, "_record_layout",
+                        lambda *a: layouts.append(layout(*a)) or layouts[-1])
+    monkeypatch.setattr(cli, "_record_text",
+                        lambda obj, *a: record(obj, *a) or misses.append(obj))
+    rc, out = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and not misses
+    assert layouts and None not in layouts
+    assert out == _json_text_reference(json.loads(out)) + "\n"
+
+
 def test_export_orbit_rejects_base_outside_domain(capsys):
     rc, out = run(capsys, "export", "orbit", "--base", "1-2i,i")
     assert rc == 2

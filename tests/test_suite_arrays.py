@@ -3,7 +3,9 @@
 The suites compute six rows on arrays, each from one block draw.  The loops
 they replaced live on here as the reference: equal rows, residual bits
 included, the same rng stream position after every row, and a planted
-defect that each array row still catches.
+defect that each array row still catches.  The per-point finite-difference
+stencil and the scalar distances are kept too, against the one-call stencil
+and the array distances.
 """
 
 import itertools
@@ -11,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from solfold import (
     STANDARD,
@@ -32,9 +36,14 @@ from solfold import (
     heis_rectify_inverse,
     heis_reduce_mod_integer_lattice,
     heis_word_ball,
+    hyperbolic_distance,
+    hyperbolic_distance_scaled,
+    leaf_embed,
     leaf_metric,
     leaf_separation,
+    mixed_distance,
     normal_flow,
+    product_distance,
     rectify,
     rectify_inverse,
     rectify_isometric,
@@ -55,6 +64,32 @@ def _sol_act_complex(p, g, z):
     """sol_act as the loops computed it, in Python complex arithmetic."""
     s = p.lam ** g.t
     return ProductPoint.from_complex(s * z.z1.complex + g.x, z.z2.complex / s + g.y)
+
+
+def _jacobian_reference(f, x):
+    """_fd.jacobian's Jacobian as the loops computed it, one call of f per
+    stencil point."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(f(x), dtype=float)
+    J = np.zeros((f0.size, x.size))
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = 1.0
+
+        def d(step):
+            fp = np.asarray(f(x + step * e), dtype=float)
+            fm = np.asarray(f(x - step * e), dtype=float)
+            return (fp - fm) / (2.0 * step)
+
+        J[:, j] = (4.0 * d(5e-4) - d(1e-3)) / 3.0
+    return J
+
+
+def _pullback_reference(metric_at, embed, x):
+    x = np.asarray(x, dtype=float)
+    J = _jacobian_reference(embed, x)
+    G = metric_at(np.asarray(embed(x), dtype=float))
+    return J.T @ G @ J
 
 
 def _flow_equivariance_defect_reference(p, z, g, s):
@@ -115,7 +150,7 @@ def _suite_sol_reference(cfg):
         txy = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-2, 2), rng.uniform(-2, 2)])
         embed = lambda c: _sol_act_complex(STANDARD, SolElement(c[0], c[1], c[2]),
                                            base).coords()
-        num = _fd.pullback(ghyp.matrix, embed, txy)
+        num = _pullback_reference(ghyp.matrix, embed, txy)
         worst = max(worst, float(np.abs(num - leaf_metric(base, txy[0])).max()))
     rows.append(check_row("leaf-metric", worst, 1e-10,
                           "each leaf inherits the solvable model metric"))
@@ -189,7 +224,7 @@ def _suite_heis_reference(cfg):
         abc = rng.uniform(-2, 2, size=3)
         base = MixedPoint(0j, UpperHalfPoint(0.0, y0))
         embed = lambda c: heis_act(HeisElement(c[0], c[1], c[2]), base).coords()
-        num = _fd.pullback(geh.matrix, embed, abc)
+        num = _pullback_reference(geh.matrix, embed, abc)
         worst = max(worst, float(np.abs(num - heis_pullback_metric(y0)).max()))
     rows.append(check_row("pullback-metric", worst, 1e-10,
                           "orbit metric is flat left-invariant with height weights"))
@@ -517,3 +552,112 @@ def test_array_half_plane_points():
         [(complex(a, b).real.hex(), complex(a, b).imag.hex()) for a, b in zip(x, y)]
     with pytest.raises(ValueError):
         UpperHalfPoint(x, np.array([1.0, 0.0, 2.0]))
+
+
+# the one-call stencil and the array distances against the per-point forms
+
+def _sol_embed(params, base):
+    return lambda c: leaf_embed(params, base, SolElement(c[0], c[1], c[2])).coords()
+
+
+def _sol_embed_complex(params, base):
+    return lambda c: _sol_act_complex(params, SolElement(c[0], c[1], c[2]), base).coords()
+
+
+def _heis_embed(base):
+    return lambda c: heis_act(HeisElement(c[0], c[1], c[2]), base).coords()
+
+
+def _embeds(which, rng):
+    """(embed, embed of the per-point reference) pairs at fresh base points."""
+    if which == "heis":
+        base = MixedPoint(complex(*rng.uniform(-2, 2, size=2)),
+                          UpperHalfPoint(rng.uniform(-2, 2), rng.uniform(0.4, 2.5)))
+        return [(_heis_embed(base), _heis_embed(base))]
+    base = ProductPoint(UpperHalfPoint(0.0, rng.uniform(0.4, 2.5)),
+                        UpperHalfPoint(0.0, rng.uniform(0.4, 2.5)))
+    return [(_sol_embed(p, base), reference(p, base))
+            for p in (STANDARD, SolParams(2.0), SolParams(0.37))
+            for reference in (_sol_embed, _sol_embed_complex)]
+
+
+@pytest.mark.parametrize("which", ["sol", "heis"])
+def test_one_call_stencil_gives_the_per_point_jacobian(which, rng):
+    points = [np.array(v) for v in itertools.product([0.0, -0.0, 1.25], repeat=3)]
+    points += list(rng.uniform(-2, 2, size=(200, 3)))
+    calls = []
+    for x in points:
+        for embed, reference in _embeds(which, rng):
+            def counted(c):
+                calls.append(c.shape)
+                return embed(c)
+            f0, J = _fd.jacobian(counted, x)
+            assert J.tobytes() == _jacobian_reference(reference, x).tobytes()
+            assert f0.tobytes() == np.asarray(reference(x), dtype=float).tobytes()
+    # one call per Jacobian, on the 4n + 1 stencil points as columns
+    assert set(calls) == {(3, 13)}
+
+
+_coord = st.floats(-5.0, 5.0)
+_height = st.floats(0.1, 10.0)
+_pair = st.tuples(_coord, _height, _coord, _height, _coord, _height, _coord, _height,
+                  st.booleans())
+
+
+def _hyperbolic_math(x1, y1, x2, y2):
+    dx, dy = x1 - x2, y1 - y2
+    return math.acosh(max(1.0 + (dx * dx + dy * dy) / (2 * y1 * y2), 1.0))
+
+
+def _distances_math(r):
+    """The four distances of the points r[:4] and r[4:] as the scalar bodies
+    computed them, on Python floats with math's functions."""
+    h1, h2 = _hyperbolic_math(*r[0:2], *r[4:6]), _hyperbolic_math(*r[2:4], *r[6:8])
+    return [h1, h2 / SQRT2, math.hypot(h1 / SQRT2, h2 / SQRT2),
+            math.hypot(abs(complex(*r[0:2]) - complex(*r[4:6])), h2)]
+
+
+def _scalar_distances(r):
+    p = [UpperHalfPoint(r[i], r[i + 1]) for i in (0, 2)]
+    q = [UpperHalfPoint(r[i], r[i + 1]) for i in (4, 6)]
+    return _array_distances(*p, *q)
+
+
+def _array_distances(p0, p1, q0, q1):
+    return [hyperbolic_distance(p0, q0), hyperbolic_distance_scaled(p1, q1),
+            product_distance(ProductPoint(p0, p1), ProductPoint(q0, q1)),
+            mixed_distance(MixedPoint(p0.complex, p1), MixedPoint(q0.complex, q1))]
+
+
+def _check_distances(rows):
+    want = np.array([_distances_math(r) for r in rows]).T
+    assert np.array([_scalar_distances(r) for r in rows]).T.tobytes() == want.tobytes()
+    c = np.array(rows).T
+    points = [UpperHalfPoint(c[i], c[i + 1]) for i in range(0, 8, 2)]
+    got = _array_distances(*points)
+    assert [d.tobytes() for d in got] == [w.tobytes() for w in want]
+    assert all(d == 0.0 for r, w in zip(rows, want.T) if r[:4] == r[4:] for d in w)
+    # a scalar point against array points, as the separation grids measure
+    first = [UpperHalfPoint(*rows[0][i:i + 2]) for i in (0, 2)]
+    want = np.array([_distances_math(rows[0][:4] + r[4:]) for r in rows]).T
+    got = _array_distances(*first, *points[2:])
+    assert [d.tobytes() for d in got] == [w.tobytes() for w in want]
+
+
+@given(st.lists(_pair, min_size=1, max_size=30))
+@example([(0.0, 1.0, -0.0, 1.0, 0.0, 1.0, -0.0, 1.0, True)])
+@example([(1.5, 0.1, -2.0, 10.0, 1.5, 0.1, -2.0, 10.0, False),
+          (0.0, 2.0, 0.0, 3.0, 1e-300, 2.0, -1e-300, 3.0, False)])
+def test_array_distances_equal_the_scalar_ones(pairs):
+    # a set flag makes q the point p: the distance of coincident points is 0
+    _check_distances([r[:4] * 2 if r[8] else r[:8] for r in pairs])
+
+
+def test_array_distances_equal_the_scalar_ones_on_uniform_draws(rng):
+    # np.hypot, np.abs and np.arccosh each differ from math's function on
+    # some of these, so a NumPy shortcut fails
+    n = 2000
+    c = rng.uniform(-5, 5, size=(8, n))
+    c[1::2] = rng.uniform(0.1, 10, size=(4, n))
+    c[4:, ::10] = c[:4, ::10]
+    _check_distances([tuple(r) for r in c.T.tolist()])
