@@ -2,9 +2,8 @@
 their leaf geometry, and the projective limit sets of hyperbolic toral
 groups."""
 
-from .geometry import (BasePoint, MetricSpec, MixedPoint, ProductPoint,
-                       TangentVector4, UpperHalfPoint, christoffel,
-                       geodesic_residual, hyperbolic_distance,
+from .geometry import (MetricSpec, MixedPoint, ProductPoint, UpperHalfPoint,
+                       christoffel, geodesic_residual, hyperbolic_distance,
                        hyperbolic_distance_scaled, metric_inner, metric_norm,
                        mixed_distance, product_distance)
 from .heisenberg import (HeisElement, UNIT_CUBE,
@@ -28,9 +27,8 @@ from .sol import (STANDARD, SeparationResult, ShapeOperatorResult, SolElement,
                   SolParams, Z0, flow_equivariance_defect, flow_speed,
                   leaf_embed, leaf_metric, leaf_separation,
                   leaf_separation_numeric, normal_covariant_derivative,
-                  normal_flow, normal_flow_velocity, phi, rectify,
-                  rectify_inverse, rectify_isometric,
-                  rectify_isometric_inverse, shape_operator, sol_act,
-                  sol_mul)
+                  normal_flow, phi, rectify, rectify_inverse,
+                  rectify_isometric, rectify_isometric_inverse,
+                  shape_operator, sol_act, sol_mul)
 
 __version__ = "0.1.0"

@@ -691,14 +691,19 @@ def _cmd_export(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _FLAGS[sub])
     if sub == "flow":
         z = ProductPoint.from_coords(cfg["z"])
-        rows = [[s, *normal_flow(z, s).coords().tolist()]
-                for s in _range_values(cfg["s-range"])]
+        rows = _positive_rows("s-range", lambda s: normal_flow(z, s).coords().tolist(),
+                              _range_values(cfg["s-range"]), (2, 4))
         return _emit_table(cfg, ["s", "x1", "y1", "x2", "y2"], rows)
     if sub == "leaf-metric":
-        base = ProductPoint(UpperHalfPoint(0.0, cfg["y1"]),
-                            UpperHalfPoint(0.0, cfg["y2"]))
-        rows = [[t, *leaf_metric(base, t).diagonal().tolist()]
-                for t in _range_values(cfg["t-range"])]
+        def metric_row(y1: float, y2: float) -> Callable[[float], List[float]]:
+            base = ProductPoint(UpperHalfPoint(0.0, y1), UpperHalfPoint(0.0, y2))
+            return lambda t: leaf_metric(base, t).diagonal().tolist()
+        # g_xx depends on y1 alone and g_yy on y2 alone: a height whose own
+        # row at t = 0 fails is named before the range
+        for key in ("y1", "y2"):
+            _positive_rows(key, metric_row(cfg[key], cfg[key]), [0.0], (1, 2, 3))
+        rows = _positive_rows("t-range", metric_row(cfg["y1"], cfg["y2"]),
+                              _range_values(cfg["t-range"]), (1, 2, 3))
         return _emit_table(cfg, ["t", "g_tt", "g_xx", "g_yy"], rows)
     if sub == "limit-set":
         if cfg["format"] != "json":
@@ -756,6 +761,22 @@ def _cmd_export(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_rows(field: str, row: Callable[[float], List[float]],
+                   values: List[float], columns: Tuple[int, ...]) -> List[List]:
+    """The rows [v, *row(v)] of a table, whose given columns must hold finite
+    positive floats; a row that overflows, divides by an underflowed zero or
+    leaves the positive floats exits 2 naming field."""
+    try:
+        rows = [[v, *row(v)] for v in values]
+        ok = all(math.isfinite(r[i]) and r[i] > 0 for r in rows for i in columns)
+    except (ArithmeticError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(field, f"{field} gives a coefficient or height that is "
+                                 "not a finite positive float")
+    return rows
+
+
 def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> int:
     if cfg["format"] == "csv":
         _emit(_csv_text(header, rows), cfg["out"])
@@ -767,6 +788,28 @@ def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> 
     return 0
 
 
+def _report_checks(doc) -> List[dict]:
+    """The check rows of a verify report: an object whose checks are objects,
+    each with a string name and a finite residual and threshold.  Any other
+    document exits 2 with field in."""
+    checks = doc.get("checks", []) if type(doc) is dict else None
+    if type(checks) is not list or not all(type(c) is dict for c in checks):
+        raise ConfigError("in", "report must be an object whose checks are a list "
+                                 "of objects")
+    for c in checks:
+        if type(c.get("name", "")) is not str:
+            raise ConfigError("in", "a check name must be a string")
+        for key in ("residual", "threshold"):
+            v = c.get(key, 0.0)
+            try:
+                ok = type(v) in (int, float) and math.isfinite(v)
+            except OverflowError:       # an integer beyond the floats
+                ok = False
+            if not ok:
+                raise ConfigError("in", f"a check {key} must be a finite number")
+    return checks
+
+
 def _cmd_report(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, _FLAGS["report"])
     if cfg["in"] is None:
@@ -774,9 +817,9 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     try:
         with open(str(cfg["in"]), "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError("in", f"cannot read report: {e}")
-    checks = doc.get("checks", [])
+    checks = _report_checks(doc)
     width = max([len(c.get("name", "")) for c in checks] + [4])
     lines = [f"suite: {doc.get('suite', '?')}    seed: {doc.get('seed', '?')}"]
     lines.append(f"{'name'.ljust(width)}  {'residual':>12}  {'threshold':>12}  pass")

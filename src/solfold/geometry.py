@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class MixedPoint:
         return np.array(np.broadcast_arrays(self.z.real, self.z.imag, self.w.x, self.w.y))
 
 
-BasePoint = Union[ProductPoint, MixedPoint]
-
-
 def rand_product(rng: np.random.Generator, ymin: float, ymax: float) -> ProductPoint:
     """Random point of H x H: real parts in [-3, 3), heights in [ymin, ymax)."""
     x1, x2 = rng.uniform(-3.0, 3.0, size=2)
@@ -103,23 +100,6 @@ def rand_mixed(rng: np.random.Generator, ymin: float, ymax: float) -> MixedPoint
     """Random point of C x H: coordinates in [-3, 3), height in [ymin, ymax)."""
     zr, zi, wx = rng.uniform(-3.0, 3.0, size=3)
     return MixedPoint(complex(zr, zi), UpperHalfPoint(wx, rng.uniform(ymin, ymax)))
-
-
-@dataclass(frozen=True)
-class TangentVector4:
-    """Tangent vector at a 4-dimensional ambient point."""
-
-    components: tuple
-    base: BasePoint
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(float(c) for c in self.components))
-        if len(self.components) != 4:
-            raise ValueError("tangent vector needs 4 components")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.components)
 
 
 @dataclass(frozen=True)
@@ -144,7 +124,7 @@ class MetricSpec:
 
     def matrix(self, p: Sequence[float]) -> np.ndarray:
         """Metric coefficient matrix g_ij at coordinates p."""
-        c = _coords(p)
+        c = np.asarray(p, dtype=float)
         if len(c) != 4:
             raise ValueError(f"expected 4 coordinates, got {len(c)}")
         g = [1.0] * 4
@@ -160,27 +140,11 @@ def _height(c: np.ndarray, iy: int) -> float:
     return c[iy]
 
 
-def _coords(p) -> np.ndarray:
-    if isinstance(p, (ProductPoint, MixedPoint)):
-        return p.coords()
-    return np.asarray(p, dtype=float)
-
-
-def _vector(v, expect_base=None) -> np.ndarray:
-    if isinstance(v, TangentVector4):
-        if expect_base is not None:
-            if not np.array_equal(_coords(v.base), _coords(expect_base)):
-                raise ValueError("tangent vector based at a different point")
-        return v.array
-    return np.asarray(v, dtype=float)
-
-
 def metric_inner(m: MetricSpec, p, u, v) -> float:
-    """Inner product g_p(u, v)."""
-    c = _coords(p)
-    ua = _vector(u, expect_base=p if isinstance(u, TangentVector4) else None)
-    va = _vector(v, expect_base=p if isinstance(v, TangentVector4) else None)
-    g = m.matrix(c)
+    """Inner product g_p(u, v) of coordinate vectors at coordinates p."""
+    ua = np.asarray(u, dtype=float)
+    va = np.asarray(v, dtype=float)
+    g = m.matrix(p)
     if len(ua) != 4 or len(va) != 4:
         raise ValueError("vector dimension does not match the metric")
     return float(ua @ g @ va)
@@ -196,7 +160,7 @@ def christoffel(m: MetricSpec, p) -> np.ndarray:
     A constant factor of the metric leaves them unchanged, so each half-plane
     factor contributes the same symbols whatever its divisor.
     """
-    c = _coords(p)
+    c = np.asarray(p, dtype=float)
     G = np.zeros((4, 4, 4))
     for (ix, iy), _ in m.factors:
         y = _height(c, iy)
@@ -215,9 +179,9 @@ def geodesic_residual(m: MetricSpec, curve: Callable[[float], Sequence[float]],
     Measured in the metric, their rounding noise does not grow with height.
     """
     h = 1e-4
-    cm = _coords(curve(t - h))
-    c0 = _coords(curve(t))
-    cp = _coords(curve(t + h))
+    cm = np.asarray(curve(t - h), dtype=float)
+    c0 = np.asarray(curve(t), dtype=float)
+    cp = np.asarray(curve(t + h), dtype=float)
     vel = (cp - cm) / (2 * h)
     acc = (cp - 2 * c0 + cm) / (h * h)
     G = christoffel(m, c0)

@@ -21,12 +21,10 @@ from .geometry import (
     SQRT2,
     MetricSpec,
     ProductPoint,
-    TangentVector4,
     UpperHalfPoint,
-    _coords,
     _per_element,
     christoffel,
-    metric_inner,
+    metric_norm,
     product_distance,
 )
 
@@ -98,16 +96,10 @@ def normal_flow(z: ProductPoint, s: float) -> ProductPoint:
                         UpperHalfPoint(z.z2.x, es * z.z2.y))
 
 
-def normal_flow_velocity(z: ProductPoint, s: float) -> TangentVector4:
-    """Exact velocity of s |-> psi_s(z), the field (0, y1, 0, y2) at the moving point."""
-    p = normal_flow(z, s)
-    return TangentVector4((0.0, p.z1.y, 0.0, p.z2.y), p)
-
-
 def flow_speed(z: ProductPoint, s: float) -> float:
-    m = MetricSpec.half_hyperbolic_product()
-    v = normal_flow_velocity(z, s)
-    return math.sqrt(metric_inner(m, v.base, v, v))
+    """Metric length of the exact velocity (0, y1, 0, y2) of s |-> psi_s(z)."""
+    c = normal_flow(z, s).coords()
+    return metric_norm(MetricSpec.half_hyperbolic_product(), c, _unit_normal_field(c))
 
 
 def flow_equivariance_defect(p: SolParams, z: ProductPoint, g: SolElement, s: float) -> float:
@@ -209,7 +201,7 @@ def normal_covariant_derivative(point) -> np.ndarray:
     symbols.
     """
     h = 1e-5
-    c = _coords(point)
+    c = np.asarray(point, dtype=float)
     m = MetricSpec.half_hyperbolic_product()
     G = christoffel(m, c)
     X = _unit_normal_field(c)

@@ -17,8 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from solfold import TangentVector4
-
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
 
@@ -89,14 +87,11 @@ def fd_pullback(metric_fn: Callable, embed: Callable, x, h: float = 1e-3) -> np.
     return J.T @ G @ J
 
 
-def cross_r4(u: TangentVector4, v: TangentVector4, w: TangentVector4) -> TangentVector4:
+def cross_r4(u, v, w) -> np.ndarray:
     """Triple cross product on R^4: the X with <X, z> = det(u, v, w, z) for all
     z, so X is Euclidean-orthogonal to u, v, w and multilinear alternating."""
-    if len({tuple(t.base.coords()) for t in (u, v, w)}) != 1:
-        raise ValueError("cross product requires a common base point")
-    M = np.vstack([u.array, v.array, w.array])
-    return TangentVector4(tuple(np.linalg.det(np.vstack([M, np.eye(4)[i]])) for i in range(4)),
-                          u.base)
+    M = np.vstack([u, v, w])
+    return np.array([np.linalg.det(np.vstack([M, np.eye(4)[i]])) for i in range(4)])
 
 
 # explicit coefficient matrices, written out rather than taken from the library

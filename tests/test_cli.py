@@ -577,6 +577,41 @@ def test_report_missing_file_is_config_error(tmp_path, capsys):
     assert json.loads(out)["error"]["field"] == "in"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "report must be an object whose checks are a list of objects"),
+    ('{"checks": [1]}', "report must be an object whose checks are a list of objects"),
+    ('{"checks": {"a": 1}}', "report must be an object whose checks are a list of objects"),
+    ('{"checks": [{"name": 3}]}', "a check name must be a string"),
+    ('{"checks": [{"name": "a", "residual": "0.5"}]}', "a check residual must be a finite number"),
+    # json.load reads NaN and Infinity, and integers beyond the floats
+    ('{"checks": [{"name": "a", "residual": NaN}]}', "a check residual must be a finite number"),
+    ('{"checks": [{"name": "a", "threshold": Infinity}]}',
+     "a check threshold must be a finite number"),
+    ('{"checks": [{"name": "a", "residual": 1%s}]}' % ("0" * 400),
+     "a check residual must be a finite number"),
+    ('{"checks": [{"name": "a", "residual": true}]}', "a check residual must be a finite number"),
+], ids=["top-level-list", "check-not-object", "checks-object", "name-number",
+        "residual-string", "residual-nan", "threshold-infinity", "residual-huge-int",
+        "residual-bool"])
+def test_report_rejects_a_malformed_document(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    rc, out = run(capsys, "report", "--in", str(path))
+    assert rc == 2
+    assert json.loads(out)["error"] == {"field": "in", "message": message}
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+def test_report_unreadable_document_is_config_error(data, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    rc, out = run(capsys, "report", "--in", str(path))
+    assert rc == 2
+    err = json.loads(out)["error"]
+    assert err["field"] == "in" and err["message"].startswith("cannot read report: ")
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\nsuite=quotient\nseed=11\nsamples=40\n")
@@ -785,6 +820,28 @@ def test_ranges_with_too_many_values_exit_before_building_them(argv, field, monk
     rc, out = run(capsys, *argv.split())
     assert rc == 2
     assert json.loads(out)["error"]["field"] == field
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("export leaf-metric --y1 1e-200", "y1"),       # y1**2 underflows to 0
+    ("export leaf-metric --y1 1e200", "y1"),        # y1**2 overflows
+    ("export leaf-metric --y2 1e200", "y2"),
+    ("export leaf-metric --y1 1e-160", "y1"),       # 1 / (2 y1**2) is inf
+    ("export leaf-metric --y2 1e154", "y2"),        # 1 / (2 y2**2) is 0
+    ("export leaf-metric --t-range=700:701:1", "t-range"),    # exp overflows
+    ("export leaf-metric --t-range=-400:-399:1", "t-range"),  # g_yy underflows to 0
+    ("export leaf-metric --y1 1e-200 --t-range=700:701:1", "y1"),
+    ("export flow --s-range=-800:-799:1", "s-range"),         # a height reaches 0
+    ("export flow --s-range=800:801:1", "s-range"),           # exp overflows
+    ("export flow --z 0,1e300,0,1 --s-range=700:701:1", "s-range"),  # a height is inf
+])
+def test_exports_whose_values_leave_the_positive_floats_are_config_errors(argv, field,
+                                                                          capsys):
+    rc, out = run(capsys, *argv.split())
+    assert rc == 2
+    assert json.loads(out)["error"] == {
+        "field": field,
+        "message": f"{field} gives a coefficient or height that is not a finite positive float"}
 
 
 def test_range_value_bound_is_inclusive():
