@@ -19,9 +19,9 @@ from .kleinian import (GeneralPositionResult, LatticeIsoResult,
                        classify_limit_line, fundamental_domain_reduce,
                        general_position_max, intersecting_elements,
                        kulkarni_membership, lattice_iso_test,
-                       limit_general_position, projective_act,
-                       pseudo_limit_kernels, sol_lattice_embed, toral_act,
-                       toral_compose, toral_element, word_ball)
+                       limit_general_position, pseudo_limit_kernels,
+                       sol_lattice_embed, toral_act, toral_compose,
+                       toral_element, word_ball)
 from .quotient import CheckRow, heis_quotient_check, sol_quotient_check
 from .sol import (STANDARD, SeparationResult, ShapeOperatorResult, SolElement,
                   SolParams, Z0, flow_equivariance_defect, flow_speed,

@@ -27,12 +27,11 @@ from .heisenberg import (HeisElement, _heis_reduce_rows,
                          heis_leaf_separation_numeric, heis_mul,
                          heis_pullback_metric, heis_rectify,
                          heis_rectify_inverse, heis_word_ball)
-from .kleinian import (MAX_BALL_ROWS, ProjectivePoint, ToralGroupSpec, _ball_size,
-                       classify_limit_line, general_position_max,
+from .kleinian import (MAX_BALL_ROWS, ToralGroupSpec, _ball_size, _normalize_rows,
+                       _toral_act_rows, classify_limit_line, general_position_max,
                        intersecting_elements, lattice_iso_test,
-                       limit_general_position, projective_act,
-                       pseudo_limit_kernels, sol_lattice_embed, toral_act,
-                       toral_element, word_ball)
+                       limit_general_position, pseudo_limit_kernels,
+                       sol_lattice_embed, toral_act, toral_element, word_ball)
 from .quotient import (CheckRow, check_row, heis_quotient_check,
                        sol_quotient_check)
 from .sol import (STANDARD, SolElement, SolParams, flow_equivariance_defect,
@@ -395,7 +394,8 @@ def _resolve(ns: argparse.Namespace,
 # verification suites
 
 # Bounds of the draws of rand_product(rng, 0.3, 4.0), in its order (x1, x2,
-# y1, y2), and of rand_mixed(rng, 0.3, 4.0) (Re z, Im z, Re w, Im w).
+# y1, y2), and of a point (Re z, Im z, Re w, Im w) of C x H with the same
+# bounds: three coordinates in [-3, 3), then the height.
 _PRODUCT_DRAWS = ((-3, 3), (-3, 3), (0.3, 4.0), (0.3, 4.0))
 _MIXED_DRAWS = ((-3, 3), (-3, 3), (-3, 3), (0.3, 4.0))
 
@@ -609,23 +609,39 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
                           "conjugacy search certifies matches and trace refutes "
                           "mismatches"))
 
-    worst = 0.0
-    ball = word_ball(2).tolist()
-    for _ in range(min(samples, 300)):
-        g = ball[int(rng.integers(0, len(ball)))]
-        z = rand_product(rng, 0.3, 4.0)
-        direct = toral_act(spec, g, z).coords()
-        via_sol = sol_act(STANDARD, sol_lattice_embed(spec, *g), z).coords()
-        M = toral_element(spec, *g)
-        img = projective_act(M, ProjectivePoint([z.z1.complex, z.z2.complex, 1.0]))
-        w1, w2 = img.coords[0] / img.coords[2], img.coords[1] / img.coords[2]
-        via_proj = np.array([w1.real, w1.imag, w2.real, w2.imag])
-        worst = max(worst, float(np.abs(direct - via_sol).max()),
-                    float(np.abs(direct - via_proj).max()))
-    rows.append(check_row("embed-agreement", worst, 1e-10,
-                          "projective, affine, and solvable descriptions of the "
-                          "action coincide"))
+    rows.append(_embed_agreement(spec, rng, min(samples, 300)))
     return rows
+
+
+def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
+                     samples: int) -> CheckRow:
+    """The toral action on samples points of H x H, each moved by a word of
+    the radius-2 ball, three ways: toral_act per sample, the reference, and
+    on arrays the solvable action and the projective one in the chart z3 = 1."""
+    ball = word_ball(2)
+    # per sample: a word, then a point as rand_product draws it; the scalar
+    # integers draw interleaves with the uniform ones, so each sample draws in turn
+    words = np.empty(samples, dtype=np.int64)
+    X = np.empty((samples, 4))
+    for i in range(samples):
+        words[i] = rng.integers(0, len(ball))
+        X[i, ::2] = rng.uniform(-3.0, 3.0, size=2)
+        X[i, 1::2] = rng.uniform(0.3, 4.0, size=2)
+    G = ball[words]
+    direct = np.array([toral_act(spec, g, ProductPoint.from_coords(x)).coords()
+                       for g, x in zip(G.tolist(), X.tolist())])
+    z = ProductPoint(UpperHalfPoint(X[:, 0], X[:, 1]), UpperHalfPoint(X[:, 2], X[:, 3]))
+    via_sol = sol_act(STANDARD, sol_lattice_embed(spec, *G.T), z).coords().T
+    # stacked matrices on normalized (z1, z2, 1): the bits of one matmul and
+    # two normalizations per sample
+    V = _normalize_rows(np.column_stack([X.view(complex), np.ones(samples)]))
+    img = _normalize_rows(np.matmul(toral_element(spec, *G.T).astype(complex),
+                                    V[:, :, None])[:, :, 0])
+    via_proj = (img[:, :2] / img[:, 2:]).view(float)
+    worst = float(np.abs(np.concatenate([direct - via_sol, direct - via_proj])).max())
+    return check_row("embed-agreement", worst, 1e-10,
+                     "projective, affine, and solvable descriptions of the "
+                     "action coincide")
 
 
 def _suite_quotient(cfg: Dict[str, object]) -> List[CheckRow]:
@@ -738,10 +754,9 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         if b1.imag <= 0 or b2.imag <= 0:
             raise ConfigError("base", "base must lie in the product of upper "
                                       "half planes")
-        z = ProductPoint.from_complex(b1, b2)
-        rows = []
-        for g in zip(*word_ball(cfg["N"]).T.tolist()):
-            rows.append([*g, *toral_act(spec, g, z).coords().tolist()])
+        ball = word_ball(cfg["N"])
+        z = np.broadcast_to([b1.real, b1.imag, b2.real, b2.imag], (len(ball), 4))
+        rows = [g + x for g, x in zip(ball.tolist(), _toral_act_rows(spec, ball, z).tolist())]
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
     # domain
     if cfg["format"] != "json":
@@ -790,7 +805,8 @@ def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> 
 
 def _report_checks(doc) -> List[dict]:
     """The check rows of a verify report: an object whose checks are objects,
-    each with a string name and a finite residual and threshold.  Any other
+    each with a string name, a finite residual and threshold, and a bool pass
+    that says whether the residual is at most the threshold.  Any other
     document exits 2 with field in."""
     checks = doc.get("checks", []) if type(doc) is dict else None
     if type(checks) is not list or not all(type(c) is dict for c in checks):
@@ -807,6 +823,11 @@ def _report_checks(doc) -> List[dict]:
                 ok = False
             if not ok:
                 raise ConfigError("in", f"a check {key} must be a finite number")
+        if type(c.get("pass")) is not bool:
+            raise ConfigError("in", "a check pass must be true or false")
+        if c["pass"] != (c.get("residual", 0.0) <= c.get("threshold", 0.0)):
+            raise ConfigError("in", "a check pass must say whether its residual "
+                                    "is at most its threshold")
     return checks
 
 

@@ -96,12 +96,6 @@ def rand_product(rng: np.random.Generator, ymin: float, ymax: float) -> ProductP
     return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
 
 
-def rand_mixed(rng: np.random.Generator, ymin: float, ymax: float) -> MixedPoint:
-    """Random point of C x H: coordinates in [-3, 3), height in [ymin, ymax)."""
-    zr, zi, wx = rng.uniform(-3.0, 3.0, size=3)
-    return MixedPoint(complex(zr, zi), UpperHalfPoint(wx, rng.uniform(ymin, ymax)))
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """One of the two ambient metrics, given by its half-plane factors.

@@ -52,9 +52,13 @@ def heis_commutator(g: HeisElement, h: HeisElement) -> HeisElement:
 
 
 def heis_matrix(g: HeisElement) -> np.ndarray:
-    return np.array([[1.0, g.a, g.c],
-                     [0.0, 1.0, g.b],
-                     [0.0, 0.0, 1.0]])
+    """[[1, a, c], [0, 1, b], [0, 0, 1]], stacked along the leading axes when
+    g holds arrays."""
+    a, b, c = np.broadcast_arrays(g.a, g.b, g.c)
+    out = np.zeros(a.shape + (3, 3))
+    out[..., 0, 0] = out[..., 1, 1] = out[..., 2, 2] = 1.0
+    out[..., 0, 1], out[..., 0, 2], out[..., 1, 2] = a, c, b
+    return out
 
 
 def heis_act(g: HeisElement, m: MixedPoint) -> MixedPoint:

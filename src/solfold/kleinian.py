@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ProductPoint, UpperHalfPoint
+from .geometry import ProductPoint, UpperHalfPoint, _per_element
 from .sol import SolElement, SolParams, phi
 
 
@@ -169,14 +170,25 @@ class ToralGroupSpec:
         return cls(tuple(tuple(r) for r in M), lam, P, np.linalg.inv(P))
 
 
-def toral_element(spec: ToralGroupSpec, k: int, n: int, m: int) -> np.ndarray:
+def _translation(spec: ToralGroupSpec, n, m) -> np.ndarray:
+    """P^{-1}(n, m) for integers n and m, or one row per entry of the 1-D
+    integer arrays n and m: a 2 x 2 product per entry by a stacked
+    np.matmul, the bits of the single spec.P_inv @ (n, m) (an elementwise
+    a x + b y can differ by FMA)."""
+    return np.matmul(spec.P_inv, np.array([n, m], dtype=float).T[..., None])[..., 0]
+
+
+def toral_element(spec: ToralGroupSpec, k, n, m) -> np.ndarray:
     """3 x 3 matrix [[diag(lam^k, lam^-k), P^{-1}(n, m)], [0, 1]] of the group
-    element (k, n, m) in conjugated coordinates."""
-    out = np.zeros((3, 3))
-    out[0, 0] = spec.lam ** k
-    out[1, 1] = spec.lam ** (-k)
-    out[:2, 2] = spec.P_inv @ np.array([n, m], dtype=float)
-    out[2, 2] = 1.0
+    element (k, n, m) in conjugated coordinates, one per entry, stacked
+    along the first axis, when k, n and m are 1-D integer arrays.  lam^k is
+    a Python float power per entry; np.power can differ in the last bit."""
+    power = partial(pow, spec.lam)
+    out = np.zeros(np.shape(k) + (3, 3))
+    out[..., 0, 0] = _per_element(power, k)
+    out[..., 1, 1] = _per_element(power, -k)
+    out[..., :2, 2] = _translation(spec, n, m)
+    out[..., 2, 2] = 1.0
     return out
 
 
@@ -193,10 +205,25 @@ def toral_act(spec: ToralGroupSpec, g: Tuple[int, int, int],
     return ProductPoint.from_complex(s * z.z1.complex + u, z.z2.complex / s + v)
 
 
-def projective_act(matrix: np.ndarray, p: ProjectivePoint) -> ProjectivePoint:
-    """Image of a point under a projective transformation."""
-    img = np.asarray(matrix, dtype=complex) @ p.coords
-    return ProjectivePoint(img)
+def _toral_act_rows(spec: ToralGroupSpec, G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """toral_act of each word G[i] = (k, n, m), an integer row, on the finite
+    point X[i] = (x1, y1, x2, y2), as rows of coordinates, bit for bit with
+    signed zeros.  lam^k and (u, v) are taken as toral_element takes them.
+    Python's complex product with s = lam^k and quotient by it read s as
+    s + 0j; on finite points with positive heights the zero parts change
+    only the quotient's real part, a -0.0 of which comes out +0.0.  Raises
+    the errors toral_act raises, once every power is taken: OverflowError
+    from a power, ZeroDivisionError for a power that underflows to zero,
+    ValueError for an image height that is not positive."""
+    s = _per_element(partial(pow, spec.lam), G[:, 0])
+    if not s.all():
+        raise ZeroDivisionError("complex division by zero")
+    u, v = _translation(spec, G[:, 1], G[:, 2]).T
+    x1, y1, x2, y2 = X.T
+    out = np.column_stack([s * x1 + u, s * y1, (x2 + 0.0) / s + v, y2 / s])
+    if not ((out[:, 1] > 0) & (out[:, 3] > 0)).all():
+        raise ValueError("upper half-plane requires y > 0")
+    return out
 
 
 def toral_compose(spec: ToralGroupSpec,
@@ -590,15 +617,16 @@ def intersecting_elements(spec: ToralGroupSpec, box: Box4,
 # ---------------------------------------------------------------------------
 # lattice embeddings and isomorphism
 
-def sol_lattice_embed(spec: ToralGroupSpec, k: int, n: int, m: int) -> SolElement:
-    """Element of the continuous solvable group acting like (k, n, m).
+def sol_lattice_embed(spec: ToralGroupSpec, k, n, m) -> SolElement:
+    """Element of the continuous solvable group acting like (k, n, m), one
+    per entry when k, n and m are 1-D integer arrays.
 
     The conjugated affine action is that of (k, u, v) at scaling base lam,
     (u, v) the conjugated translation pair; phi reads it in standard
     coordinates, t = k log(lam).
     """
-    u, v = spec.P_inv @ np.array([n, m], dtype=float)
-    return phi(SolParams(spec.lam), SolElement(k, float(u), float(v)))
+    u, v = _translation(spec, n, m).T
+    return phi(SolParams(spec.lam), SolElement(k, u, v))
 
 
 @dataclass(frozen=True)

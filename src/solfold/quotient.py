@@ -15,11 +15,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .geometry import rand_mixed, rand_product
+from .geometry import ProductPoint
 from .heisenberg import (HeisElement, _heis_reduce_rows, heis_commutator, heis_matrix,
                          heis_mul, heis_reduce_mod_integer_lattice)
-from .kleinian import (ToralGroupSpec, _fundamental_domain_rows, fundamental_domain_reduce,
-                       sol_lattice_embed, toral_compose, word_ball)
+from .kleinian import (ToralGroupSpec, _fundamental_domain_rows, _toral_act_rows,
+                       fundamental_domain_reduce, sol_lattice_embed, toral_compose,
+                       word_ball)
 from .sol import _leaf_param, sol_mul
 
 
@@ -49,24 +50,22 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    ball = [g for g in word_ball(2).tolist() if g != [0, 0, 0]]
-    # each word acts as toral_act does: scale by lam^k, translate by P^{-1}(n, m)
-    scale = np.array([spec.lam ** k for k, _, _ in ball])
-    shift = np.array([spec.P_inv @ np.array([n, m], dtype=float) for _, n, m in ball])
+    ball = word_ball(2)
+    ball = ball[ball.any(axis=1)]
+    # per sample: a point as rand_product draws it, then ten words; the
+    # integers draw interleaves with the uniform ones, so each sample draws in turn
+    X = np.empty((samples, 4))
+    words = np.empty((samples, 10), dtype=np.int64)
+    for i in range(samples):
+        X[i, ::2] = rng.uniform(-3.0, 3.0, size=2)
+        X[i, 1::2] = rng.uniform(0.2, 5.0, size=2)
+        words[i] = rng.integers(0, len(ball), size=10)
+    # the scalar reduction of each base point, the reference of the array one
+    rep0 = np.array([fundamental_domain_reduce(spec, ProductPoint.from_coords(x))[1].coords()
+                     for x in X.tolist()])
 
-    # per sample: the draws, in the per-point loop's order, and the scalar reduction
-    base, rep0, words = [], [], []
-    for _ in range(samples):
-        z = rand_product(rng, 0.2, 5.0)
-        base.append(z.coords())
-        rep0.append(fundamental_domain_reduce(spec, z)[1].coords())
-        words.append(rng.integers(0, len(ball), size=10))
-    base, rep0, words = np.array(base), np.array(rep0), np.concatenate(words)
-
-    z = np.repeat(base, 10, axis=0)
-    s, (u, v) = scale[words], shift[words].T
-    gz = np.column_stack([s * z[:, 0] + u, s * z[:, 1], z[:, 2] / s + v, z[:, 3] / s])
-    s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (base, gz))
+    gz = _toral_act_rows(spec, ball[words.ravel()], np.repeat(X, 10, axis=0))
+    s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (X, gz))
     leaf_res = float(np.abs(s1 - np.repeat(s0, 10)).max())
     rep1 = _fundamental_domain_rows(spec, gz)[1]
     reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())
@@ -108,20 +107,28 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
     # validates the closure condition d3 | d1 d2
     heis_reduce_mod_integer_lattice(HeisElement.identity(), moduli)
 
-    # per sample: the draws, in the per-point loop's order (its ten size-3 integer
-    # draws read the stream as one of size 30), and the scalar reduction
-    base, rep0, ell = [], [], []
-    height_res = 0.0
-    for _ in range(samples):
-        m = rand_mixed(rng, 0.2, 5.0)
-        g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
-        base.append(g.triple())
-        rep0.append(heis_reduce_mod_integer_lattice(g, moduli)[1].triple())
-        ell.append(rng.integers(-3, 4, size=30).reshape(10, 3) * moduli)
-        # the image of (z, w) under the first word, through the action's matrix
-        img = heis_matrix(HeisElement(*ell[-1][0])) @ np.array([m.z, m.w.complex, 1.0])
-        height_res = max(height_res, abs(img[1].imag - m.w.y))
-    base, rep0, ell = np.array(base), np.array(rep0), np.concatenate(ell)
+    # per sample: a point (Re z, Im z, Re w, Im w) of C x H, three coordinates
+    # and then the height, an element, and ten words, whose ten size-3 integer
+    # draws read the stream as one of size 30
+    Z = np.empty((samples, 4))
+    base = np.empty((samples, 3))
+    ell = np.empty((samples, 30), dtype=np.int64)
+    for i in range(samples):
+        Z[i, :3] = rng.uniform(-3.0, 3.0, size=3)
+        Z[i, 3] = rng.uniform(0.2, 5.0)
+        base[i] = rng.uniform(-4.0, 4.0, size=3)
+        ell[i] = rng.integers(-3, 4, size=30)
+    ell = ell.reshape(-1, 3) * moduli
+    # the scalar reduction of each element, the reference of the array one
+    rep0 = np.array([heis_reduce_mod_integer_lattice(HeisElement(*g), moduli)[1].triple()
+                     for g in base.tolist()])
+
+    # the image of (z, w, 1) under the first word of each sample, through the
+    # action's stacked matrices
+    first = ell[::10]
+    zw1 = np.column_stack([Z.view(complex), np.ones(samples)])
+    img = np.matmul(heis_matrix(HeisElement(*first.T)), zw1[:, :, None])[:, :, 0]
+    height_res = float(np.abs(img[:, 1].imag - Z[:, 3]).max())
 
     # heis_mul is elementwise, so it takes array coordinates
     moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from solfold import MixedPoint, ProjectivePoint, UpperHalfPoint
+
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
 
@@ -206,6 +208,20 @@ def affine_box_hits_via_matrix(M: np.ndarray, box, pad: float = 1e-12) -> bool:
         if max(l, h) < a - pad or min(l, h) > b + pad:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# forms that no command takes any more
+
+def rand_mixed(rng: np.random.Generator, ymin: float, ymax: float):
+    """Random point of C x H: coordinates in [-3, 3), height in [ymin, ymax)."""
+    zr, zi, wx = rng.uniform(-3.0, 3.0, size=3)
+    return MixedPoint(complex(zr, zi), UpperHalfPoint(wx, rng.uniform(ymin, ymax)))
+
+
+def projective_act(matrix: np.ndarray, p):
+    """Image of a ProjectivePoint under a projective transformation."""
+    return ProjectivePoint(np.asarray(matrix, dtype=complex) @ p.coords)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from solfold import (
     leaf_separation_numeric,
     limit_general_position,
     normal_flow,
-    projective_act,
     pseudo_limit_kernels,
     rectify,
     rectify_inverse,
@@ -61,7 +60,7 @@ from solfold.geometry import MetricSpec
 from solfold.kleinian import ProjectivePoint
 
 from conftest import (affine_box_hits_via_matrix, cube_hit_by_grid, fd_pullback,
-                      product_metric_matrix, toral_element_integral)
+                      product_metric_matrix, projective_act, toral_element_integral)
 
 SEED = 11
 

@@ -590,9 +590,21 @@ def test_report_missing_file_is_config_error(tmp_path, capsys):
     ('{"checks": [{"name": "a", "residual": 1%s}]}' % ("0" * 400),
      "a check residual must be a finite number"),
     ('{"checks": [{"name": "a", "residual": true}]}', "a check residual must be a finite number"),
+    # pass is a JSON bool, and says whether the residual is within the threshold
+    ('{"checks": [{"name": "a", "residual": 5, "threshold": 1, "pass": "false"}]}',
+     "a check pass must be true or false"),
+    ('{"checks": [{"name": "a", "residual": 0.5, "threshold": 1, "pass": 1}]}',
+     "a check pass must be true or false"),
+    ('{"checks": [{"name": "a", "residual": 0.5, "threshold": 1}]}',
+     "a check pass must be true or false"),
+    ('{"checks": [{"name": "a", "residual": 5, "threshold": 1, "pass": true}]}',
+     "a check pass must say whether its residual is at most its threshold"),
+    ('{"checks": [{"name": "a", "residual": 1, "threshold": 1, "pass": false}]}',
+     "a check pass must say whether its residual is at most its threshold"),
 ], ids=["top-level-list", "check-not-object", "checks-object", "name-number",
         "residual-string", "residual-nan", "threshold-infinity", "residual-huge-int",
-        "residual-bool"])
+        "residual-bool", "pass-string", "pass-number", "pass-missing", "pass-disagrees",
+        "fail-disagrees"])
 def test_report_rejects_a_malformed_document(text, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(text, encoding="utf-8")

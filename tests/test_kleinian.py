@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import affine_box_hits_via_matrix, toral_element_integral
+from conftest import affine_box_hits_via_matrix, projective_act, toral_element_integral
 
 from solfold import (
     STANDARD,
@@ -37,7 +37,6 @@ from solfold import (
     toral_act,
     toral_compose,
     toral_element,
-    projective_act,
     word_ball,
 )
 from solfold import kleinian

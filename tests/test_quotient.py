@@ -22,7 +22,8 @@ from solfold import (
     toral_compose,
     word_ball,
 )
-from solfold.geometry import rand_mixed, rand_product
+from conftest import rand_mixed
+from solfold.geometry import rand_product
 from solfold.quotient import check_row
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
@@ -218,7 +219,7 @@ def test_heis_matrix_image_is_heis_act_bit_for_bit(rng):
 def test_heis_height_invariance_sees_a_moved_height(monkeypatch):
     def scaled(g):
         M = heis_matrix(g)
-        M[1, 1] = 1.0 + 1e-9      # the middle row now scales w
+        M[..., 1, 1] = 1.0 + 1e-9      # the middle row now scales w
         return M
     monkeypatch.setattr(quotient, "heis_matrix", scaled)
     row = {c.name: c for c in heis_quotient_check((1, 1, 1), 50, 0)}["height-invariance"]

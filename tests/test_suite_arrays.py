@@ -1,15 +1,18 @@
-"""The sol and heis verify suites against their per-sample loops.
+"""The array rows of verify against their per-sample loops.
 
-The suites compute six rows on arrays, each from one block draw.  The loops
-they replaced live on here as the reference: equal rows, residual bits
-included, the same rng stream position after every row, and a planted
-defect that each array row still catches.  The per-point finite-difference
-stencil and the scalar distances are kept too, against the one-call stencil
-and the array distances.
+The sol and heis suites compute six rows on arrays, each from one block
+draw; the kleinian embed-agreement row and the two quotient checks draw per
+sample and compute every route on arrays.  The loops they replaced live on
+here as the reference: equal rows, residual bits included, the same rng
+stream position after every row, and a planted defect that each array row
+or route still catches.  The per-point finite-difference stencil, the
+scalar distances and the one-word toral forms are kept too, against the
+one-call stencil, the array distances and the stacked toral forms.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,12 +52,30 @@ from solfold import (
     rectify_isometric,
     rectify_isometric_inverse,
     shape_operator,
+    ProjectivePoint,
+    ToralGroupSpec,
+    fundamental_domain_reduce,
+    heis_matrix,
+    heis_quotient_check,
+    sol_act,
+    sol_lattice_embed,
+    sol_mul,
+    sol_quotient_check,
+    toral_act,
+    toral_compose,
+    toral_element,
+    word_ball,
 )
+import solfold.quotient as quotient
 import solfold.sol
 from solfold import _fd, cli, heis_leaf_separation_numeric, leaf_separation_numeric
 from solfold.cli import ConfigError
-from solfold.geometry import SQRT2, rand_mixed, rand_product
+from conftest import projective_act, rand_mixed
+from solfold.geometry import SQRT2, rand_product
+from solfold.heisenberg import _heis_reduce_rows
+from solfold.kleinian import _fundamental_domain_rows, _toral_act_rows
 from solfold.quotient import check_row
+from solfold.sol import _leaf_param, phi
 
 
 # ---------------------------------------------------------------------------
@@ -661,3 +682,340 @@ def test_array_distances_equal_the_scalar_ones_on_uniform_draws(rng):
     c[1::2] = rng.uniform(0.1, 10, size=(4, n))
     c[4:, ::10] = c[:4, ::10]
     _check_distances([tuple(r) for r in c.T.tolist()])
+
+
+# ---------------------------------------------------------------------------
+# the embed-agreement and quotient rows against their per-sample loops
+
+def _toral_element_reference(spec, k, n, m):
+    """toral_element as the loop built it, one 3 x 3 matrix per word."""
+    out = np.zeros((3, 3))
+    out[0, 0] = spec.lam ** k
+    out[1, 1] = spec.lam ** (-k)
+    out[:2, 2] = spec.P_inv @ np.array([n, m], dtype=float)
+    out[2, 2] = 1.0
+    return out
+
+
+def _sol_lattice_embed_reference(spec, k, n, m):
+    """sol_lattice_embed as the loop called it, on one word of Python ints."""
+    u, v = spec.P_inv @ np.array([n, m], dtype=float)
+    return phi(SolParams(spec.lam), SolElement(k, float(u), float(v)))
+
+
+def _heis_matrix_reference(g):
+    return np.array([[1.0, g.a, g.c], [0.0, 1.0, g.b], [0.0, 0.0, 1.0]])
+
+
+# Each loop draws sample by sample, so the draws of n samples are the first n
+# draws of any larger run: each reference returns its rows after every sample.
+
+def _embed_agreement_reference(spec, rng, samples):
+    worst, rows = 0.0, []
+    ball = word_ball(2).tolist()
+    for _ in range(samples):
+        g = ball[int(rng.integers(0, len(ball)))]
+        z = rand_product(rng, 0.3, 4.0)
+        direct = toral_act(spec, g, z).coords()
+        via_sol = sol_act(STANDARD, _sol_lattice_embed_reference(spec, *g), z).coords()
+        M = _toral_element_reference(spec, *g)
+        img = projective_act(M, ProjectivePoint([z.z1.complex, z.z2.complex, 1.0]))
+        w1, w2 = img.coords[0] / img.coords[2], img.coords[1] / img.coords[2]
+        via_proj = np.array([w1.real, w1.imag, w2.real, w2.imag])
+        worst = max(worst, float(np.abs(direct - via_sol).max()),
+                    float(np.abs(direct - via_proj).max()))
+        rows.append(check_row("embed-agreement", worst, 1e-10,
+                              "projective, affine, and solvable descriptions of the "
+                              "action coincide"))
+    return rows
+
+
+def _sol_quotient_reference(spec, samples, seed):
+    rng = np.random.default_rng(seed)
+    ball = [g for g in word_ball(2).tolist() if g != [0, 0, 0]]
+    # each word acts as toral_act does: scale by lam^k, translate by P^{-1}(n, m)
+    scale = np.array([spec.lam ** k for k, _, _ in ball])
+    shift = np.array([spec.P_inv @ np.array([n, m], dtype=float) for _, n, m in ball])
+    base, rep0, words = [], [], []
+    for _ in range(samples):
+        z = rand_product(rng, 0.2, 5.0)
+        base.append(z.coords())
+        rep0.append(fundamental_domain_reduce(spec, z)[1].coords())
+        words.append(rng.integers(0, len(ball), size=10))
+    base, rep0, words = np.array(base), np.array(rep0), np.concatenate(words)
+
+    z = np.repeat(base, 10, axis=0)
+    s, (u, v) = scale[words], shift[words].T
+    gz = np.column_stack([s * z[:, 0] + u, s * z[:, 1], z[:, 2] / s + v, z[:, 3] / s])
+    s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (base, gz))
+    rep1 = _fundamental_domain_rows(spec, gz)[1]
+    # the residuals after each sample: running maxima of each sample's own
+    leaf = np.abs(s1 - np.repeat(s0, 10)).reshape(samples, -1).max(axis=1)
+    reduce = np.abs(rep1 - np.repeat(rep0, 10, axis=0)).reshape(samples, -1).max(axis=1)
+    signs = ((gz[:, 1] <= 0) | (gz[:, 3] <= 0)).reshape(samples, -1).sum(axis=1)
+
+    rel_res = 0.0
+    t_gen = (1, 0, 0)
+    for n in range(-2, 3):
+        for m in range(-2, 3):
+            lhs = sol_mul(sol_mul(_sol_lattice_embed_reference(spec, *t_gen),
+                                  _sol_lattice_embed_reference(spec, 0, n, m)),
+                          _sol_lattice_embed_reference(spec, *t_gen).inverse())
+            word = toral_compose(spec, toral_compose(spec, t_gen, (0, n, m)), (-1, 0, 0))
+            rhs = _sol_lattice_embed_reference(spec, *word)
+            rel_res = max(rel_res,
+                          abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
+
+    return [(
+        check_row("leaf-preservation", leaf_res, 1e-10,
+                  "the lattice action preserves each leaf parameter s"),
+        check_row("reduction-invariance", reduce_res, 1e-8,
+                  "fundamental-domain representatives are constant on orbits"),
+        check_row("semidirect-relation", rel_res, 1e-12,
+                  "conjugating a translation by the cyclic generator applies the integer matrix"),
+        check_row("component-preservation", float(violations), 0.0,
+                  "positive scaling preserves the four sign components of the imaginary parts"),
+    ) for leaf_res, reduce_res, violations in zip(
+        np.maximum.accumulate(leaf).tolist(), np.maximum.accumulate(reduce).tolist(),
+        np.cumsum(signs).tolist())]
+
+
+def _heis_quotient_reference(moduli, samples, seed):
+    rng = np.random.default_rng(seed)
+    heis_reduce_mod_integer_lattice(HeisElement.identity(), moduli)
+    base, rep0, ell, heights = [], [], [], []
+    height_res = 0.0
+    for _ in range(samples):
+        m = rand_mixed(rng, 0.2, 5.0)
+        g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
+        base.append(g.triple())
+        rep0.append(heis_reduce_mod_integer_lattice(g, moduli)[1].triple())
+        ell.append(rng.integers(-3, 4, size=30).reshape(10, 3) * moduli)
+        img = _heis_matrix_reference(HeisElement(*ell[-1][0])) @ np.array(
+            [m.z, m.w.complex, 1.0])
+        height_res = max(height_res, abs(img[1].imag - m.w.y))
+        heights.append(height_res)
+    base, rep0, ell = np.array(base), np.array(rep0), np.concatenate(ell)
+
+    moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))
+    rep1 = _heis_reduce_rows(*moved.triple(), moduli)[1]
+    reduce = np.abs(rep1 - np.repeat(rep0, 10, axis=0)).reshape(samples, -1).max(axis=1)
+
+    comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
+    comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))
+    return [(
+        check_row("height-invariance", height, 0.0,
+                  "real translations leave the second-factor height unchanged"),
+        check_row("reduction-invariance", reduce_res, 1e-12,
+                  "cube representatives are constant on left cosets of the lattice"),
+        check_row("commutator", comm_res, 0.0,
+                  "the commutator of the two horizontal generators is the central generator"),
+    ) for height, reduce_res in zip(heights, np.maximum.accumulate(reduce).tolist())]
+
+
+MATRICES = [((2, 1), (1, 1)), ((3, 2), (1, 1)), ((7, 4), (5, 3)), ((1000, 999), (1, 1))]
+MODULI = [(1, 1, 1), (2, 3, 6), (2, 2, 1)]
+GRID_SEEDS = range(60)
+GRID_SAMPLES = (1, 7, 60, 300, 500)
+# the kleinian and quotient suites take at most 300 samples
+CAPPED = sorted({min(n, 300) for n in GRID_SAMPLES})
+
+
+def _matrix_id(A):
+    return ",".join(str(x) for row in A for x in row)
+
+
+@pytest.mark.parametrize("A", MATRICES, ids=_matrix_id)
+def test_embed_agreement_equals_the_loop(A):
+    spec = ToralGroupSpec.from_matrix(A)
+    for seed in GRID_SEEDS:
+        want = _embed_agreement_reference(spec, np.random.default_rng(seed), CAPPED[-1])
+        for n in CAPPED:
+            got = cli._embed_agreement(spec, np.random.default_rng(seed), n)
+            assert _bits([got]) == _bits([want[n - 1]]), (seed, n)
+    # the suite's own row, at more samples than it takes
+    cfg = dict(_cfg(0, 500), A=A)
+    assert _bits(cli._suite_kleinian(cfg)[-1:]) == _bits(
+        _embed_agreement_reference(spec, np.random.default_rng(0), 300)[-1:])
+
+
+@pytest.mark.parametrize("A", MATRICES, ids=_matrix_id)
+def test_sol_quotient_rows_equal_the_loop(A):
+    spec = ToralGroupSpec.from_matrix(A)
+    for seed in GRID_SEEDS:
+        want = _sol_quotient_reference(spec, CAPPED[-1], seed)
+        for n in CAPPED:
+            assert _bits(sol_quotient_check(spec, n, seed)) == _bits(want[n - 1]), (seed, n)
+    # the suite's own rows, at more samples than it takes
+    rows = cli._suite_quotient(dict(_cfg(0, 500), A=A))
+    assert _bits(rows[:4]) == _bits([replace(r, name=f"sol-{r.name}")
+                                      for r in _sol_quotient_reference(spec, 300, 0)[-1]])
+
+
+@pytest.mark.parametrize("moduli", MODULI, ids=str)
+def test_heis_quotient_rows_equal_the_loop(moduli):
+    for seed in GRID_SEEDS:
+        want = _heis_quotient_reference(moduli, GRID_SAMPLES[-1], seed)
+        for n in GRID_SAMPLES:
+            assert _bits(heis_quotient_check(moduli, n, seed)) == _bits(want[n - 1]), \
+                (seed, n)
+
+
+@pytest.mark.parametrize("samples", [1, 60, 300])
+def test_kleinian_and_quotient_rows_draw_as_the_loops_do(samples, monkeypatch):
+    # each row draws per sample: the same draws in the same order, so the
+    # stream stands where the loop leaves it after every draw
+    spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
+    got, want = (_Recording(np.random.default_rng(5)) for _ in range(2))
+    cli._embed_agreement(spec, got, samples)
+    _embed_agreement_reference(spec, want, samples)
+    assert got.states == want.states and len(got.states) == 3 * samples
+    for check, reference, arg, draws in (
+            (sol_quotient_check, _sol_quotient_reference, spec, 3),
+            (heis_quotient_check, _heis_quotient_reference, (2, 3, 6), 4)):
+        got, want = (_draw_states(lambda cfg, f=f: f(arg, samples, 5), None, monkeypatch)
+                     for f in (check, reference))
+        assert got == want and len(got) == draws * samples
+
+
+# a planted defect in each array route fails its row
+
+def _embed_row(spec):
+    return cli._embed_agreement(spec, np.random.default_rng(0), 60)
+
+
+def test_embed_agreement_sees_a_projective_route_without_translation(monkeypatch):
+    spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
+    assert _embed_row(spec).passed
+    element = cli.toral_element
+
+    def untranslated(*args):
+        M = element(*args)
+        M[..., :2, 2] = 0.0
+        return M
+    monkeypatch.setattr(cli, "toral_element", untranslated)
+    assert _embed_row(spec).residual >= 0.1
+
+
+def test_embed_agreement_sees_a_solvable_route_without_phi(monkeypatch):
+    spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
+    assert _embed_row(spec).passed
+    embed = cli.sol_lattice_embed
+
+    def unscaled(spec, k, n, m):
+        # t = k, not k log(lam): the standard action then scales by e^k
+        g = embed(spec, k, n, m)
+        return SolElement(k * 1.0, g.x, g.y)
+    monkeypatch.setattr(cli, "sol_lattice_embed", unscaled)
+    assert _embed_row(spec).residual >= 0.1
+
+
+def _sol_quotient_row(name):
+    spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
+    return {r.name: r for r in sol_quotient_check(spec, 60, 0)}[name]
+
+
+def test_reduction_invariance_sees_a_reduction_that_ignores_its_word(monkeypatch):
+    assert _sol_quotient_row("reduction-invariance").passed
+    rows = quotient._fundamental_domain_rows
+
+    def unreduced(spec, X):
+        # the element the reduction found, not applied: the points come back
+        return rows(spec, X)[0], X.copy()
+    monkeypatch.setattr(quotient, "_fundamental_domain_rows", unreduced)
+    assert _sol_quotient_row("reduction-invariance").residual >= 0.1
+
+
+def test_reduction_invariance_sees_words_that_leave_the_orbit(monkeypatch):
+    assert _sol_quotient_row("reduction-invariance").passed
+    act = quotient._toral_act_rows
+
+    def raw_translation(spec, G, X):
+        # translates by (n, m) itself, not by P^{-1}(n, m)
+        out = act(spec, G * [1, 0, 0], X)
+        out[:, ::2] += G[:, 1:]
+        return out
+    monkeypatch.setattr(quotient, "_toral_act_rows", raw_translation)
+    row = _sol_quotient_row("reduction-invariance")
+    assert not row.passed
+    assert _sol_quotient_row("leaf-preservation").passed
+
+
+def test_height_invariance_sees_a_height_route_that_adds_b(monkeypatch):
+    def row():
+        return {r.name: r for r in heis_quotient_check((1, 1, 1), 60, 0)}["height-invariance"]
+    assert row().passed
+    matrix = quotient.heis_matrix
+
+    def adds_b(g):
+        # the image height becomes Im w + b
+        return matrix(g) + 1j * np.asarray(g.b)[..., None, None] * [[0, 0, 0], [0, 0, 1],
+                                                                     [0, 0, 0]]
+    monkeypatch.setattr(quotient, "heis_matrix", adds_b)
+    assert row().residual >= 1.0
+
+
+# the array toral forms give the bits of the scalar ones
+
+_word = st.tuples(st.integers(-3, 3), st.integers(-6, 6), st.integers(-6, 6))
+_real = st.floats(-5.0, 5.0)      # takes in -0.0
+_y = st.floats(0.05, 20.0)
+
+
+@given(st.sampled_from(MATRICES),
+       st.lists(st.tuples(_word, _real, _y, _real, _y), min_size=1, max_size=20))
+@example(MATRICES[0], [((0, 0, 0), -0.0, 1.0, -0.0, 2.0), ((1, 0, 0), 0.0, 1.0, -0.0, 1.0),
+                       ((-2, 0, 0), -0.0, 3.0, 0.0, 0.5), ((2, 1, -1), -0.0, 0.1, -0.0, 7.0)])
+def test_toral_act_rows_equal_toral_act(A, cases):
+    spec = ToralGroupSpec.from_matrix(A)
+    G = np.array([g for g, *_ in cases], dtype=np.int64)
+    X = np.array([x for _, *x in cases], dtype=float)
+    want = [toral_act(spec, g, ProductPoint.from_coords(x)).coords().tolist()
+            for g, *x in cases]
+    got = _toral_act_rows(spec, G, X).tolist()
+    assert [[v.hex() for v in r] for r in got] == [[v.hex() for v in r] for r in want]
+    # the stacked matrices and embeddings, entry for entry the single ones
+    M = toral_element(spec, *G.T)
+    g = sol_lattice_embed(spec, *G.T)
+    for i, (k, n, m) in enumerate(G.tolist()):
+        assert M[i].tobytes() == _toral_element_reference(spec, k, n, m).tobytes()
+        assert M[i].tobytes() == toral_element(spec, k, n, m).tobytes()
+        one = _sol_lattice_embed_reference(spec, k, n, m)
+        assert [g.t[i], g.x[i], g.y[i]] == [one.t, one.x, one.y]
+        assert [float(v).hex() for v in (g.t[i], g.x[i], g.y[i])] == \
+            [float(v).hex() for v in (one.t, one.x, one.y)]
+    H = heis_matrix(HeisElement(*G.T))
+    for i, (a, b, c) in enumerate(G.tolist()):
+        assert H[i].tobytes() == _heis_matrix_reference(HeisElement(a, b, c)).tobytes()
+    assert heis_matrix(HeisElement(1, 2, 3)).tobytes() == \
+        _heis_matrix_reference(HeisElement(1, 2, 3)).tobytes()
+
+
+@pytest.mark.parametrize("A", MATRICES[:3], ids=_matrix_id)
+def test_orbit_rows_equal_the_loop(A):
+    # export orbit's rows, as the loop over toral_act built them
+    spec = ToralGroupSpec.from_matrix(A)
+    ball = word_ball(10)
+    for b1, b2 in ((1j, 1j), (complex(-0.0, 1), complex(-0.0, 2)), (1j, complex(-0.0, 3)),
+                   (2.5 + 0.1j, -7 + 9j)):
+        z = ProductPoint.from_complex(b1, b2)
+        want = [[*g, *toral_act(spec, g, z).coords().tolist()]
+                for g in zip(*ball.T.tolist())]
+        X = np.broadcast_to(z.coords(), (len(ball), 4))
+        got = [g + x for g, x in zip(ball.tolist(), _toral_act_rows(spec, ball, X).tolist())]
+        assert repr(got) == repr(want)
+
+
+def test_toral_act_rows_raise_where_toral_act_does():
+    spec = ToralGroupSpec.from_matrix(((5000, 1), (4999, 1)))
+    z = ProductPoint.from_coords([0.0, 1.0, 0.0, 1.0])
+    for g, error in (((-90, 0, 0), ZeroDivisionError), ((90, 0, 0), OverflowError)):
+        with pytest.raises(error):
+            toral_act(spec, g, z)
+        with pytest.raises(error):
+            _toral_act_rows(spec, np.array([g]), z.coords()[None])
+    tiny = ProductPoint.from_coords([0.0, 1e-320, 0.0, 1.0])
+    with pytest.raises(ValueError):
+        toral_act(spec, (-2, 0, 0), tiny)
+    with pytest.raises(ValueError):
+        _toral_act_rows(spec, np.array([(-2, 0, 0)]), tiny.coords()[None])

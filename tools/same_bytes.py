@@ -63,6 +63,16 @@ def commands() -> List[List[str]]:
         cmds.append(["export", "limit-set", "--A", A, "--N", "40"])
     for A in ("2,1,1,1", "3,2,1,1", "7,4,5,3"):
         cmds.append(["export", "domain", "--A", A])
+    # the embed-agreement row and the quotient checks at sample counts and
+    # matrices off the defaults; 1000,999,1,1 fails embed-agreement (exit 1),
+    # and its residual must keep its bytes
+    cmds += [
+        ["verify", "--suite", "kleinian", "--A", "7,4,5,3", "--samples", "7"],
+        ["verify", "--suite", "quotient", "--A", "3,2,1,1", "--samples", "1"],
+        ["verify", "--suite", "kleinian", "--A", "1000,999,1,1"],
+        ["export", "orbit", "--A", "3,2,1,1", "--N", "20", "--format", "json"],
+        ["export", "orbit", "--base=-0+1i,-0.0+2i"],
+    ]
     cmds += [
         ["export", "orbit", "--N", "91"],
         ["verify", "--suite", "kleinian", "--A", "2,1,1"],
