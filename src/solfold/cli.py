@@ -21,14 +21,14 @@ import numpy as np
 from . import _fd
 from .geometry import (MetricSpec, MixedPoint, ProductPoint, UpperHalfPoint,
                        geodesic_residual, rand_product)
-from .heisenberg import (HeisElement, _heis_reduce_rows,
-                         factored_proper_discontinuity_check, heis_act,
-                         heis_commutator, heis_leaf_jacobian,
+from .heisenberg import (HeisElement, factored_proper_discontinuity_check,
+                         heis_act, heis_commutator, heis_leaf_jacobian,
                          heis_leaf_separation_numeric, heis_mul,
                          heis_pullback_metric, heis_rectify,
-                         heis_rectify_inverse, heis_word_ball)
+                         heis_rectify_inverse, heis_reduce_mod_integer_lattice,
+                         heis_word_ball)
 from .kleinian import (MAX_BALL_ROWS, ToralGroupSpec, _ball_size, _normalize_rows,
-                       _toral_act_rows, classify_limit_line, general_position_max,
+                       classify_limit_line, general_position_max,
                        intersecting_elements, lattice_iso_test,
                        limit_general_position, pseudo_limit_kernels,
                        sol_lattice_embed, toral_act, toral_element, word_ball)
@@ -528,11 +528,12 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
                           0.0, "the horizontal generators commute to the central one"))
 
     g = _uniform_columns(rng, samples, *[(-5, 5)] * 3)
-    lat, rep = _heis_reduce_rows(*g, (1, 1, 1))
-    prod = heis_mul(HeisElement(*lat.T), HeisElement(*rep.T))
-    lat2, rep2 = _heis_reduce_rows(*rep.T, (1, 1, 1))
+    lat, rep = heis_reduce_mod_integer_lattice(HeisElement(*g))
+    lat2, rep2 = heis_reduce_mod_integer_lattice(rep)
+    prod = np.array(heis_mul(lat, rep).triple())
+    rep, lat2, rep2 = (np.array(h.triple()) for h in (rep, lat2, rep2))
     in_cube = ((0 <= rep) & (rep < 1)).all()
-    worst = float(max(np.abs(np.array(prod.triple()) - g).max(), 0.0 if in_cube else 1.0,
+    worst = float(max(np.abs(prod - g).max(), 0.0 if in_cube else 1.0,
                       np.abs(lat2).max(), np.abs(rep2 - rep).max()))
     rows.append(check_row("cube-reduction", worst, 1e-12,
                           "unit-cube representatives are unique and consistent"))
@@ -616,8 +617,8 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
 def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
                      samples: int) -> CheckRow:
     """The toral action on samples points of H x H, each moved by a word of
-    the radius-2 ball, three ways: toral_act per sample, the reference, and
-    on arrays the solvable action and the projective one in the chart z3 = 1."""
+    the radius-2 ball, three ways, each once over the samples: toral_act, the
+    reference, the solvable action and the projective one in the chart z3 = 1."""
     ball = word_ball(2)
     # per sample: a word, then a point as rand_product draws it; the scalar
     # integers draw interleaves with the uniform ones, so each sample draws in turn
@@ -628,9 +629,8 @@ def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
         X[i, ::2] = rng.uniform(-3.0, 3.0, size=2)
         X[i, 1::2] = rng.uniform(0.3, 4.0, size=2)
     G = ball[words]
-    direct = np.array([toral_act(spec, g, ProductPoint.from_coords(x)).coords()
-                       for g, x in zip(G.tolist(), X.tolist())])
-    z = ProductPoint(UpperHalfPoint(X[:, 0], X[:, 1]), UpperHalfPoint(X[:, 2], X[:, 3]))
+    z = ProductPoint.from_coords(X.T)
+    direct = toral_act(spec, G.T, z).coords().T
     via_sol = sol_act(STANDARD, sol_lattice_embed(spec, *G.T), z).coords().T
     # stacked matrices on normalized (z1, z2, 1): the bits of one matmul and
     # two normalizations per sample
@@ -755,8 +755,15 @@ def _cmd_export(ns: argparse.Namespace) -> int:
             raise ConfigError("base", "base must lie in the product of upper "
                                       "half planes")
         ball = word_ball(cfg["N"])
-        z = np.broadcast_to([b1.real, b1.imag, b2.real, b2.imag], (len(ball), 4))
-        rows = [g + x for g, x in zip(ball.tolist(), _toral_act_rows(spec, ball, z).tolist())]
+        try:
+            with np.errstate(over="ignore"):      # an overflow to inf is refused below
+                moved = toral_act(spec, ball.T, ProductPoint.from_complex(b1, b2)).coords()
+        except (ArithmeticError, ValueError):
+            moved = np.array(np.nan)
+        if not np.isfinite(moved).all():
+            raise ConfigError("N", "N gives an orbit coordinate that is not a finite "
+                                   "float or a height that is not positive")
+        rows = [g + x for g, x in zip(ball.tolist(), moved.T.tolist())]
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
     # domain
     if cfg["format"] != "json":

@@ -69,6 +69,10 @@ class ProductPoint:
 
     @classmethod
     def from_coords(cls, c: Sequence[float]) -> "ProductPoint":
+        """The point (x1, y1, x2, y2), or from a (4, n) array a point per
+        column, as coords() gives them."""
+        if isinstance(c, np.ndarray) and c.ndim > 1:
+            return cls(UpperHalfPoint(c[0], c[1]), UpperHalfPoint(c[2], c[3]))
         return cls(UpperHalfPoint(float(c[0]), float(c[1])),
                    UpperHalfPoint(float(c[2]), float(c[3])))
 

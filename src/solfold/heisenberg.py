@@ -32,10 +32,6 @@ class HeisElement:
     b: float
     c: float
 
-    @classmethod
-    def identity(cls) -> "HeisElement":
-        return cls(0.0, 0.0, 0.0)
-
     def inverse(self) -> "HeisElement":
         return HeisElement(-self.a, -self.b, -self.c + self.a * self.b)
 
@@ -122,37 +118,23 @@ def heis_leaf_separation_numeric(s0: float, s1: float,
 def heis_reduce_mod_integer_lattice(
         g: HeisElement,
         moduli: Tuple[int, int, int] = (1, 1, 1)) -> Tuple[HeisElement, HeisElement]:
-    """Factor g = lattice * rep with rep in the fundamental cube.
+    """Factor g = lattice * rep with rep in the fundamental cube, one factor
+    per entry when g holds arrays.
 
     The lattice is the subgroup with a, b, c in d1 Z, d2 Z, d3 Z; closure
     requires d3 | d1 d2.  The central coordinate is peeled first, then a,
-    then b, which makes the representative unique.
+    then b, which makes the representative unique.  The lattice part is
+    float, so no int64 wraps, and + 0.0 makes a floor of -0.0 math.floor's
+    0, which keeps the representative's signed zeros.
     """
     d1, d2, d3 = moduli
     if d1 < 1 or d2 < 1 or d3 < 1 or (d1 * d2) % d3 != 0:
         raise ValueError("moduli must be positive with d3 dividing d1*d2")
-    A = d1 * math.floor(g.a / d1)
-    alpha = g.a - A
-    B = d2 * math.floor(g.b / d2)
+    A = d1 * (np.floor(g.a / d1) + 0.0)
+    B = d2 * (np.floor(g.b / d2) + 0.0)
     beta = g.b - B
-    C = d3 * math.floor((g.c - A * beta) / d3)
-    gamma = g.c - C - A * beta
-    lattice = HeisElement(A, B, C)
-    rep = HeisElement(alpha, beta, gamma)
-    return lattice, rep
-
-
-def _heis_reduce_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                      moduli: Tuple[int, int, int]) -> Tuple[np.ndarray, np.ndarray]:
-    """heis_reduce_mod_integer_lattice on (a[i], b[i], c[i]): lattice parts as floats,
-    representatives bit for bit; moduli as the scalar accepts (unchecked here)."""
-    d1, d2, d3 = moduli
-    # floats, so no int64 wraps; + 0.0 makes a floor of -0.0 math.floor's 0
-    A = d1 * (np.floor(a / d1) + 0.0)
-    B = d2 * (np.floor(b / d2) + 0.0)
-    beta = b - B
-    C = d3 * (np.floor((c - A * beta) / d3) + 0.0)
-    return np.column_stack([A, B, C]), np.column_stack([a - A, beta, c - C - A * beta])
+    C = d3 * (np.floor((g.c - A * beta) / d3) + 0.0)
+    return HeisElement(A, B, C), HeisElement(g.a - A, beta, g.c - C - A * beta)
 
 
 _GENERATORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]

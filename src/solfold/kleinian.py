@@ -194,36 +194,23 @@ def toral_element(spec: ToralGroupSpec, k, n, m) -> np.ndarray:
 
 def toral_act(spec: ToralGroupSpec, g: Tuple[int, int, int],
               z: ProductPoint) -> ProductPoint:
-    """Conjugated affine action on the product of half planes.
+    """Conjugated affine action on the product of half planes, one image per
+    entry when g = (k, n, m) holds 1-D integer arrays or z array fields.
 
-    The first factor scales by lam^k, the second by lam^-k, and the
-    conjugated lattice vector translates the real parts.
+    The first factor scales by s = lam^k, the second by 1 / s, and P^{-1}(n, m)
+    translates the real parts, with the bits of Python's complex arithmetic
+    on s + 0j, whose zero part only turns a real quotient of -0.0 into +0.0.
+    Raises, once every power is taken, OverflowError from a power,
+    ZeroDivisionError for a power that underflows to zero and ValueError for
+    an image height that is not positive.
     """
     k, n, m = g
-    s = spec.lam ** k
-    u, v = spec.P_inv @ np.array([n, m], dtype=float)
-    return ProductPoint.from_complex(s * z.z1.complex + u, z.z2.complex / s + v)
-
-
-def _toral_act_rows(spec: ToralGroupSpec, G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """toral_act of each word G[i] = (k, n, m), an integer row, on the finite
-    point X[i] = (x1, y1, x2, y2), as rows of coordinates, bit for bit with
-    signed zeros.  lam^k and (u, v) are taken as toral_element takes them.
-    Python's complex product with s = lam^k and quotient by it read s as
-    s + 0j; on finite points with positive heights the zero parts change
-    only the quotient's real part, a -0.0 of which comes out +0.0.  Raises
-    the errors toral_act raises, once every power is taken: OverflowError
-    from a power, ZeroDivisionError for a power that underflows to zero,
-    ValueError for an image height that is not positive."""
-    s = _per_element(partial(pow, spec.lam), G[:, 0])
-    if not s.all():
+    s = _per_element(partial(pow, spec.lam), k)
+    if not (s.all() if isinstance(s, np.ndarray) else s):
         raise ZeroDivisionError("complex division by zero")
-    u, v = _translation(spec, G[:, 1], G[:, 2]).T
-    x1, y1, x2, y2 = X.T
-    out = np.column_stack([s * x1 + u, s * y1, (x2 + 0.0) / s + v, y2 / s])
-    if not ((out[:, 1] > 0) & (out[:, 3] > 0)).all():
-        raise ValueError("upper half-plane requires y > 0")
-    return out
+    u, v = _translation(spec, n, m).T
+    return ProductPoint(UpperHalfPoint(s * z.z1.x + u, s * z.z1.y),
+                        UpperHalfPoint((z.z2.x + 0.0) / s + v, z.z2.y / s))
 
 
 def toral_compose(spec: ToralGroupSpec,
@@ -741,28 +728,27 @@ def fundamental_domain_reduce(spec: ToralGroupSpec,
 
     The height of the first factor is scaled into [1, lam), then the
     horizontal pair is reduced modulo the conjugated translation lattice.
-    Returns the group element applied and the representative.
+    Returns the group element applied and the representative, one of each
+    per entry on array fields, the element as float arrays, which cannot
+    wrap.  The array body gives the scalar body's bits by math.log,
+    math.floor and a Python lam^k per entry and the scalar's 2 x 2 product
+    per entry by stacked matmuls (np.log, np.power and an elementwise
+    a x + b y can differ in the last bit); single points keep the scalar
+    body, about two thirds of the array body's time per point.
     """
-    k = -math.floor(math.log(z.z1.y) / math.log(spec.lam))
-    s = spec.lam ** k
-    w = np.array([s * z.z1.x, z.z2.x / s])
-    n, m = map(int, np.floor(spec.P @ w).tolist())
-    x1, x2 = (spec.P_inv @ (float(-n), float(-m)) + w).tolist()
-    return ((k, -n, -m), ProductPoint(UpperHalfPoint(x1, s * z.z1.y),
-                                      UpperHalfPoint(x2, z.z2.y / s)))
-
-
-def _fundamental_domain_rows(spec: ToralGroupSpec,
-                             X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """fundamental_domain_reduce on each row (x1, y1, x2, y2) of X, bit for bit, with
-    (k, n, m) as floats: math.log, math.floor and a Python lam^k per row (np.log and
-    np.power can differ in the last bit), and stacked matmuls, the scalar's 2 x 2
-    product per row (an elementwise a x + b y can differ from it by FMA)."""
-    k = np.array([-math.floor(math.log(y) / math.log(spec.lam)) for y in X[:, 1].tolist()])
-    s = np.array([spec.lam ** j for j in k.tolist()])
-    w = np.column_stack([s * X[:, 0], X[:, 2] / s])
+    if not isinstance(z.z1.y, np.ndarray):
+        k = -math.floor(math.log(z.z1.y) / math.log(spec.lam))
+        s = spec.lam ** k
+        w = np.array([s * z.z1.x, z.z2.x / s])
+        n, m = map(int, np.floor(spec.P @ w).tolist())
+        x1, x2 = (spec.P_inv @ (float(-n), float(-m)) + w).tolist()
+        return ((k, -n, -m), ProductPoint(UpperHalfPoint(x1, s * z.z1.y),
+                                          UpperHalfPoint(x2, z.z2.y / s)))
+    k = [-math.floor(math.log(y) / math.log(spec.lam)) for y in z.z1.y.tolist()]
+    s = np.array([spec.lam ** j for j in k])
+    w = np.column_stack([s * z.z1.x, z.z2.x / s])
     # (-n, -m) stays float, as in the scalar's translation: no int64 to wrap
     t = -np.floor(np.matmul(spec.P, w[:, :, None]))
-    xy = np.matmul(spec.P_inv, t)[:, :, 0] + w
-    reps = np.column_stack([xy[:, 0], s * X[:, 1], xy[:, 1], X[:, 3] / s])
-    return np.column_stack([k, t[:, :, 0]]), reps
+    x1, x2 = (np.matmul(spec.P_inv, t)[:, :, 0] + w).T
+    reps = ProductPoint(UpperHalfPoint(x1, s * z.z1.y), UpperHalfPoint(x2, z.z2.y / s))
+    return (np.array(k, dtype=float), *t[:, :, 0].T), reps

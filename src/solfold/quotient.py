@@ -16,11 +16,10 @@ from typing import Tuple
 import numpy as np
 
 from .geometry import ProductPoint
-from .heisenberg import (HeisElement, _heis_reduce_rows, heis_commutator, heis_matrix,
-                         heis_mul, heis_reduce_mod_integer_lattice)
-from .kleinian import (ToralGroupSpec, _fundamental_domain_rows, _toral_act_rows,
-                       fundamental_domain_reduce, sol_lattice_embed, toral_compose,
-                       word_ball)
+from .heisenberg import (HeisElement, heis_commutator, heis_matrix, heis_mul,
+                         heis_reduce_mod_integer_lattice)
+from .kleinian import (ToralGroupSpec, fundamental_domain_reduce, sol_lattice_embed,
+                       toral_act, toral_compose, word_ball)
 from .sol import _leaf_param, sol_mul
 
 
@@ -60,18 +59,16 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
         X[i, ::2] = rng.uniform(-3.0, 3.0, size=2)
         X[i, 1::2] = rng.uniform(0.2, 5.0, size=2)
         words[i] = rng.integers(0, len(ball), size=10)
-    # the scalar reduction of each base point, the reference of the array one
-    rep0 = np.array([fundamental_domain_reduce(spec, ProductPoint.from_coords(x))[1].coords()
-                     for x in X.tolist()])
-
-    gz = _toral_act_rows(spec, ball[words.ravel()], np.repeat(X, 10, axis=0))
-    s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (X, gz))
+    rep0 = fundamental_domain_reduce(spec, ProductPoint.from_coords(X.T))[1].coords()
+    gz = toral_act(spec, ball[words.ravel()].T,
+                   ProductPoint.from_coords(np.repeat(X, 10, axis=0).T))
+    s0, s1 = _leaf_param(X[:, 1], X[:, 3]), _leaf_param(gz.z1.y, gz.z2.y)
     leaf_res = float(np.abs(s1 - np.repeat(s0, 10)).max())
-    rep1 = _fundamental_domain_rows(spec, gz)[1]
-    reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())
+    rep1 = fundamental_domain_reduce(spec, gz)[1].coords()
+    reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=1)).max())
     # lam^k > 0 keeps both imaginary parts positive; the same holds for the
     # reflected components, so the sign pattern is rigid
-    sign_violations = int(np.count_nonzero((gz[:, 1] <= 0) | (gz[:, 3] <= 0)))
+    sign_violations = int(np.count_nonzero((gz.z1.y <= 0) | (gz.z2.y <= 0)))
 
     rel_res = 0.0
     t_gen = (1, 0, 0)
@@ -104,9 +101,6 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    # validates the closure condition d3 | d1 d2
-    heis_reduce_mod_integer_lattice(HeisElement.identity(), moduli)
-
     # per sample: a point (Re z, Im z, Re w, Im w) of C x H, three coordinates
     # and then the height, an element, and ten words, whose ten size-3 integer
     # draws read the stream as one of size 30
@@ -118,10 +112,9 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
         Z[i, 3] = rng.uniform(0.2, 5.0)
         base[i] = rng.uniform(-4.0, 4.0, size=3)
         ell[i] = rng.integers(-3, 4, size=30)
+    # the reduction validates the closure condition d3 | d1 d2
+    rep0 = np.array(heis_reduce_mod_integer_lattice(HeisElement(*base.T), moduli)[1].triple())
     ell = ell.reshape(-1, 3) * moduli
-    # the scalar reduction of each element, the reference of the array one
-    rep0 = np.array([heis_reduce_mod_integer_lattice(HeisElement(*g), moduli)[1].triple()
-                     for g in base.tolist()])
 
     # the image of (z, w, 1) under the first word of each sample, through the
     # action's stacked matrices
@@ -132,8 +125,8 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
 
     # heis_mul is elementwise, so it takes array coordinates
     moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))
-    rep1 = _heis_reduce_rows(*moved.triple(), moduli)[1]
-    reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max())
+    rep1 = np.array(heis_reduce_mod_integer_lattice(moved, moduli)[1].triple())
+    reduce_res = float(np.abs(rep1 - np.repeat(rep0, 10, axis=1)).max())
 
     comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
     comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))

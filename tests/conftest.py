@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from solfold import MixedPoint, ProjectivePoint, UpperHalfPoint
+from solfold import HeisElement, MixedPoint, ProjectivePoint, UpperHalfPoint
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -222,6 +222,21 @@ def rand_mixed(rng: np.random.Generator, ymin: float, ymax: float):
 def projective_act(matrix: np.ndarray, p):
     """Image of a ProjectivePoint under a projective transformation."""
     return ProjectivePoint(np.asarray(matrix, dtype=complex) @ p.coords)
+
+
+def _heis_reduce_reference(g, moduli=(1, 1, 1)):
+    """heis_reduce_mod_integer_lattice as its scalar body computed it, with
+    math.floor: the lattice part in Python ints, exact at any size."""
+    d1, d2, d3 = moduli
+    if d1 < 1 or d2 < 1 or d3 < 1 or (d1 * d2) % d3 != 0:
+        raise ValueError("moduli must be positive with d3 dividing d1*d2")
+    A = d1 * math.floor(g.a / d1)
+    alpha = g.a - A
+    B = d2 * math.floor(g.b / d2)
+    beta = g.b - B
+    C = d3 * math.floor((g.c - A * beta) / d3)
+    gamma = g.c - C - A * beta
+    return HeisElement(A, B, C), HeisElement(alpha, beta, gamma)
 
 
 # ---------------------------------------------------------------------------

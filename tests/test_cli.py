@@ -862,3 +862,19 @@ def test_range_value_bound_is_inclusive():
         == cli._MAX_RANGE_VALUES
     with pytest.raises(cli.ConfigError):
         parse(f"0:{cli._MAX_RANGE_VALUES}:1")
+
+
+@pytest.mark.parametrize("argv", [
+    "export orbit --A 5000,1,4999,1 --N 90",     # lam^90 overflows
+    "export orbit --A 3000,1,2999,1 --N 90",
+    "export orbit --base 1e300i,1i --N 90",      # a height overflows to inf
+    "export orbit --base 1i,1e-300i --N 90",     # a height underflows to 0
+])
+def test_orbit_points_that_leave_the_floats_are_config_errors(argv, capsys):
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out)["error"] == {
+        "field": "N",
+        "message": "N gives an orbit coordinate that is not a finite float or a height "
+                   "that is not positive"}

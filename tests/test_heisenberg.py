@@ -29,9 +29,8 @@ from solfold import (
     metric_inner,
     metric_norm,
 )
-from solfold.heisenberg import _heis_reduce_rows
 
-from conftest import cube_hit_by_grid, fd_jacobian, fd_pullback, heis_ball_dp, mixed_metric_matrix
+from conftest import _heis_reduce_reference, cube_hit_by_grid, fd_jacobian, fd_pullback, heis_ball_dp, mixed_metric_matrix
 
 ints = st.integers(min_value=-40, max_value=40)
 
@@ -80,7 +79,7 @@ def test_group_law_closed_form():
 def test_group_axioms_exact_on_integers(a1, b1, c1, a2, b2, c2, a3, b3, c3):
     g, h, k = HeisElement(a1, b1, c1), HeisElement(a2, b2, c2), HeisElement(a3, b3, c3)
     assert heis_mul(heis_mul(g, h), k) == heis_mul(g, heis_mul(h, k))
-    e = HeisElement.identity()
+    e = HeisElement(0.0, 0.0, 0.0)
     assert heis_mul(g, g.inverse()).triple() == (0, 0, 0)
     assert heis_mul(g.inverse(), g).triple() == (0, 0, 0)
     assert heis_mul(g, e).triple() == (a1, b1, c1)
@@ -243,10 +242,12 @@ def test_pullback_metric_matches_numeric_pullback(rng):
 
 
 def test_reduction_rejects_bad_moduli():
-    g = HeisElement(0.3, 0.4, 0.5)
+    one = HeisElement(0.3, 0.4, 0.5)
+    rows = HeisElement(np.array([0.3, 1.5]), np.array([0.4, -2.0]), np.array([0.5, 7.0]))
     for moduli in ((0, 1, 1), (1, -1, 1), (2, 2, 3)):
-        with pytest.raises(ValueError):
-            heis_reduce_mod_integer_lattice(g, moduli)
+        for g in (one, rows):
+            with pytest.raises(ValueError):
+                heis_reduce_mod_integer_lattice(g, moduli)
 
 
 def test_reduction_factorization_and_cube(rng):
@@ -273,13 +274,19 @@ def test_reduce_rows_equal_the_scalar_bit_for_bit(moduli):
 
     G = np.array(list(itertools.product(*map(edges, moduli))))
     G = np.vstack([G, np.random.default_rng(3).uniform(-30, 30, size=(2000, 3))])
-    lattice, reps = _heis_reduce_rows(*G.T, moduli)
-    for g, lat, rep in zip(G, lattice, reps):
-        want_lat, want_rep = heis_reduce_mod_integer_lattice(HeisElement(*g), moduli)
-        # the scalar's lattice part is a Python int, exact where the float rounds
-        assert lat.tolist() == [float(v) for v in want_lat.triple()]
-        assert np.array_equal(rep, want_rep.triple())
-        assert np.signbit(rep).tolist() == [math.copysign(1.0, v) < 0 for v in want_rep.triple()]
+    lattice, reps = (np.array(h.triple()).T
+                     for h in heis_reduce_mod_integer_lattice(HeisElement(*G.T), moduli))
+    for g, lat, rep in zip(G.tolist(), lattice, reps):
+        want_lat, want_rep = _heis_reduce_reference(HeisElement(*g), moduli)
+        # the reference's lattice part is a Python int, exact where the float rounds
+        want_lat = [float(v) for v in want_lat.triple()]
+        assert lat.tolist() == want_lat
+        assert [v.hex() for v in rep.tolist()] == [v.hex() for v in want_rep.triple()]
+        # the one-element call gives the same bits
+        one_lat, one_rep = heis_reduce_mod_integer_lattice(HeisElement(*g), moduli)
+        assert [float(v) for v in one_lat.triple()] == want_lat
+        assert [float(v).hex() for v in one_rep.triple()] == \
+            [v.hex() for v in want_rep.triple()]
 
 
 def test_reduction_idempotent(rng):

@@ -70,10 +70,8 @@ import solfold.quotient as quotient
 import solfold.sol
 from solfold import _fd, cli, heis_leaf_separation_numeric, leaf_separation_numeric
 from solfold.cli import ConfigError
-from conftest import projective_act, rand_mixed
+from conftest import _heis_reduce_reference, projective_act, rand_mixed
 from solfold.geometry import SQRT2, rand_product
-from solfold.heisenberg import _heis_reduce_rows
-from solfold.kleinian import _fundamental_domain_rows, _toral_act_rows
 from solfold.quotient import check_row
 from solfold.sol import _leaf_param, phi
 
@@ -423,18 +421,16 @@ def test_heis_rectify_roundtrip_sees_a_shifted_height(monkeypatch):
 
 
 def test_cube_reduction_sees_a_representative_outside_the_cube(monkeypatch):
-    reduce_rows = cli._heis_reduce_rows
+    reduce = cli.heis_reduce_mod_integer_lattice
 
-    def outside(a, b, c, moduli):
+    def outside(g, moduli=(1, 1, 1)):
         # (A - 1, B, C) (alpha + 1, beta, gamma + beta) is still the element,
         # and the second reduction returns the shifted representative itself
-        lat, rep = reduce_rows(a, b, c, moduli)
-        lat[:, 0] -= 1.0
-        rep[:, 2] += rep[:, 1]
-        rep[:, 0] += 1.0
-        return lat, rep
+        lat, rep = reduce(g, moduli)
+        return (HeisElement(lat.a - 1.0, lat.b, lat.c),
+                HeisElement(rep.a + 1.0, rep.b, rep.c + rep.b))
     row = _fails_only_when_planted(cli._suite_heis, "cube-reduction", monkeypatch,
-                                   cli, "_heis_reduce_rows", outside)
+                                   cli, "heis_reduce_mod_integer_lattice", outside)
     assert row.residual >= 1.0
 
 
@@ -707,6 +703,19 @@ def _heis_matrix_reference(g):
     return np.array([[1.0, g.a, g.c], [0.0, 1.0, g.b], [0.0, 0.0, 1.0]])
 
 
+def _toral_act_reference(spec, g, z):
+    """toral_act as its scalar body computed it, in Python complex arithmetic."""
+    k, n, m = g
+    s = spec.lam ** k
+    u, v = spec.P_inv @ np.array([n, m], dtype=float)
+    return ProductPoint.from_complex(s * z.z1.complex + u, z.z2.complex / s + v)
+
+
+def _points(X):
+    """The rows (x1, y1, x2, y2) of X as one point with array fields."""
+    return ProductPoint.from_coords(np.asarray(X, dtype=float).T)
+
+
 # Each loop draws sample by sample, so the draws of n samples are the first n
 # draws of any larger run: each reference returns its rows after every sample.
 
@@ -716,7 +725,7 @@ def _embed_agreement_reference(spec, rng, samples):
     for _ in range(samples):
         g = ball[int(rng.integers(0, len(ball)))]
         z = rand_product(rng, 0.3, 4.0)
-        direct = toral_act(spec, g, z).coords()
+        direct = _toral_act_reference(spec, g, z).coords()
         via_sol = sol_act(STANDARD, _sol_lattice_embed_reference(spec, *g), z).coords()
         M = _toral_element_reference(spec, *g)
         img = projective_act(M, ProjectivePoint([z.z1.complex, z.z2.complex, 1.0]))
@@ -748,7 +757,7 @@ def _sol_quotient_reference(spec, samples, seed):
     s, (u, v) = scale[words], shift[words].T
     gz = np.column_stack([s * z[:, 0] + u, s * z[:, 1], z[:, 2] / s + v, z[:, 3] / s])
     s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (base, gz))
-    rep1 = _fundamental_domain_rows(spec, gz)[1]
+    rep1 = fundamental_domain_reduce(spec, _points(gz))[1].coords().T
     # the residuals after each sample: running maxima of each sample's own
     leaf = np.abs(s1 - np.repeat(s0, 10)).reshape(samples, -1).max(axis=1)
     reduce = np.abs(rep1 - np.repeat(rep0, 10, axis=0)).reshape(samples, -1).max(axis=1)
@@ -782,14 +791,14 @@ def _sol_quotient_reference(spec, samples, seed):
 
 def _heis_quotient_reference(moduli, samples, seed):
     rng = np.random.default_rng(seed)
-    heis_reduce_mod_integer_lattice(HeisElement.identity(), moduli)
+    _heis_reduce_reference(HeisElement(0.0, 0.0, 0.0), moduli)
     base, rep0, ell, heights = [], [], [], []
     height_res = 0.0
     for _ in range(samples):
         m = rand_mixed(rng, 0.2, 5.0)
         g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
         base.append(g.triple())
-        rep0.append(heis_reduce_mod_integer_lattice(g, moduli)[1].triple())
+        rep0.append(_heis_reduce_reference(g, moduli)[1].triple())
         ell.append(rng.integers(-3, 4, size=30).reshape(10, 3) * moduli)
         img = _heis_matrix_reference(HeisElement(*ell[-1][0])) @ np.array(
             [m.z, m.w.complex, 1.0])
@@ -798,7 +807,7 @@ def _heis_quotient_reference(moduli, samples, seed):
     base, rep0, ell = np.array(base), np.array(rep0), np.concatenate(ell)
 
     moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))
-    rep1 = _heis_reduce_rows(*moved.triple(), moduli)[1]
+    rep1 = np.array(heis_reduce_mod_integer_lattice(moved, moduli)[1].triple()).T
     reduce = np.abs(rep1 - np.repeat(rep0, 10, axis=0)).reshape(samples, -1).max(axis=1)
 
     comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
@@ -917,25 +926,26 @@ def _sol_quotient_row(name):
 
 def test_reduction_invariance_sees_a_reduction_that_ignores_its_word(monkeypatch):
     assert _sol_quotient_row("reduction-invariance").passed
-    rows = quotient._fundamental_domain_rows
+    reduce = quotient.fundamental_domain_reduce
 
-    def unreduced(spec, X):
+    def unreduced(spec, z):
         # the element the reduction found, not applied: the points come back
-        return rows(spec, X)[0], X.copy()
-    monkeypatch.setattr(quotient, "_fundamental_domain_rows", unreduced)
+        return reduce(spec, z)[0], z
+    monkeypatch.setattr(quotient, "fundamental_domain_reduce", unreduced)
     assert _sol_quotient_row("reduction-invariance").residual >= 0.1
 
 
 def test_reduction_invariance_sees_words_that_leave_the_orbit(monkeypatch):
     assert _sol_quotient_row("reduction-invariance").passed
-    act = quotient._toral_act_rows
+    act = quotient.toral_act
 
-    def raw_translation(spec, G, X):
+    def raw_translation(spec, g, z):
         # translates by (n, m) itself, not by P^{-1}(n, m)
-        out = act(spec, G * [1, 0, 0], X)
-        out[:, ::2] += G[:, 1:]
-        return out
-    monkeypatch.setattr(quotient, "_toral_act_rows", raw_translation)
+        k, n, m = g
+        w = act(spec, (k, 0 * n, 0 * m), z)
+        return ProductPoint(UpperHalfPoint(w.z1.x + n, w.z1.y),
+                            UpperHalfPoint(w.z2.x + m, w.z2.y))
+    monkeypatch.setattr(quotient, "toral_act", raw_translation)
     row = _sol_quotient_row("reduction-invariance")
     assert not row.passed
     assert _sol_quotient_row("leaf-preservation").passed
@@ -970,10 +980,14 @@ def test_toral_act_rows_equal_toral_act(A, cases):
     spec = ToralGroupSpec.from_matrix(A)
     G = np.array([g for g, *_ in cases], dtype=np.int64)
     X = np.array([x for _, *x in cases], dtype=float)
-    want = [toral_act(spec, g, ProductPoint.from_coords(x)).coords().tolist()
+    want = [_toral_act_reference(spec, g, ProductPoint.from_coords(x)).coords().tolist()
             for g, *x in cases]
-    got = _toral_act_rows(spec, G, X).tolist()
-    assert [[v.hex() for v in r] for r in got] == [[v.hex() for v in r] for r in want]
+    # one array call, and one call per word
+    got = toral_act(spec, G.T, _points(X)).coords().T.tolist()
+    one = [toral_act(spec, g, ProductPoint.from_coords(x)).coords().tolist()
+           for g, *x in cases]
+    for rows in (got, one):
+        assert [[v.hex() for v in r] for r in rows] == [[v.hex() for v in r] for r in want]
     # the stacked matrices and embeddings, entry for entry the single ones
     M = toral_element(spec, *G.T)
     g = sol_lattice_embed(spec, *G.T)
@@ -999,23 +1013,26 @@ def test_orbit_rows_equal_the_loop(A):
     for b1, b2 in ((1j, 1j), (complex(-0.0, 1), complex(-0.0, 2)), (1j, complex(-0.0, 3)),
                    (2.5 + 0.1j, -7 + 9j)):
         z = ProductPoint.from_complex(b1, b2)
-        want = [[*g, *toral_act(spec, g, z).coords().tolist()]
+        want = [[*g, *_toral_act_reference(spec, g, z).coords().tolist()]
                 for g in zip(*ball.T.tolist())]
-        X = np.broadcast_to(z.coords(), (len(ball), 4))
-        got = [g + x for g, x in zip(ball.tolist(), _toral_act_rows(spec, ball, X).tolist())]
+        got = [g + x for g, x in zip(ball.tolist(),
+                                     toral_act(spec, ball.T, z).coords().T.tolist())]
         assert repr(got) == repr(want)
 
 
 def test_toral_act_rows_raise_where_toral_act_does():
     spec = ToralGroupSpec.from_matrix(((5000, 1), (4999, 1)))
     z = ProductPoint.from_coords([0.0, 1.0, 0.0, 1.0])
-    for g, error in (((-90, 0, 0), ZeroDivisionError), ((90, 0, 0), OverflowError)):
-        with pytest.raises(error):
-            toral_act(spec, g, z)
-        with pytest.raises(error):
-            _toral_act_rows(spec, np.array([g]), z.coords()[None])
     tiny = ProductPoint.from_coords([0.0, 1e-320, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        toral_act(spec, (-2, 0, 0), tiny)
-    with pytest.raises(ValueError):
-        _toral_act_rows(spec, np.array([(-2, 0, 0)]), tiny.coords()[None])
+    for g, p, error in (((-90, 0, 0), z, ZeroDivisionError), ((90, 0, 0), z, OverflowError),
+                        ((-2, 0, 0), tiny, ValueError)):
+        with pytest.raises(error):
+            _toral_act_reference(spec, g, p)
+        with pytest.raises(error):
+            toral_act(spec, g, p)
+        # a word that acts, then the failing one, on array fields
+        G = np.array([(0, 1, 0), g]).T
+        with pytest.raises(error):
+            toral_act(spec, G, _points([p.coords()] * 2))
+        with pytest.raises(error):
+            toral_act(spec, G, p)

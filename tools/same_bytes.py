@@ -73,6 +73,14 @@ def commands() -> List[List[str]]:
         ["export", "orbit", "--A", "3,2,1,1", "--N", "20", "--format", "json"],
         ["export", "orbit", "--base=-0+1i,-0.0+2i"],
     ]
+    # toral_act, fundamental_domain_reduce and the Heisenberg reduction take
+    # arrays in one body each: an orbit off the default matrix and base, and
+    # the quotient checks at a sample count and matrix off the defaults
+    cmds += [
+        ["export", "orbit", "--A", "7,4,5,3", "--N", "12", "--base=2.5+0.1i,-7+9i",
+         "--format", "json"],
+        ["verify", "--suite", "quotient", "--A", "7,4,5,3", "--samples", "60", "--seed", "3"],
+    ]
     cmds += [
         ["export", "orbit", "--N", "91"],
         ["verify", "--suite", "kleinian", "--A", "2,1,1"],
