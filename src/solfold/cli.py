@@ -52,132 +52,16 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("cannot serialize a non-finite number")
-    return format(float(x), ".17g")
-
-
-_json_str = json.encoder.encode_basestring_ascii   # what json.dumps gives a str
-
-
-def _json_text(obj, indent: int = 0) -> str:
-    # containers by exact type, the common case: their finite float items are
-    # formatted in place, a list of records goes through _record_texts, the
-    # rest recurse
-    t = type(obj)
-    if t is dict or t is list or t is tuple:
-        if not obj:
-            return "{}" if t is dict else "[]"
-        inner = "\n" + "  " * (indent + 1)
-        # no local holds the item texts, so they are freed once joined
-        if t is dict:
-            return ("{" + inner + ("," + inner).join(
-                [_json_str(str(k)) + ": "
-                 + (format(v, ".17g") if type(v) is float and math.isfinite(v)
-                    else _json_text(v, indent + 1)) for k, v in obj.items()])
-                + "\n" + "  " * indent + "}")
-        return ("[" + inner + ("," + inner).join(
-            _record_texts(obj, indent + 1) if type(obj[0]) is dict else
-            [format(v, ".17g") if type(v) is float and math.isfinite(v)
-             else _json_text(v, indent + 1) for v in obj])
-            + "\n" + "  " * indent + "]")
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    # subclasses of the container types
-    if isinstance(obj, dict):
-        return _json_text(dict(obj), indent)
-    if isinstance(obj, (list, tuple)):
-        return _json_text(list(obj), indent)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-# The % slot of each leaf kind a record template carries.  "%.17g" is the
-# conversion of format(v, ".17g"); a str or bool slot takes the leaf's JSON
-# text, and None is written in place.
-_SLOTS = {float: "%.17g", int: "%d", str: "%s", bool: "%s", type(None): "null"}
-
-
-def _record_layout(obj, indent: int, steps: list) -> Optional[str]:
-    """The % template of obj's text at indent, with a slot for each float,
-    int, str and bool leaf, after appending to steps one (type, keys or
-    length) pair per node of obj in document order.  None when obj holds a
-    leaf of another kind or a dict key that is not a str."""
-    t = type(obj)
-    if t is dict or t is list or t is tuple:
-        steps.append((t, tuple(obj) if t is dict else len(obj)))
-        if not obj:
-            return "{}" if t is dict else "[]"
-        parts = [_record_layout(v, indent + 1, steps)
-                 for v in (obj.values() if t is dict else obj)]
-        if None in parts or (t is dict and not all(type(k) is str for k in obj)):
-            return None
-        inner = "\n" + "  " * (indent + 1)
-        if t is dict:
-            # keys are literal text, so a % in one is doubled
-            parts = [_json_str(k).replace("%", "%%") + ": " + p for k, p in zip(obj, parts)]
-            return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "}"
-        return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * indent + "]"
-    steps.append((t, None))
-    return _SLOTS.get(t)
-
-
-def _record_text(obj, template: str, steps: list) -> Optional[str]:
-    """obj's text through a template of _record_layout, or None when obj
-    does not have the layout that steps describe or holds a non-finite
-    float.  The nodes are visited in document order from a stack, one step
-    each, so no call is made per node."""
-    stack = [obj]
-    slots = []
-    for t, arg in steps:
-        v = stack.pop()
-        if type(v) is not t:
-            return None
-        if t is float:
-            if not math.isfinite(v):
-                return None
-            slots.append(v)
-        elif t is dict:
-            if tuple(v) != arg:
-                return None
-            stack += reversed(v.values())
-        elif t is list or t is tuple:
-            if len(v) != arg:
-                return None
-            stack += reversed(v)
-        elif t is str:
-            slots.append(_json_str(v))
-        elif t is bool:
-            slots.append("true" if v else "false")
-        elif t is int:
-            slots.append(v)
-    return template % tuple(slots)
-
-
-def _record_texts(items: Sequence, indent: int) -> List[str]:
-    """The texts at indent of items, the first a dict.  Each item with the
-    first one's keys and leaf layout is rendered through one % template
-    built from that layout; any other item, or every item when the first
-    holds a leaf the template cannot carry, goes through _json_text."""
-    steps: list = []
-    template = _record_layout(items[0], indent, steps)
-    if template is None:
-        return [_json_text(v, indent) for v in items]
-    return [_record_text(v, template, steps) or _json_text(v, indent) for v in items]
+def _json_line(obj) -> str:
+    """obj as one line of compact JSON, each float in its repr text, so it
+    reads back as the same float; a NaN or an infinity raises ValueError."""
+    return json.dumps(obj, allow_nan=False) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    # every cell is a number, written exactly as in the JSON exports
+    # every cell is a Python int or float, written as in the JSON exports
     lines = [",".join(header)]
-    lines.extend(",".join(_json_text(c) for c in row) for row in rows)
+    lines.extend(",".join(map(repr, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -339,6 +223,23 @@ def _spec_or_error(A) -> ToralGroupSpec:
         raise ConfigError("A", str(e))
 
 
+def _check_lam_power(spec: ToralGroupSpec, n: int) -> None:
+    """Exit 2 unless lam^n is a finite float, n the largest power of lam a
+    command takes: a limit-kernel denominator lam^N - 1, or the radius-8
+    ball of the discontinuity-stable row.  Where it overflows, the field is
+    A when lam^8 overflows too, else N."""
+    def finite(k: int) -> bool:
+        try:
+            spec.lam ** k
+        except OverflowError:
+            return False
+        return True
+
+    if not finite(n):
+        field = "N" if finite(8) else "A"
+        raise ConfigError(field, f"{field} gives a power of lam that overflows a float")
+
+
 # Flags of each command and export target: key -> (parser, default).  The key
 # is at once the long flag without its "--", the config-file key, and the
 # argparse dest; a table's order is the order in which its values are parsed.
@@ -360,14 +261,12 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
                     "out": (str, None), "format": (str, "csv")},
     "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
                   "N": (_parse_int("N", lo=0, hi=_MAX_N), 8),
-                  "seed": (_parse_int("seed", lo=0), 0),
                   "out": (str, None), "format": (str, "json")},
     "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
               "N": (_parse_int("N", lo=0, hi=_MAX_N), 4),
               "base": (_parse_base, (1j, 1j)),
               "out": (str, None), "format": (str, "csv")},
     "domain": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-               "seed": (_parse_int("seed", lo=0), 0),
                "out": (str, None), "format": (str, "json")},
     "report": {"in": (str, None), "out": (str, None)},
 }
@@ -560,6 +459,7 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     rng = np.random.default_rng(cfg["seed"])
     samples, A = cfg["samples"], cfg["A"]
     spec = _spec_or_error(A)
+    _check_lam_power(spec, max(cfg["N"], 8))
     rows: List[CheckRow] = []
 
     expected = 1 + sum(4 * r * r + 2 for r in range(1, 5))
@@ -607,8 +507,8 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
     r4 = lattice_iso_test(((5, 4), (1, 1)), ((3, 2), (4, 3)))
     iso_bad += 0 if r4.status == "refuted" else 1
     rows.append(check_row("lattice-iso", float(iso_bad), 0.0,
-                          "conjugacy search certifies matches and trace refutes "
-                          "mismatches"))
+                          "R/L run words decide conjugacy: matches carry an integer "
+                          "conjugator, a trace or word mismatch refutes"))
 
     rows.append(_embed_agreement(spec, rng, min(samples, 300)))
     return rows
@@ -682,7 +582,7 @@ def _report_json(suite: str, seed: int, rows: Sequence[CheckRow]) -> str:
             for r in rows
         ],
     }
-    return _json_text(doc) + "\n"
+    return _json_line(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +625,7 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         if cfg["format"] != "json":
             raise ConfigError("format", "limit-set export is json only")
         spec = _spec_or_error(cfg["A"])
+        _check_lam_power(spec, cfg["N"])
         res = pseudo_limit_kernels(spec, cfg["N"])
         # (re, im) of every dual entry as Python floats, read from one array
         duals = np.array([item.line.dual for item in res.lines],
@@ -740,13 +641,12 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         doc = {
             "A": [list(r) for r in cfg["A"]],
             "N": cfg["N"],
-            "seed": cfg["seed"],
             "lam": spec.lam,
             "lines": lines,
             "points": [],
             "nonconverged": [],
         }
-        _emit(_json_text(doc) + "\n", cfg["out"])
+        _emit(_json_line(doc), cfg["out"])
         return 0
     if sub == "orbit":
         spec = _spec_or_error(cfg["A"])
@@ -771,7 +671,6 @@ def _cmd_export(ns: argparse.Namespace) -> int:
     spec = _spec_or_error(cfg["A"])
     doc = {
         "A": [list(r) for r in cfg["A"]],
-        "seed": cfg["seed"],
         "lam": spec.lam,
         "height_interval": [1.0, spec.lam],
         "lattice_basis_columns": [[spec.P_inv[0, 0], spec.P_inv[1, 0]],
@@ -779,7 +678,7 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         "description": "first height in [1, lam); horizontal pair in the "
                        "half-open unit cell spanned by the basis columns",
     }
-    _emit(_json_text(doc) + "\n", cfg["out"])
+    _emit(_json_line(doc), cfg["out"])
     return 0
 
 
@@ -804,7 +703,7 @@ def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> 
         _emit(_csv_text(header, rows), cfg["out"])
     elif cfg["format"] == "json":
         doc = [dict(zip(header, row)) for row in rows]
-        _emit(_json_text(doc) + "\n", cfg["out"])
+        _emit(_json_line(doc), cfg["out"])
     else:
         raise ConfigError("format", f"unknown format {cfg['format']!r}")
     return 0
@@ -854,8 +753,8 @@ def _cmd_report(ns: argparse.Namespace) -> int:
     for c in checks:
         lines.append(
             f"{c.get('name', '').ljust(width)}  "
-            f"{_fmt_float(float(c.get('residual', 0.0))):>12}  "
-            f"{_fmt_float(float(c.get('threshold', 0.0))):>12}  "
+            f"{float(c.get('residual', 0.0))!r:>12}  "
+            f"{float(c.get('threshold', 0.0))!r:>12}  "
             f"{'yes' if c.get('pass') else 'NO'}")
     npass = sum(1 for c in checks if c.get("pass"))
     lines.append(f"summary: {npass}/{len(checks)} checks passed")
@@ -917,12 +816,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return ns.func(ns)
     except ConfigError as e:
-        sys.stdout.write(_json_text(
-            {"error": {"field": e.field, "message": str(e)}}) + "\n")
+        sys.stdout.write(_json_line({"error": {"field": e.field, "message": str(e)}}))
         return 2
     except OSError as e:
-        sys.stdout.write(_json_text(
-            {"error": {"field": "out", "message": str(e)}}) + "\n")
+        sys.stdout.write(_json_line({"error": {"field": "out", "message": str(e)}}))
         return 1
 
 

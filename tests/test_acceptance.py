@@ -412,7 +412,7 @@ def test_criterion_12_lattice_isomorphism(acceptance_log):
     res_ref = lattice_iso_test([[2, 1], [1, 1]], [[3, 2], [1, 1]])
     ok = ok and res_ref.status == "refuted" and res_ref.conjugator is None
 
-    acceptance_log.record(12, "conjugacy search: self, inverse, and conjugate "
+    acceptance_log.record(12, "R/L word decision: self, inverse, and conjugate "
                               "pairs found with exact witnesses; distinct "
                               "traces refuted", ok)
     assert ok

@@ -12,10 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
-from solfold import LimitKernelResult, ToralGroupSpec, word_ball
+from solfold import LimitKernelResult, ToralGroupSpec, pseudo_limit_kernels, word_ball
 from solfold import cli
 from solfold.cli import main
 
@@ -192,23 +190,6 @@ def test_export_orbit_row_count_matches_ball(capsys):
         assert triples == ball
         heights = [float(l.split(",")[4]) for l in lines[1:]]
         assert all(h > 0 for h in heights)
-
-
-@pytest.mark.parametrize("argv", [("export", "flow"), ("export", "leaf-metric"),
-                                  ("export", "orbit", "--N", "3")])
-def test_table_exports_fill_one_record_template(argv, monkeypatch, capsys):
-    """The JSON rows of the table exports hold Python floats, so every row
-    goes through the first row's template; the text is the recursion's."""
-    layouts, misses = [], []
-    layout, record = cli._record_layout, cli._record_text
-    monkeypatch.setattr(cli, "_record_layout",
-                        lambda *a: layouts.append(layout(*a)) or layouts[-1])
-    monkeypatch.setattr(cli, "_record_text",
-                        lambda obj, *a: record(obj, *a) or misses.append(obj))
-    rc, out = run(capsys, *argv, "--format", "json")
-    assert rc == 0 and not misses
-    assert layouts and None not in layouts
-    assert out == _json_text_reference(json.loads(out)) + "\n"
 
 
 def test_export_orbit_rejects_base_outside_domain(capsys):
@@ -390,11 +371,45 @@ def test_readme_quick_start_runs():
     assert out.getvalue() == "627 4\n"
 
 
+def test_export_floats_read_back_as_floats(capsys):
+    """Every dual entry and pencil parameter of the limit-set export loads as
+    a float, 1.0 and 0.0 included, and the lines of the words (k, 0, 0),
+    z1 = 0 and z2 = 0, keep the sign of their -0.0 parameter."""
+    rc, out = run(capsys, "export", "limit-set", "--N", "8")
+    assert rc == 0
+    lines = json.loads(out)["lines"]
+    entries = [x for l in lines for entry in l["dual"] for x in entry]
+    assert entries and all(type(x) is float for x in entries)
+    params = [l["parameter"] for l in lines if l["family"] != "infinity"]
+    assert params and all(type(p) is float for p in params)
+    through_origin = [l["parameter"] for l in lines
+                      if l["family"] != "infinity" and l["dual"][2] == [0.0, 0.0]]
+    assert len(through_origin) == 2
+    assert all(p == 0.0 and math.copysign(1.0, p) == -1.0 for p in through_origin)
+
+
+@pytest.mark.parametrize("A, N", [("2,1,1,1", "8"), ("3,2,1,1", "12"), ("7,4,5,3", "5")])
+def test_export_limit_set_round_trips_bit_for_bit(A, N, capsys):
+    # each float is written as its repr, which reads back as the same double
+    rc, out = run(capsys, "export", "limit-set", "--A", A, "--N", N)
+    assert rc == 0
+    doc = json.loads(out)
+    spec = ToralGroupSpec.from_matrix(cli._parse_matrix(A))
+    res = pseudo_limit_kernels(spec, int(N))
+    got = np.array([l["dual"] for l in doc["lines"]], dtype=float)
+    want = np.array([l.line.dual for l in res.lines]).view(float).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()
+    params = [l.parameter for l in res.lines]
+    assert [None if p is None else float.hex(p) for p in params] == \
+        [None if l["parameter"] is None else float.hex(l["parameter"]) for l in doc["lines"]]
+    assert doc["lam"] == spec.lam
+
+
 def test_export_domain_structure(capsys):
     rc, out = run(capsys, "export", "domain")
     assert rc == 0
     doc = json.loads(out)
-    assert set(doc) == {"A", "seed", "lam", "height_interval",
+    assert set(doc) == {"A", "lam", "height_interval",
                         "lattice_basis_columns", "description"}
     assert doc["lam"] == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
     assert doc["height_interval"] == [1.0, doc["lam"]]
@@ -410,94 +425,6 @@ def test_export_deterministic_bytes(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def _json_text_reference(obj, indent=0):
-    """The recursive writer as first written: one call and one f-string per
-    value, every container joined from a list of indented parts."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        if not math.isfinite(obj):
-            raise ValueError("cannot serialize a non-finite number")
-        return format(float(obj), ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {_json_text_reference(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        parts = [f"{inner}{_json_text_reference(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-_finite = st.floats(allow_nan=False, allow_infinity=False)
-_text = st.text(st.sampled_from('ab"\\/\n\té€😀\x00'), max_size=6)
-_json_leaves = (_finite | _finite.map(np.float64) | st.integers() | st.booleans()
-                | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.none() | _text)
-# the kinds a record value keeps from item to item: leaves, nested lists and
-# tuples of dicts
-_record_kinds = [_finite, _finite | st.none(), _finite.map(np.float64), st.booleans(),
-                 st.integers(), _text, st.lists(_finite, min_size=2, max_size=2),
-                 st.lists(st.lists(_finite | st.integers(), max_size=2), max_size=3),
-                 st.tuples(st.dictionaries(_text, _finite | st.none(), max_size=2))]
-
-
-@st.composite
-def _record_lists(draw):
-    """A list or tuple of dicts like the exports' records: one set of keys,
-    each value of one kind, except that an item may give a value another
-    kind, lack a key or carry an extra one."""
-    keys = draw(st.lists(_text, min_size=1, max_size=4, unique=True))
-    kinds = [draw(st.sampled_from(_record_kinds)) for _ in keys]
-    items = []
-    for _ in range(draw(st.integers(1, 6))):
-        item = {}
-        for key, kind in zip(keys, kinds):
-            change = draw(st.integers(0, 9))     # 0: another kind, 1: no key
-            if change == 0:
-                kind = draw(st.sampled_from(_record_kinds))
-            if change != 1:
-                item[key] = draw(kind)
-        if draw(st.integers(0, 9)) == 0:
-            item[draw(_text)] = draw(_finite)
-        items.append(item)
-    return items if draw(st.booleans()) else tuple(items)
-
-
-_json_docs = st.recursive(
-    _json_leaves | _record_lists(),
-    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-                  | st.dictionaries(_text, kids, max_size=4)),
-    max_leaves=30)
-
-
-@given(_json_docs, st.integers(0, 3))
-@example({"a": [-0.0, 5e-324, 2.2250738585072014e-308, np.float64(-0.0)],
-          "": [[], {}, ()], 'q"\u00e9': (None, True, False, np.int64(-7), 10**30)}, 0)
-# keys that hold a NUL or a %, which the record template writes as literal text
-@example([{"a%d": 1.5, "\x00": None, "%": [1.0, "%s"]},
-          {"a%d": -2.5, "\x00": None, "%": [3.0, "%%"]}], 1)
-# items with a missing, an extra or a reordered key, a longer last list, and
-# keys that are not str (1 and True are equal keys with different texts)
-@example([{"x": 1.0, "y": 2.0}, {"x": 1.0}, {"x": 1.0, "y": 2.0, "z": None},
-          {"y": 3.0, "x": 4.0}, {"x": 0.5, "y": True}], 0)
-@example([{"a": 1, "b": [1.0, 2.0]}, {"a": 1, "b": [1.0, 2.0, 3.0]}], 0)
-@example(({1: 1.0, "b": [{}]}, {True: 2.0, "b": [{}]}, {1: 3.0, "b": [{"c": 1}]}), 2)
-def test_json_writer_matches_the_recursive_reference(doc, indent):
-    assert cli._json_text(doc, indent) == _json_text_reference(doc, indent)
-
-
 @pytest.mark.parametrize("bad, error", [
     (float("nan"), ValueError), ([1.0, float("inf")], ValueError),
     ({"x": np.float64("-inf")}, ValueError), ({"x": {1, 2}}, TypeError),
@@ -508,10 +435,10 @@ def test_json_writer_matches_the_recursive_reference(doc, indent):
     (({"a": 1.0}, {"a": 2.0}, {"a": float("inf")}), ValueError),
     ([{"a": 1.0}, {"a": 2.0}, {"a": {1, 2}}], TypeError)])
 def test_json_writer_rejects_what_the_reference_rejects(bad, error):
+    """The one encode call refuses what the standard encoder refuses: a NaN
+    or an infinity, and a leaf that is no JSON type, in any record."""
     with pytest.raises(error):
-        _json_text_reference(bad)
-    with pytest.raises(error):
-        cli._json_text(bad)
+        cli._json_line(bad)
 
 
 def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
@@ -717,9 +644,7 @@ def test_config_file_key_matches_flag(case, tmp_path, capsys):
     assert repr(foreign) in err["message"]
 
 
-@pytest.mark.parametrize("command", [("verify", "--suite", "heis", "--samples", "5"),
-                                     ("export", "limit-set", "--N", "1"),
-                                     ("export", "domain")])
+@pytest.mark.parametrize("command", [("verify", "--suite", "heis", "--samples", "5")])
 def test_negative_seed_is_config_error(command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed=-3\n")
@@ -750,7 +675,7 @@ def test_N_above_the_ball_cap_is_config_error(command, tmp_path, capsys, monkeyp
 
 # a flag of another export target, with a value that target would accept
 FOREIGN_EXPORT_FLAGS = {"flow": ("A", "3,2,1,1"), "leaf-metric": ("N", "3"),
-                        "limit-set": ("base", "2i,3i"), "orbit": ("seed", "1"),
+                        "limit-set": ("base", "2i,3i"), "orbit": ("y1", "2"),
                         "domain": ("z", "0,1,0,1")}
 
 
@@ -854,6 +779,27 @@ def test_exports_whose_values_leave_the_positive_floats_are_config_errors(argv, 
     assert json.loads(out)["error"] == {
         "field": field,
         "message": f"{field} gives a coefficient or height that is not a finite positive float"}
+
+
+_HUGE, _LARGE = 10 ** 100, 10 ** 30      # lam about 1e100 and 1e30
+
+
+@pytest.mark.parametrize("argv, field", [
+    # lam^2 is finite, but the discontinuity-stable row takes lam^8
+    (f"verify --suite kleinian --samples 5 --A {_HUGE},{_HUGE - 1},1,1 --N 2", "A"),
+    (f"export limit-set --A {_HUGE},{_HUGE - 1},1,1 --N 4", "A"),
+    # lam^8 is finite, lam^11 is not
+    (f"verify --suite kleinian --samples 5 --A {_LARGE},{_LARGE - 1},1,1 --N 11", "N"),
+    (f"export limit-set --A {_LARGE},{_LARGE - 1},1,1 --N 11", "N"),
+], ids=["verify-A", "export-A", "verify-N", "export-N"])
+def test_large_traces_whose_powers_overflow_are_config_errors(argv, field, capsys):
+    """A power of lam beyond the floats exits 2, not in a traceback: with
+    field A when lam^8 already overflows, else with field N."""
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert json.loads(out)["error"] == {
+        "field": field, "message": f"{field} gives a power of lam that overflows a float"}
 
 
 def test_range_value_bound_is_inclusive():

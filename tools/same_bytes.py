@@ -57,8 +57,8 @@ def commands() -> List[List[str]]:
         for N in ("0", "1", "8", "20"):
             cmds.append(["export", "limit-set", "--A", A, "--N", N])
     # the commands above stop at N = 20; the dual arrays run to |k| = N, and
-    # the lines of a symmetric A (2,1,1,1), each with a mirrored twin in the
-    # other pencil, go through the JSON writer's record template at that size
+    # the lines of a symmetric A (2,1,1,1) each have a mirrored twin in the
+    # other pencil
     for A in ("3,2,1,1", "2,1,1,1"):
         cmds.append(["export", "limit-set", "--A", A, "--N", "40"])
     for A in ("2,1,1,1", "3,2,1,1", "7,4,5,3"):
