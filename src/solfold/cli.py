@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _fd
 from .geometry import (MetricSpec, MixedPoint, ProductPoint, UpperHalfPoint,
-                       geodesic_residual, rand_product)
+                       geodesic_residual)
 from .heisenberg import (HeisElement, factored_proper_discontinuity_check,
                          heis_act, heis_commutator, heis_leaf_jacobian,
                          heis_leaf_separation_numeric, heis_mul,
@@ -165,8 +165,13 @@ def _parse_point4(field: str):
 
 
 _MAX_RANGE_VALUES = 10 ** 6
-# the largest word-ball radius N whose ball fits in MAX_BALL_ROWS rows
-_MAX_N = next(n for n in itertools.count() if _ball_size(n + 1) > MAX_BALL_ROWS)
+# at the bound, verify --suite all takes 0.9 s and 84 MB RSS on a 2-vCPU x86-64 VM
+_MAX_SAMPLES = 10 ** 5
+# the largest word-ball radius N whose ball fits in MAX_BALL_ROWS rows, and in
+# the limit pipeline's budget (export limit-set --N 41 there: 2.2 s, 170 MB RSS)
+_LIMIT_ROWS = 10 ** 5
+_MAX_N, _MAX_LIMIT_N = (next(n for n in itertools.count() if _ball_size(n + 1) > rows)
+                        for rows in (MAX_BALL_ROWS, _LIMIT_ROWS))
 
 
 def _parse_range(field: str):
@@ -246,11 +251,11 @@ def _check_lam_power(spec: ToralGroupSpec, n: int) -> None:
 _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
     "verify": {"suite": (str, "all"),
                "seed": (_parse_int("seed", lo=0), 0),
-               "samples": (_parse_int("samples", lo=1), 500),
+               "samples": (_parse_int("samples", lo=1, hi=_MAX_SAMPLES), 500),
                "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
                "A": (_parse_matrix, ((2, 1), (1, 1))),
                "lambda": (_parse_pos_float("lambda", _LAMBDA_RANGE), None),
-               "N": (_parse_int("N", lo=0, hi=_MAX_N), 6),
+               "N": (_parse_int("N", lo=0, hi=_MAX_LIMIT_N), 6),
                "out": (str, None), "format": (str, "json")},
     "flow": {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
              "s-range": (_parse_range("s-range"), (-2.0, 2.0, 0.1)),
@@ -260,7 +265,7 @@ _FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
                     "t-range": (_parse_range("t-range"), (-2.0, 2.0, 0.25)),
                     "out": (str, None), "format": (str, "csv")},
     "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-                  "N": (_parse_int("N", lo=0, hi=_MAX_N), 8),
+                  "N": (_parse_int("N", lo=0, hi=_MAX_LIMIT_N), 8),
                   "out": (str, None), "format": (str, "json")},
     "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
               "N": (_parse_int("N", lo=0, hi=_MAX_N), 4),
@@ -292,9 +297,8 @@ def _resolve(ns: argparse.Namespace,
 # ---------------------------------------------------------------------------
 # verification suites
 
-# Bounds of the draws of rand_product(rng, 0.3, 4.0), in its order (x1, x2,
-# y1, y2), and of a point (Re z, Im z, Re w, Im w) of C x H with the same
-# bounds: three coordinates in [-3, 3), then the height.
+# Bounds of the draws of a point (x1, x2, y1, y2) of H x H, and of a point
+# (Re z, Im z, Re w, Im w) of C x H: three coordinates in [-3, 3), then the height.
 _PRODUCT_DRAWS = ((-3, 3), (-3, 3), (0.3, 4.0), (0.3, 4.0))
 _MIXED_DRAWS = ((-3, 3), (-3, 3), (-3, 3), (0.3, 4.0))
 
@@ -325,31 +329,26 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     rows.append(check_row("flow-equivariance", worst, 1e-12,
                           "the normal flow commutes with every leaf action"))
 
-    worst = 0.0
-    for _ in range(min(samples, 100)):
-        z = rand_product(rng, 0.3, 4.0)
-        curve = lambda u: normal_flow(z, u).coords()
-        worst = max(worst, geodesic_residual(ghyp, curve, rng.uniform(-1.5, 1.5)))
+    # per sample: a point, then a flow time
+    x1, x2, y1, y2, t = _uniform_columns(rng, min(samples, 100), *_PRODUCT_DRAWS, (-1.5, 1.5))
+    z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+    worst = float(geodesic_residual(ghyp, lambda u: normal_flow(z, u).coords(), t).max())
     rows.append(check_row("flow-geodesic", worst, 1e-6,
                           "flow lines are geodesics of the product metric"))
 
-    worst = 0.0
-    for _ in range(min(samples, 200)):
-        z = rand_product(rng, 0.3, 4.0)
-        s = rng.uniform(-2, 2)
-        worst = max(worst, abs(flow_speed(z, s) - 1.0))
+    x1, x2, y1, y2, s = _uniform_columns(rng, min(samples, 200), *_PRODUCT_DRAWS, (-2, 2))
+    z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+    worst = float(np.abs(flow_speed(z, s) - 1.0).max())
     rows.append(check_row("flow-unit-speed", worst, 1e-10,
                           "the normal field has unit length everywhere"))
 
-    worst = 0.0
-    for _ in range(min(samples, 60)):
-        y1, y2 = rng.uniform(0.4, 2.5, size=2)
-        base = ProductPoint(UpperHalfPoint(0.0, y1), UpperHalfPoint(0.0, y2))
-        txy = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-2, 2), rng.uniform(-2, 2)])
-        embed = lambda c: leaf_embed(STANDARD, base,
-                                     SolElement(c[0], c[1], c[2])).coords()
-        num = _fd.pullback(ghyp.matrix, embed, txy)
-        worst = max(worst, float(np.abs(num - leaf_metric(base, txy[0])).max()))
+    # per sample: the heights of a base point, then an element (t, x, y)
+    y1, y2, *txy = _uniform_columns(rng, min(samples, 60), (0.4, 2.5), (0.4, 2.5),
+                                    (-1.5, 1.5), (-2, 2), (-2, 2))
+    base = ProductPoint(UpperHalfPoint(0.0, y1), UpperHalfPoint(0.0, y2))
+    num = _fd.pullback(ghyp.matrix,
+                       lambda c: leaf_embed(STANDARD, base, SolElement(*c)).coords(), txy)
+    worst = float(np.abs(num - leaf_metric(base, txy[0])).max())
     rows.append(check_row("leaf-metric", worst, 1e-10,
                           "each leaf inherits the solvable model metric"))
 
@@ -410,15 +409,12 @@ def _suite_heis(cfg: Dict[str, object]) -> List[CheckRow]:
     rows.append(check_row("rectify-roundtrip", worst, 1e-12,
                           "the group-times-height chart inverts exactly"))
 
-    worst = 0.0
-    geh = MetricSpec.euclidean_times_hyperbolic()
-    for _ in range(min(samples, 50)):
-        y0 = rng.uniform(0.4, 2.5)
-        abc = rng.uniform(-2, 2, size=3)
-        base = MixedPoint(0j, UpperHalfPoint(0.0, y0))
-        embed = lambda c: heis_act(HeisElement(c[0], c[1], c[2]), base).coords()
-        num = _fd.pullback(geh.matrix, embed, abc)
-        worst = max(worst, float(np.abs(num - heis_pullback_metric(y0)).max()))
+    # per sample: a height y0, then an element (a, b, c)
+    y0, *abc = _uniform_columns(rng, min(samples, 50), (0.4, 2.5), *[(-2, 2)] * 3)
+    base = MixedPoint(0j, UpperHalfPoint(0.0, y0))
+    num = _fd.pullback(MetricSpec.euclidean_times_hyperbolic().matrix,
+                       lambda c: heis_act(HeisElement(*c), base).coords(), abc)
+    worst = float(np.abs(num - heis_pullback_metric(y0)).max())
     rows.append(check_row("pullback-metric", worst, 1e-10,
                           "orbit metric is flat left-invariant with height weights"))
 
@@ -520,7 +516,7 @@ def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
     the radius-2 ball, three ways, each once over the samples: toral_act, the
     reference, the solvable action and the projective one in the chart z3 = 1."""
     ball = word_ball(2)
-    # per sample: a word, then a point as rand_product draws it; the scalar
+    # per sample: a word, then a point, (x1, x2) then (y1, y2); the scalar
     # integers draw interleaves with the uniform ones, so each sample draws in turn
     words = np.empty(samples, dtype=np.int64)
     X = np.empty((samples, 4))

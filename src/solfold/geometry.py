@@ -19,14 +19,25 @@ SQRT2 = math.sqrt(2.0)
 
 def _per_element(f: Callable[..., float], *xs):
     """f(*xs), taken element by element, after broadcasting, when any x is
-    an array.
+    an array of any shape.
 
     math.exp, math.log, math.acosh, math.hypot, complex abs and float powers
     keep their bits this way; their NumPy forms can differ in the last place.
     """
     if any(isinstance(x, np.ndarray) for x in xs):
-        return np.array(list(map(f, *(a.tolist() for a in np.broadcast_arrays(*xs)))))
+        b = np.broadcast_arrays(*xs)
+        return np.array(list(map(f, *(a.ravel().tolist() for a in b)))).reshape(b[0].shape)
     return f(*xs)
+
+
+def _diag(*entries) -> np.ndarray:
+    """Diagonal matrix of the entries, stacked along the leading axes when
+    they hold arrays."""
+    d = np.broadcast_arrays(*entries)
+    out = np.zeros(d[0].shape + (len(d), len(d)))
+    for i, x in enumerate(d):
+        out[..., i, i] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -93,13 +104,6 @@ class MixedPoint:
         return np.array(np.broadcast_arrays(self.z.real, self.z.imag, self.w.x, self.w.y))
 
 
-def rand_product(rng: np.random.Generator, ymin: float, ymax: float) -> ProductPoint:
-    """Random point of H x H: real parts in [-3, 3), heights in [ymin, ymax)."""
-    x1, x2 = rng.uniform(-3.0, 3.0, size=2)
-    y1, y2 = rng.uniform(ymin, ymax, size=2)
-    return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """One of the two ambient metrics, given by its half-plane factors.
@@ -121,45 +125,48 @@ class MetricSpec:
         return cls((((2, 3), 1),))
 
     def matrix(self, p: Sequence[float]) -> np.ndarray:
-        """Metric coefficient matrix g_ij at coordinates p."""
+        """Metric coefficient matrix g_ij at coordinates p, stacked along the
+        leading axes for a (4, ...) array; 1 / (d y^2) takes a float power."""
         c = np.asarray(p, dtype=float)
         if len(c) != 4:
             raise ValueError(f"expected 4 coordinates, got {len(c)}")
         g = [1.0] * 4
         for (ix, iy), d in self.factors:
-            y = _height(c, iy)
-            g[ix] = g[iy] = 1 / (d * y ** 2)
-        return np.diag(g)
+            g[ix] = g[iy] = _per_element(lambda y: 1 / (d * y ** 2), _height(c, iy))
+        return _diag(*g)
 
 
 def _height(c: np.ndarray, iy: int) -> float:
-    if c[iy] <= 0:
+    if np.any(c[iy] <= 0):
         raise ValueError(f"point outside the upper half-plane in coordinate {iy}")
     return c[iy]
 
 
 def metric_inner(m: MetricSpec, p, u, v) -> float:
-    """Inner product g_p(u, v) of coordinate vectors at coordinates p."""
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
+    """Inner product g_p(u, v) of coordinate vectors at coordinates p, a
+    value per column for (4, ...) arrays.  np.matmul on contiguous rows
+    makes for each point of a stack the BLAS calls of one point."""
     g = m.matrix(p)
-    if len(ua) != 4 or len(va) != 4:
+    row, col = (np.ascontiguousarray(np.moveaxis(np.asarray(w, dtype=float), 0, -1))
+                for w in (u, v))
+    if row.shape[-1] != 4 or col.shape[-1] != 4:
         raise ValueError("vector dimension does not match the metric")
-    return float(ua @ g @ va)
+    out = np.matmul(np.matmul(row[..., None, :], g), col[..., None])[..., 0, 0]
+    return out if out.ndim else float(out)
 
 
 def metric_norm(m: MetricSpec, p, u) -> float:
-    return math.sqrt(max(metric_inner(m, p, u, u), 0.0))
+    return _per_element(lambda a: math.sqrt(max(a, 0.0)), metric_inner(m, p, u, u))
 
 
 def christoffel(m: MetricSpec, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] of the metric in closed form.
+    """Christoffel symbols Gamma[k, i, j, ...] of the metric in closed form.
 
     A constant factor of the metric leaves them unchanged, so each half-plane
     factor contributes the same symbols whatever its divisor.
     """
     c = np.asarray(p, dtype=float)
-    G = np.zeros((4, 4, 4))
+    G = np.zeros((4, 4, 4) + c.shape[1:])
     for (ix, iy), _ in m.factors:
         y = _height(c, iy)
         G[ix, ix, iy] = G[ix, iy, ix] = -1 / y
@@ -171,7 +178,7 @@ def christoffel(m: MetricSpec, p) -> np.ndarray:
 def geodesic_residual(m: MetricSpec, curve: Callable[[float], Sequence[float]],
                       t: float) -> float:
     """Metric length sqrt(r^T g r), at c(t), of the geodesic equation
-    residual r = c'' + Gamma(c', c') of a coordinate curve.
+    residual r = c'' + Gamma(c', c') of a coordinate curve, or of curves.
 
     Velocity and acceleration come from central differences with step 1e-4.
     Measured in the metric, their rounding noise does not grow with height.
@@ -183,7 +190,7 @@ def geodesic_residual(m: MetricSpec, curve: Callable[[float], Sequence[float]],
     vel = (cp - cm) / (2 * h)
     acc = (cp - 2 * c0 + cm) / (h * h)
     G = christoffel(m, c0)
-    res = acc + np.einsum("kij,i,j->k", G, vel, vel)
+    res = acc + np.einsum("kij...,i...,j...->k...", G, vel, vel)
     return metric_norm(m, c0, res)
 
 

@@ -19,6 +19,7 @@ from ._optim import SeparationResult, grid_then_descend
 from .geometry import (
     MixedPoint,
     UpperHalfPoint,
+    _diag,
     _per_element,
     mixed_distance,
 )
@@ -91,10 +92,12 @@ def heis_rectify_inverse(m: MixedPoint) -> Tuple[HeisElement, float]:
 
 def heis_pullback_metric(y0: float) -> np.ndarray:
     """Metric induced on the leaf through (0, y0 i), constant in the group
-    coordinates: y0^2 da^2 + db^2 / y0^2 + dc^2."""
-    if y0 <= 0:
+    coordinates: y0^2 da^2 + db^2 / y0^2 + dc^2; stacked along the leading
+    axes when y0 holds an array."""
+    if np.any(y0 <= 0):
         raise ValueError("pullback metric requires y0 > 0")
-    return np.diag([y0 ** 2, 1 / y0 ** 2, 1.0])
+    return _diag(_per_element(lambda y: y ** 2, y0),
+                 _per_element(lambda y: 1 / y ** 2, y0), 1.0)
 
 
 def heis_leaf_separation_numeric(s0: float, s1: float,

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import ProductPoint, UpperHalfPoint, _per_element
+from .geometry import ProductPoint, UpperHalfPoint, _diag, _per_element
 from .sol import SolElement, SolParams, phi
 
 
@@ -184,11 +184,8 @@ def toral_element(spec: ToralGroupSpec, k, n, m) -> np.ndarray:
     along the first axis, when k, n and m are 1-D integer arrays.  lam^k is
     a Python float power per entry; np.power can differ in the last bit."""
     power = partial(pow, spec.lam)
-    out = np.zeros(np.shape(k) + (3, 3))
-    out[..., 0, 0] = _per_element(power, k)
-    out[..., 1, 1] = _per_element(power, -k)
+    out = _diag(_per_element(power, k), _per_element(power, -k), 1.0)
     out[..., :2, 2] = _translation(spec, n, m)
-    out[..., 2, 2] = 1.0
     return out
 
 

@@ -51,7 +51,7 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     rng = np.random.default_rng(seed)
     ball = word_ball(2)
     ball = ball[ball.any(axis=1)]
-    # per sample: a point as rand_product draws it, then ten words; the
+    # per sample: a point, (x1, x2) then (y1, y2), then ten words; the
     # integers draw interleaves with the uniform ones, so each sample draws in turn
     X = np.empty((samples, 4))
     words = np.empty((samples, 10), dtype=np.int64)

@@ -22,6 +22,7 @@ from .geometry import (
     MetricSpec,
     ProductPoint,
     UpperHalfPoint,
+    _diag,
     _per_element,
     christoffel,
     metric_norm,
@@ -146,12 +147,13 @@ def rectify_isometric_inverse(z: ProductPoint) -> Tuple[float, float, float, flo
 
 def leaf_metric(z: ProductPoint, t: float) -> np.ndarray:
     """Induced metric of the leaf through z = (y1 i, y2 i) at parameter t,
-    in coordinates (t, x, y)."""
-    if z.z1.x != 0.0 or z.z2.x != 0.0:
+    in coordinates (t, x, y), stacked along the leading axes when z and t
+    hold arrays."""
+    if np.any(z.z1.x != 0.0) or np.any(z.z2.x != 0.0):
         raise ValueError("leaf metric requires a purely imaginary base point")
     # dt^2 + e^{-2t}/(2 y1^2) dx^2 + e^{2t}/(2 y2^2) dy^2
-    y1, y2 = z.z1.y, z.z2.y
-    return np.diag([1.0, math.exp(-2 * t) / (2 * y1 ** 2), math.exp(2 * t) / (2 * y2 ** 2)])
+    return _diag(1.0, _per_element(lambda t, y: math.exp(-2 * t) / (2 * y ** 2), t, z.z1.y),
+                 _per_element(lambda t, y: math.exp(2 * t) / (2 * y ** 2), t, z.z2.y))
 
 
 def leaf_separation(s0: float, s1: float) -> float:
@@ -190,7 +192,7 @@ def _leaf_point(t: float, s: float) -> np.ndarray:
 
 def _unit_normal_field(c: np.ndarray) -> np.ndarray:
     # the flow direction (0, y1, 0, y2), unit for the half-scaled product metric
-    return np.array([0.0, c[1], 0.0, c[3]])
+    return np.stack([np.zeros_like(c[1]), c[1], np.zeros_like(c[3]), c[3]])
 
 
 def normal_covariant_derivative(point) -> np.ndarray:
@@ -202,17 +204,11 @@ def normal_covariant_derivative(point) -> np.ndarray:
     """
     h = 1e-5
     c = np.asarray(point, dtype=float)
-    m = MetricSpec.half_hyperbolic_product()
-    G = christoffel(m, c)
-    X = _unit_normal_field(c)
-    out = np.empty((4, 4))
-    for i in range(4):
-        cp, cm = c.copy(), c.copy()
-        cp[i] += h
-        cm[i] -= h
-        dX = (_unit_normal_field(cp) - _unit_normal_field(cm)) / (2 * h)
-        out[:, i] = dX + G[:, i, :] @ X
-    return out
+    G = christoffel(MetricSpec.half_hyperbolic_product(), c)
+    # column i of the stencils moves coordinate i by +h and by -h
+    cp, cm = c[:, None] + h * np.eye(4), c[:, None] - h * np.eye(4)
+    dX = (_unit_normal_field(cp) - _unit_normal_field(cm)) / (2 * h)
+    return dX + G @ _unit_normal_field(c)
 
 
 def shape_operator(t: float, s: float) -> ShapeOperatorResult:

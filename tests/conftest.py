@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from solfold import HeisElement, MixedPoint, ProjectivePoint, UpperHalfPoint
+from solfold import HeisElement, MixedPoint, ProductPoint, ProjectivePoint, UpperHalfPoint
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -212,6 +212,13 @@ def affine_box_hits_via_matrix(M: np.ndarray, box, pad: float = 1e-12) -> bool:
 
 # ---------------------------------------------------------------------------
 # forms that no command takes any more
+
+def rand_product(rng: np.random.Generator, ymin: float, ymax: float) -> ProductPoint:
+    """Random point of H x H: real parts in [-3, 3), heights in [ymin, ymax)."""
+    x1, x2 = rng.uniform(-3.0, 3.0, size=2)
+    y1, y2 = rng.uniform(ymin, ymax, size=2)
+    return ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
+
 
 def rand_mixed(rng: np.random.Generator, ymin: float, ymax: float):
     """Random point of C x H: coordinates in [-3, 3), height in [ymin, ymax)."""

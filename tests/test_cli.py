@@ -654,23 +654,46 @@ def test_negative_seed_is_config_error(command, tmp_path, capsys):
         assert json.loads(out)["error"]["field"] == "seed"
 
 
-@pytest.mark.parametrize("command", [("verify", "--suite", "kleinian"),
-                                     ("export", "limit-set"), ("export", "orbit")])
-def test_N_above_the_ball_cap_is_config_error(command, tmp_path, capsys, monkeypatch):
+# the orbit export holds the ball alone and takes every radius whose ball
+# fits in 10^6 rows; the limit pipeline's budget of 10^5 rows stops at 41
+@pytest.mark.parametrize("command, cap", [(("verify", "--suite", "kleinian"), 41),
+                                          (("export", "limit-set"), 41),
+                                          (("export", "orbit"), 90)],
+                         ids=["command0", "command1", "command2"])
+def test_N_above_the_ball_cap_is_config_error(command, cap, tmp_path, capsys,
+                                              monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the radius must be rejected before any ball is built")
 
     for name in ("word_ball", "pseudo_limit_kernels", "intersecting_elements"):
         monkeypatch.setattr(cli, name, forbidden)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("N=91\n")
-    for extra in (("--N", "91"), ("--config", str(cfg))):
+    cfg.write_text(f"N={cap + 1}\n")
+    for extra in (("--N", str(cap + 1)), ("--config", str(cfg))):
         rc, out = run(capsys, *command, *extra)
         assert rc == 2
         err = json.loads(out)["error"]
-        assert err["field"] == "N" and "at most 90" in err["message"]
+        assert err["field"] == "N" and f"at most {cap}" in err["message"]
     table = command[0] if command[0] == "verify" else command[1]
-    assert cli._FLAGS[table]["N"][0]("90") == 90
+    assert cli._FLAGS[table]["N"][0](str(cap)) == cap
+    budget = 10 ** 5 if cap == 41 else 10 ** 6
+    assert cli._ball_size(cap) <= budget < cli._ball_size(cap + 1)
+
+
+def test_samples_above_the_bound_is_config_error(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sample count must be rejected before any suite runs")
+
+    monkeypatch.setattr(cli, "_uniform_columns", forbidden)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=100001\n")
+    for extra in (("--samples", "100001"), ("--config", str(cfg))):
+        rc, out = run(capsys, "verify", *extra)
+        assert rc == 2
+        err = json.loads(out)["error"]
+        assert err["field"] == "samples" and "at most 100000" in err["message"]
+    parse = cli._FLAGS["verify"]["samples"][0]
+    assert parse("100000") == 100000 and parse("10000") == 10000
 
 
 # a flag of another export target, with a value that target would accept

@@ -22,8 +22,7 @@ from solfold import (
     toral_compose,
     word_ball,
 )
-from conftest import rand_mixed
-from solfold.geometry import rand_product
+from conftest import rand_mixed, rand_product
 from solfold.quotient import check_row
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])

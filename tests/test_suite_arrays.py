@@ -1,6 +1,6 @@
 """The array rows of verify against their per-sample loops.
 
-The sol and heis suites compute six rows on arrays, each from one block
+The sol and heis suites compute ten rows on arrays, each from one block
 draw; the kleinian embed-agreement row and the two quotient checks draw per
 sample and compute every route on arrays.  The loops they replaced live on
 here as the reference: equal rows, residual bits included, the same rng
@@ -52,6 +52,9 @@ from solfold import (
     rectify_isometric,
     rectify_isometric_inverse,
     shape_operator,
+    christoffel,
+    metric_inner,
+    metric_norm,
     ProjectivePoint,
     ToralGroupSpec,
     fundamental_domain_reduce,
@@ -70,8 +73,8 @@ import solfold.quotient as quotient
 import solfold.sol
 from solfold import _fd, cli, heis_leaf_separation_numeric, leaf_separation_numeric
 from solfold.cli import ConfigError
-from conftest import _heis_reduce_reference, projective_act, rand_mixed
-from solfold.geometry import SQRT2, rand_product
+from conftest import _heis_reduce_reference, projective_act, rand_mixed, rand_product
+from solfold.geometry import SQRT2
 from solfold.quotient import check_row
 from solfold.sol import _leaf_param, phi
 
@@ -321,11 +324,13 @@ def test_sol_rows_equal_the_loop_at_the_lambda_bounds(lam):
 
 
 class _Recording:
-    """Wraps a Generator and notes its bit generator's state after every draw."""
+    """Wraps a Generator and notes its bit generator's state after every draw,
+    and counts the block draws, those whose size is a shape (n, k)."""
 
     def __init__(self, rng):
         self.rng = rng
         self.states = []
+        self.blocks = 0
 
     def __getattr__(self, name):
         draw = getattr(self.rng, name)
@@ -333,6 +338,7 @@ class _Recording:
         def recorded(*args, **kwargs):
             out = draw(*args, **kwargs)
             self.states.append(self.rng.bit_generator.state)
+            self.blocks += np.ndim(kwargs.get("size")) == 1
             return out
         return recorded
 
@@ -347,19 +353,20 @@ def _draw_states(suite, cfg, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", recording)
         suite(cfg)
-    return made[0].states
+    return made[0]
 
 
 @pytest.mark.parametrize("suite, reference, blocks", [
-    (cli._suite_sol, _suite_sol_reference, 2),
-    (cli._suite_heis, _suite_heis_reference, 4),
+    (cli._suite_sol, _suite_sol_reference, 5),
+    (cli._suite_heis, _suite_heis_reference, 5),
 ], ids=["sol", "heis"])
 @pytest.mark.parametrize("samples", [1, 60, 500])
 def test_block_draws_leave_the_stream_where_the_loop_does(suite, reference, blocks,
                                                           samples, monkeypatch):
     cfg = _cfg(5, samples)
-    block = _draw_states(suite, cfg, monkeypatch)
-    loop = _draw_states(reference, cfg, monkeypatch)
+    block, loop = (_draw_states(f, cfg, monkeypatch) for f in (suite, reference))
+    assert (block.blocks, loop.blocks) == (blocks, 0)
+    block, loop = block.states, loop.states
     # each draw of the suite, block or per sample, ends where a draw of the
     # loop ends, in the same order; so each block draw reads exactly the
     # values its loop read, and leaves the stream where the loop left it
@@ -432,6 +439,46 @@ def test_cube_reduction_sees_a_representative_outside_the_cube(monkeypatch):
     row = _fails_only_when_planted(cli._suite_heis, "cube-reduction", monkeypatch,
                                    cli, "heis_reduce_mod_integer_lattice", outside)
     assert row.residual >= 1.0
+
+
+def test_flow_geodesic_sees_a_flow_that_moves_x1(monkeypatch):
+    flow = cli.normal_flow
+
+    def moving(z, s):
+        w = flow(z, s)
+        return ProductPoint(UpperHalfPoint(w.z1.x + s, w.z1.y), w.z2)
+    _fails_only_when_planted(cli._suite_sol, "flow-geodesic", monkeypatch,
+                             cli, "normal_flow", moving)
+
+
+def test_flow_unit_speed_sees_a_normal_field_of_length_2_in_one_factor(monkeypatch):
+    field = solfold.sol._unit_normal_field
+
+    def doubled(c):
+        X = field(c)
+        X[1] *= 2.0
+        return X
+    row = _fails_only_when_planted(cli._suite_sol, "flow-unit-speed", monkeypatch,
+                                   solfold.sol, "_unit_normal_field", doubled)
+    # the field (0, 2 y1, 0, y2) has length sqrt(5/2) at every point
+    assert row.residual == pytest.approx(math.sqrt(2.5) - 1.0)
+
+
+def test_leaf_metric_sees_an_embedding_that_does_not_scale_the_first_factor(monkeypatch):
+    embed = cli.leaf_embed
+
+    def unscaled(p, z, g):
+        w = embed(p, z, g)
+        return ProductPoint(UpperHalfPoint(w.z1.x, z.z1.y + 0.0 * g.t), w.z2)
+    _fails_only_when_planted(cli._suite_sol, "leaf-metric", monkeypatch,
+                             cli, "leaf_embed", unscaled)
+
+
+def test_pullback_metric_sees_an_action_without_the_a_w_term(monkeypatch):
+    def no_aw(g, m):
+        return MixedPoint(m.z + g.c, UpperHalfPoint(m.w.x + g.b, m.w.y))
+    _fails_only_when_planted(cli._suite_heis, "pullback-metric", monkeypatch,
+                             cli, "heis_act", no_aw)
 
 
 def test_jacobian_rank_counts_rank_deficient_jacobians(monkeypatch):
@@ -560,6 +607,68 @@ def test_stacked_jacobians_equal_the_single_ones(rng):
         assert single.tobytes() == ref.tobytes() == J[i].tobytes()
     ranks = np.linalg.matrix_rank(J)
     assert ranks.tolist() == [np.linalg.matrix_rank(J[i]) for i in range(n)]
+
+
+def _metric_layer_calls():
+    """The point count, the heights (y1, y2), and name -> call(i): each
+    metric-layer route on 20 000 seeded points with heights over six
+    decades, stacked for i = slice(None) and on the single point i, whose
+    entries are np.float64 as the suites' draws are."""
+    rng = np.random.default_rng(20240817)
+    n = 20_000
+    x1, x2, t, s = rng.uniform(-3, 3, size=(4, n))
+    y1, y2 = 10.0 ** rng.uniform(-3, 3, size=(2, n))
+    u, v = rng.uniform(-2, 2, size=(2, 4, n))
+    txy, abc = rng.uniform(-2, 2, size=(2, 3, n))
+    p = np.array([x1, y1, x2, y2])
+    hh, ch = MetricSpec.half_hyperbolic_product(), MetricSpec.euclidean_times_hyperbolic()
+
+    def z(i):
+        return ProductPoint(UpperHalfPoint(x1[i], y1[i]), UpperHalfPoint(x2[i], y2[i]))
+
+    def base(i):
+        return ProductPoint(UpperHalfPoint(0.0, y1[i]), UpperHalfPoint(0.0, y2[i]))
+
+    def sol_embed(i):
+        return lambda c: leaf_embed(STANDARD, base(i), SolElement(*c)).coords()
+
+    def heis_embed(i):
+        m = MixedPoint(0j, UpperHalfPoint(0.0, y2[i]))
+        return lambda c: heis_act(HeisElement(*c), m).coords()
+
+    return n, (y1, y2), {
+        "matrix-hh": lambda i: hh.matrix(p[:, i]),
+        "matrix-ch": lambda i: ch.matrix(p[:, i]),
+        "metric_inner-hh": lambda i: metric_inner(hh, p[:, i], u[:, i], v[:, i]),
+        "metric_inner-ch": lambda i: metric_inner(ch, p[:, i], u[:, i], v[:, i]),
+        "metric_norm": lambda i: metric_norm(hh, p[:, i], u[:, i]),
+        "christoffel": lambda i: christoffel(hh, p[:, i]),
+        "geodesic_residual": lambda i: geodesic_residual(
+            hh, lambda w: normal_flow(z(i), w).coords(), t[i]),
+        "flow_speed": lambda i: flow_speed(z(i), s[i]),
+        "jacobian": lambda i: _fd.jacobian(sol_embed(i), txy[:, i])[1],
+        "pullback-sol": lambda i: _fd.pullback(hh.matrix, sol_embed(i), txy[:, i]),
+        "pullback-heis": lambda i: _fd.pullback(ch.matrix, heis_embed(i), abc[:, i]),
+        "leaf_metric": lambda i: leaf_metric(base(i), t[i]),
+        "heis_pullback_metric": lambda i: heis_pullback_metric(y2[i]),
+    }
+
+
+def test_a_squared_height_differs_from_the_float_power():
+    # so a coefficient computed with np.square fails the test below
+    y = np.concatenate(_metric_layer_calls()[1])
+    assert np.any(1 / (2 * np.square(y)) != np.array([1 / (2 * v ** 2) for v in y.tolist()]))
+
+
+@pytest.mark.parametrize("name", sorted(_metric_layer_calls()[2]))
+def test_stacked_metric_layer_calls_equal_the_one_point_calls(name):
+    n, _, calls = _metric_layer_calls()
+    call = calls[name]
+    # Christoffel symbols and Jacobians stack along a trailing axis
+    axis = -1 if name in ("christoffel", "jacobian") else 0
+    stacked = np.moveaxis(np.asarray(call(slice(None))), axis, 0)
+    assert stacked.shape[0] == n
+    assert stacked.tobytes() == np.array([call(i) for i in range(n)]).tobytes()
 
 
 def test_array_half_plane_points():
@@ -882,8 +991,8 @@ def test_kleinian_and_quotient_rows_draw_as_the_loops_do(samples, monkeypatch):
     for check, reference, arg, draws in (
             (sol_quotient_check, _sol_quotient_reference, spec, 3),
             (heis_quotient_check, _heis_quotient_reference, (2, 3, 6), 4)):
-        got, want = (_draw_states(lambda cfg, f=f: f(arg, samples, 5), None, monkeypatch)
-                     for f in (check, reference))
+        got, want = (_draw_states(lambda cfg, f=f: f(arg, samples, 5), None,
+                                  monkeypatch).states for f in (check, reference))
         assert got == want and len(got) == draws * samples
 
 
