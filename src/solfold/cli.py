@@ -1,14 +1,13 @@
 """Command-line front end: verification suites, data exports, report rendering.
 
-Grammar: solfold <verify|export|report> [subcommand] [flags].  Reports are
-JSON with one row per check; exports are CSV or JSON.  Identical
-configuration and seed produce byte-identical output.
+Grammar: solfold <verify | export TARGET | report> [--key value | --key=value]...,
+the keys those of the command's flag table.  Reports are JSON with one row
+per check; exports are CSV or JSON.  Identical configuration and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import math
@@ -118,6 +117,15 @@ def _parse_pos_float(field: str, bounds: Tuple[float, float] = (0.0, math.inf)):
 # coordinate stays a finite, normal, nonzero float.  Beyond about 2.5e153 a
 # height can overflow.
 _LAMBDA_RANGE = (1e-153, 1e153)
+
+
+def _parse_choice(field: str, choices: Sequence[str]):
+    def cast(s: str) -> str:
+        if s not in choices:
+            raise ConfigError(field, f"{field} must be one of {', '.join(choices)}, "
+                                     f"got {s!r}")
+        return s
+    return cast
 
 
 def _parse_matrix(s: str) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -243,55 +251,6 @@ def _check_lam_power(spec: ToralGroupSpec, n: int) -> None:
     if not finite(n):
         field = "N" if finite(8) else "A"
         raise ConfigError(field, f"{field} gives a power of lam that overflows a float")
-
-
-# Flags of each command and export target: key -> (parser, default).  The key
-# is at once the long flag without its "--", the config-file key, and the
-# argparse dest; a table's order is the order in which its values are parsed.
-_FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
-    "verify": {"suite": (str, "all"),
-               "seed": (_parse_int("seed", lo=0), 0),
-               "samples": (_parse_int("samples", lo=1, hi=_MAX_SAMPLES), 500),
-               "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
-               "A": (_parse_matrix, ((2, 1), (1, 1))),
-               "lambda": (_parse_pos_float("lambda", _LAMBDA_RANGE), None),
-               "N": (_parse_int("N", lo=0, hi=_MAX_LIMIT_N), 6),
-               "out": (str, None), "format": (str, "json")},
-    "flow": {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
-             "s-range": (_parse_range("s-range"), (-2.0, 2.0, 0.1)),
-             "out": (str, None), "format": (str, "csv")},
-    "leaf-metric": {"y1": (_parse_pos_float("y1"), 1.0 / math.sqrt(2.0)),
-                    "y2": (_parse_pos_float("y2"), 1.0 / math.sqrt(2.0)),
-                    "t-range": (_parse_range("t-range"), (-2.0, 2.0, 0.25)),
-                    "out": (str, None), "format": (str, "csv")},
-    "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-                  "N": (_parse_int("N", lo=0, hi=_MAX_LIMIT_N), 8),
-                  "out": (str, None), "format": (str, "json")},
-    "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-              "N": (_parse_int("N", lo=0, hi=_MAX_N), 4),
-              "base": (_parse_base, (1j, 1j)),
-              "out": (str, None), "format": (str, "csv")},
-    "domain": {"A": (_parse_matrix, ((2, 1), (1, 1))),
-               "out": (str, None), "format": (str, "json")},
-    "report": {"in": (str, None), "out": (str, None)},
-}
-_EXPORTS = ("flow", "leaf-metric", "limit-set", "orbit", "domain")
-
-
-def _resolve(ns: argparse.Namespace,
-             table: Dict[str, Tuple[Callable, object]]) -> Dict[str, object]:
-    """Merge flag values, config-file values, and defaults; flags win."""
-    cfg_file = _load_config_file(ns.config) if ns.config else {}
-    for key in cfg_file:
-        if key not in table:
-            raise ConfigError(key, f"unknown config key {key!r}")
-    resolved: Dict[str, object] = {}
-    for key, (cast, default) in table.items():
-        raw = getattr(ns, key)
-        if raw is None:
-            raw = cfg_file.get(key)
-        resolved[key] = default if raw is None else cast(raw)
-    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -584,23 +543,13 @@ def _report_json(suite: str, seed: int, rows: Sequence[CheckRow]) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _FLAGS["verify"])
-    if cfg["suite"] != "all" and cfg["suite"] not in _SUITES:
-        raise ConfigError("suite", f"unknown suite {cfg['suite']!r}")
-    if cfg["format"] != "json":
-        raise ConfigError("format", "verify reports are json only")
+def _cmd_verify(cfg: Dict[str, object]) -> int:
     rows = run_suite(cfg)
     _emit(_report_json(cfg["suite"], cfg["seed"], rows), cfg["out"])
     return 0 if all(r.passed for r in rows) else 1
 
 
-def _cmd_export(ns: argparse.Namespace) -> int:
-    sub = ns.target
-    for key in dict.fromkeys(k for t in _EXPORTS for k in _FLAGS[t]):
-        if key not in _FLAGS[sub] and getattr(ns, key) is not None:
-            raise ConfigError(key, f"export {sub} has no flag --{key}")
-    cfg = _resolve(ns, _FLAGS[sub])
+def _cmd_export(sub: str, cfg: Dict[str, object]) -> int:
     if sub == "flow":
         z = ProductPoint.from_coords(cfg["z"])
         rows = _positive_rows("s-range", lambda s: normal_flow(z, s).coords().tolist(),
@@ -618,22 +567,14 @@ def _cmd_export(ns: argparse.Namespace) -> int:
                               _range_values(cfg["t-range"]), (1, 2, 3))
         return _emit_table(cfg, ["t", "g_tt", "g_xx", "g_yy"], rows)
     if sub == "limit-set":
-        if cfg["format"] != "json":
-            raise ConfigError("format", "limit-set export is json only")
         spec = _spec_or_error(cfg["A"])
         _check_lam_power(spec, cfg["N"])
         res = pseudo_limit_kernels(spec, cfg["N"])
         # (re, im) of every dual entry as Python floats, read from one array
         duals = np.array([item.line.dual for item in res.lines],
                          dtype=complex).view(float).reshape(-1, 3, 2).tolist()
-        lines = []
-        for item, dual in zip(res.lines, duals):
-            lines.append({
-                "dual": dual,
-                "cluster_size": item.weight,
-                "family": item.family,
-                "parameter": item.parameter,
-            })
+        lines = [{"dual": dual, "cluster_size": item.weight, "family": item.family,
+                  "parameter": item.parameter} for item, dual in zip(res.lines, duals)]
         doc = {
             "A": [list(r) for r in cfg["A"]],
             "N": cfg["N"],
@@ -662,8 +603,6 @@ def _cmd_export(ns: argparse.Namespace) -> int:
         rows = [g + x for g, x in zip(ball.tolist(), moved.T.tolist())]
         return _emit_table(cfg, ["k", "n", "m", "x1", "y1", "x2", "y2"], rows)
     # domain
-    if cfg["format"] != "json":
-        raise ConfigError("format", "domain export is json only")
     spec = _spec_or_error(cfg["A"])
     doc = {
         "A": [list(r) for r in cfg["A"]],
@@ -697,11 +636,8 @@ def _positive_rows(field: str, row: Callable[[float], List[float]],
 def _emit_table(cfg: Dict[str, object], header: List[str], rows: List[List]) -> int:
     if cfg["format"] == "csv":
         _emit(_csv_text(header, rows), cfg["out"])
-    elif cfg["format"] == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        _emit(_json_line(doc), cfg["out"])
     else:
-        raise ConfigError("format", f"unknown format {cfg['format']!r}")
+        _emit(_json_line([dict(zip(header, row)) for row in rows]), cfg["out"])
     return 0
 
 
@@ -733,8 +669,7 @@ def _report_checks(doc) -> List[dict]:
     return checks
 
 
-def _cmd_report(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, _FLAGS["report"])
+def _cmd_report(cfg: Dict[str, object]) -> int:
     if cfg["in"] is None:
         raise ConfigError("in", "report needs --in FILE")
     try:
@@ -761,56 +696,99 @@ def _cmd_report(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process.  Parsing leaves a parser unchanged, so
-    its three subparsers and 26 arguments are built once, not on every call
-    of main."""
-    p = argparse.ArgumentParser(prog="solfold",
-                                description="verify and export the foliation "
-                                            "and limit-set computations")
-    subs = p.add_subparsers(dest="command", required=True)
-    v = subs.add_parser("verify", help="run verification suites")
-    e = subs.add_parser("export", help="export curves, grids, and limit data")
-    e.add_argument("target", choices=_EXPORTS)
-    r = subs.add_parser("report", help="render a JSON report as text")
-    for sub, tables, func in ((v, ("verify",), _cmd_verify),
-                              (e, _EXPORTS, _cmd_export),
-                              (r, ("report",), _cmd_report)):
-        # export takes the union of its targets' flags; _cmd_export rejects
-        # a flag its target lacks
-        for key in dict.fromkeys(k for t in tables for k in _FLAGS[t]):
-            sub.add_argument("--" + key, dest=key)
-        sub.add_argument("--config")
-        sub.set_defaults(func=func)
-    return p
+# Flags of each command and export target: key -> (parser, default).  The key
+# is at once the long flag without its "--" and the config-file key; a
+# table's order is the order in which its values are parsed.
+_FORMAT = (_parse_choice("format", ("csv", "json")), "csv")
+_FLAGS: Dict[str, Dict[str, Tuple[Callable, object]]] = {
+    "verify": {"suite": (_parse_choice("suite", (*_SUITES, "all")), "all"),
+               "seed": (_parse_int("seed", lo=0), 0),
+               "samples": (_parse_int("samples", lo=1, hi=_MAX_SAMPLES), 500),
+               "tol-scale": (_parse_pos_float("tol-scale"), 1.0),
+               "A": (_parse_matrix, ((2, 1), (1, 1))),
+               "lambda": (_parse_pos_float("lambda", _LAMBDA_RANGE), None),
+               "N": (_parse_int("N", lo=0, hi=_MAX_LIMIT_N), 6),
+               "out": (str, None)},
+    "flow": {"z": (_parse_point4("z"), (0.0, 1.0, 0.0, 1.0)),
+             "s-range": (_parse_range("s-range"), (-2.0, 2.0, 0.1)),
+             "out": (str, None), "format": _FORMAT},
+    "leaf-metric": {"y1": (_parse_pos_float("y1"), 1.0 / math.sqrt(2.0)),
+                    "y2": (_parse_pos_float("y2"), 1.0 / math.sqrt(2.0)),
+                    "t-range": (_parse_range("t-range"), (-2.0, 2.0, 0.25)),
+                    "out": (str, None), "format": _FORMAT},
+    "limit-set": {"A": (_parse_matrix, ((2, 1), (1, 1))),
+                  "N": (_parse_int("N", lo=0, hi=_MAX_LIMIT_N), 8),
+                  "out": (str, None)},
+    "orbit": {"A": (_parse_matrix, ((2, 1), (1, 1))),
+              "N": (_parse_int("N", lo=0, hi=_MAX_N), 4),
+              "base": (_parse_base, (1j, 1j)),
+              "out": (str, None), "format": _FORMAT},
+    "domain": {"A": (_parse_matrix, ((2, 1), (1, 1))),
+               "out": (str, None)},
+    "report": {"in": (str, None), "out": (str, None)},
+}
+_EXPORTS = ("flow", "leaf-metric", "limit-set", "orbit", "domain")
+_HELP = ("-h", "--help")
 
 
-def _glue_negative_values(args: List[str]) -> List[str]:
-    """Join each --key to a next token that begins with a minus sign and a
-    digit or dot, so argparse does not mistake values like -2:2:0.1 for
-    option names."""
-    out: List[str] = []
-    i = 0
-    while i < len(args):
-        tok = args[i]
-        if (tok.startswith("--") and "=" not in tok and i + 1 < len(args)
-                and args[i + 1].startswith("-") and len(args[i + 1]) > 1
-                and args[i + 1][1] in "0123456789."):
-            out.append(f"{tok}={args[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
-    return out
+def _command_line(args: List[str]) -> Optional[Tuple[str, Dict[str, str]]]:
+    """The flag table and flag values of verify, report or export TARGET, then
+    --key value or --key=value pairs, each value taken whole and the last of
+    a repeated key kept; None for -h or --help where a command, a target or
+    a flag is expected."""
+    command, *rest = args or [""]
+    table, field, choices = command, "command", ("verify", "export", "report")
+    if command == "export":
+        table, *rest = rest or [""]
+        field, choices = "target", _EXPORTS
+    if table in _HELP:
+        return None
+    _parse_choice(field, choices)(table)
+    keys = {*_FLAGS[table], "config"}
+    flags: Dict[str, str] = {}
+    words = iter(rest)
+    for tok in words:
+        if tok in _HELP:
+            return None
+        key, eq, value = tok.removeprefix("--").partition("=")
+        if key not in keys or not tok.startswith("--"):
+            raise ConfigError(key or tok, f"{table} has no flag {tok!r}")
+        value = value if eq else next(words, None)
+        if value is None:
+            raise ConfigError(key, f"--{key} needs a value")
+        flags[key] = value
+    return table, flags
+
+
+def _usage() -> str:
+    return "".join(f"usage: solfold {'export ' if table in _EXPORTS else ''}{table} "
+                   + " ".join(f"[--{key} {key.upper()}]" for key in [*flags, "config"])
+                   + "\n" for table, flags in _FLAGS.items())
+
+
+def _resolve(flags: Dict[str, str],
+             table: Dict[str, Tuple[Callable, object]]) -> Dict[str, object]:
+    """Merge flag values, config-file values, and defaults; flags win."""
+    cfg_file = _load_config_file(flags["config"]) if "config" in flags else {}
+    for key in cfg_file:
+        if key not in table:
+            raise ConfigError(key, f"unknown config key {key!r}")
+    raw = {**cfg_file, **flags}
+    return {key: cast(raw[key]) if key in raw else default
+            for key, (cast, default) in table.items()}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = list(sys.argv[1:]) if argv is None else list(argv)
-    ns = parser.parse_args(_glue_negative_values(args))
     try:
-        return ns.func(ns)
+        parsed = _command_line(list(sys.argv[1:]) if argv is None else list(argv))
+        if parsed is None:
+            sys.stdout.write(_usage())
+            return 0
+        table, flags = parsed
+        cfg = _resolve(flags, _FLAGS[table])
+        if table in _EXPORTS:
+            return _cmd_export(table, cfg)
+        return _cmd_verify(cfg) if table == "verify" else _cmd_report(cfg)
     except ConfigError as e:
         sys.stdout.write(_json_line({"error": {"field": e.field, "message": str(e)}}))
         return 2

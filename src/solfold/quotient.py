@@ -70,18 +70,16 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     # reflected components, so the sign pattern is rigid
     sign_violations = int(np.count_nonzero((gz.z1.y <= 0) | (gz.z2.y <= 0)))
 
-    rel_res = 0.0
-    t_gen = (1, 0, 0)
-    for n in range(-2, 3):
-        for m in range(-2, 3):
-            lhs = sol_mul(sol_mul(sol_lattice_embed(spec, *t_gen),
-                                  sol_lattice_embed(spec, 0, n, m)),
-                          sol_lattice_embed(spec, *t_gen).inverse())
-            # the same conjugate in the exact integer group law: (0, A (n, m))
-            word = toral_compose(spec, toral_compose(spec, t_gen, (0, n, m)), (-1, 0, 0))
-            rhs = sol_lattice_embed(spec, *word)
-            rel_res = max(rel_res,
-                          abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
+    # the conjugate of each translation (0, n, m), |n|, |m| <= 2, by the
+    # generator (1, 0, 0), against the same conjugate in the exact integer
+    # group law, (0, A (n, m)); n and m are Python ints, so a large A does not wrap
+    n, m = np.mgrid[-2:3, -2:3].reshape(2, -1).astype(object)
+    t_gen = sol_lattice_embed(spec, 1, 0, 0)
+    lhs = sol_mul(sol_mul(t_gen, sol_lattice_embed(spec, 0, n, m)), t_gen.inverse())
+    word = toral_compose(spec, toral_compose(spec, (1, 0, 0), (0, n, m)), (-1, 0, 0))
+    rhs = sol_lattice_embed(spec, *word)
+    rel_res = float(np.abs(np.broadcast_arrays(lhs.t - rhs.t, lhs.x - rhs.x,
+                                               lhs.y - rhs.y)).max())
 
     return (
         check_row("leaf-preservation", leaf_res, 1e-10,

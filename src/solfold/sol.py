@@ -39,13 +39,15 @@ class SolElement:
     y: float
 
     def inverse(self) -> "SolElement":
-        return SolElement(-self.t, -math.exp(-self.t) * self.x, -math.exp(self.t) * self.y)
+        return SolElement(-self.t, -_per_element(math.exp, -self.t) * self.x,
+                          -_per_element(math.exp, self.t) * self.y)
 
 
 def sol_mul(g: SolElement, h: SolElement) -> SolElement:
+    """g h, elementwise when the coordinates hold arrays."""
     return SolElement(g.t + h.t,
-                      g.x + math.exp(g.t) * h.x,
-                      g.y + math.exp(-g.t) * h.y)
+                      g.x + _per_element(math.exp, g.t) * h.x,
+                      g.y + _per_element(math.exp, -g.t) * h.y)
 
 
 @dataclass(frozen=True)

@@ -441,31 +441,83 @@ def test_json_writer_rejects_what_the_reference_rejects(bad, error):
         cli._json_line(bad)
 
 
-def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
-    """main parses with one cached parser; two subcommands, a bad flag (an
-    argparse error, exit 2) and a good call after it must give what a
-    parser built afresh for each call gives."""
+def test_one_parser_serves_every_call_of_a_process(capsys):
+    """Two subcommands, a bad flag (exit 2 with the JSON error line) and a
+    good call after it give, call by call, what the same calls give in the
+    reverse order: no call leaves state behind for the next."""
     calls = [("verify", "--suite", "heis", "--samples", "5"),
              ("export", "orbit", "--N", "1"),
              ("export", "domain", "--no-such-flag", "1"),
              ("export", "limit-set", "--N", "2")]
 
-    def outputs():
-        got = []
-        for argv in calls:
-            try:
-                rc = main(list(argv))
-            except SystemExit as e:
-                rc = e.code
-            got.append((rc, *capsys.readouterr()))
-        return got
+    def outputs(argvs):
+        return [(main(list(argv)), *capsys.readouterr()) for argv in argvs]
 
-    cached = outputs()
-    assert cli._build_parser() is cli._build_parser()
-    assert [rc for rc, _, _ in cached] == [0, 0, 2, 0]
-    assert "unrecognized arguments: --no-such-flag" in cached[2][2]
-    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
-    assert outputs() == cached
+    got = outputs(calls)
+    assert [rc for rc, _, _ in got] == [0, 0, 2, 0]
+    assert json.loads(got[2][1])["error"]["field"] == "no-such-flag"
+    assert got[2][2] == ""
+    assert outputs(calls[::-1]) == got[::-1]
+
+
+# each malformed command line, and the field its error names
+MALFORMED = [
+    ("", "command"), ("frobnicate", "command"),
+    ("export", "target"), ("export nope", "target"),
+    ("verify --no-such-flag 1", "no-such-flag"), ("verify --samples", "samples"),
+    ("verify --samp 5", "samp"), ("verify 5", "5"),
+    ("verify --format json", "format"), ("export limit-set --format json", "format"),
+    ("export domain --format json", "format"),
+    ("verify --suite nope", "suite"), ("export flow --format xml", "format"),
+    ("export orbit --format=", "format"),
+]
+
+
+@pytest.mark.parametrize("argv, field", MALFORMED, ids=[a or "empty" for a, _ in MALFORMED])
+def test_malformed_command_lines_exit_2_naming_the_field(argv, field, capsys):
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 2 and err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert json.loads(out)["error"]["field"] == field
+
+
+def test_each_command_takes_exactly_the_keys_of_its_table(capsys):
+    every = {key for flags in cli._FLAGS.values() for key in flags}
+    for table, flags in cli._FLAGS.items():
+        command = ["export", table] if table in cli._EXPORTS else [table]
+        for key in [*flags, "config"]:
+            assert cli._command_line([*command, f"--{key}", "-v"]) == (table, {key: "-v"})
+        for key in sorted(every - set(flags)):
+            rc, out = run(capsys, *command, f"--{key}", "1")
+            assert rc == 2 and json.loads(out)["error"]["field"] == key
+
+
+@pytest.mark.parametrize("argv", ["--help", "-h", "verify --help", "export --help",
+                                  "export flow -h", "report --in r.json --help"])
+def test_help_names_every_flag(argv, capsys):
+    rc = main(argv.split())
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert len(out.splitlines()) == len(cli._FLAGS)
+    for flags in cli._FLAGS.values():
+        for key in [*flags, "config"]:
+            assert f"--{key} " in out
+
+
+def test_values_that_begin_with_a_minus_are_taken_whole(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    by_eq = run(capsys, "export", "orbit", "--N", "0", "--base=-0+1i,-0.0+2i")
+    assert by_eq == run(capsys, "export", "orbit", "--N", "0", "--base", "-0+1i,-0.0+2i")
+    assert by_eq == (0, "k,n,m,x1,y1,x2,y2\n0,0,0,0.0,1.0,0.0,2.0\n")
+    # a minus and a letter, and a value spelled like a flag
+    for name in ("-x.csv", "--help"):
+        assert run(capsys, "export", "orbit", "--N", "0", "--base=-0+1i,-0.0+2i",
+                   "--out", name) == (0, "")
+        assert (tmp_path / name).read_text() == by_eq[1]
+    # the last value of a repeated flag wins
+    assert run(capsys, "export", "flow", "--s-range", "0:1:1", "--s-range=-1:1:0.5")[1] \
+        == run(capsys, "export", "flow", "--s-range", "-1:1:0.5")[1]
 
 
 def test_report_renders_passing_table(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import solfold.quotient as quotient
 from solfold import (
     HeisElement,
+    SolElement,
     ToralGroupSpec,
     fundamental_domain_reduce,
     heis_act,
@@ -31,6 +32,21 @@ SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
 # ---------------------------------------------------------------------------
 # the per-point loops the library checks batch, kept as the reference
 
+def _semidirect_relation_reference(spec):
+    rel_res = 0.0
+    t_gen = (1, 0, 0)
+    for n in range(-2, 3):
+        for m in range(-2, 3):
+            lhs = sol_mul(sol_mul(sol_lattice_embed(spec, *t_gen),
+                                  sol_lattice_embed(spec, 0, n, m)),
+                          sol_lattice_embed(spec, *t_gen).inverse())
+            word = toral_compose(spec, toral_compose(spec, t_gen, (0, n, m)), (-1, 0, 0))
+            rhs = sol_lattice_embed(spec, *word)
+            rel_res = max(rel_res,
+                          abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
+    return rel_res
+
+
 def _sol_quotient_reference(spec, samples, seed):
     rng = np.random.default_rng(seed)
     ball = [g for g in map(tuple, word_ball(2).tolist()) if g != (0, 0, 0)]
@@ -49,18 +65,7 @@ def _sol_quotient_reference(spec, samples, seed):
             if gz.z1.y <= 0 or gz.z2.y <= 0:
                 sign_violations += 1
 
-    rel_res = 0.0
-    t_gen = (1, 0, 0)
-    for n in range(-2, 3):
-        for m in range(-2, 3):
-            lhs = sol_mul(sol_mul(sol_lattice_embed(spec, *t_gen),
-                                  sol_lattice_embed(spec, 0, n, m)),
-                          sol_lattice_embed(spec, *t_gen).inverse())
-            word = toral_compose(spec, toral_compose(spec, t_gen, (0, n, m)), (-1, 0, 0))
-            rhs = sol_lattice_embed(spec, *word)
-            rel_res = max(rel_res,
-                          abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
-
+    rel_res = _semidirect_relation_reference(spec)
     return (
         check_row("leaf-preservation", leaf_res, 1e-10,
                   "the lattice action preserves each leaf parameter s"),
@@ -118,6 +123,28 @@ def test_sol_quotient_matches_reference_loop(A, samples):
     for seed in range(5):
         _assert_same_report(sol_quotient_check(spec, samples, seed),
                             _sol_quotient_reference(spec, samples, seed))
+
+
+@pytest.mark.parametrize("h", [2, 3, 1000, 10 ** 6, 10 ** 30])
+def test_semidirect_relation_row_equals_the_loop(h):
+    """The row's one array pass over the 5 x 5 grid of (n, m) gives the loop's
+    residual bit for bit, up to a trace whose A (n, m) passes int64; h = 2
+    and 3 stand for [[2, 1], [1, 1]] and [[3, 2], [1, 1]], and [[7, 4], [5, 3]]
+    joins them."""
+    for A in ([[h, h - 1], [1, 1]], [[7, 4], [5, 3]]):
+        spec = ToralGroupSpec.from_matrix(A)
+        row = sol_quotient_check(spec, samples=1)[2]
+        assert row.name == "semidirect-relation"
+        assert row.residual.hex() == float(_semidirect_relation_reference(spec)).hex()
+
+
+def test_sol_mul_and_inverse_take_arrays_entry_by_entry(rng):
+    g, h = (SolElement(*rng.uniform(-3, 3, size=(3, 40))) for _ in range(2))
+    prod, inv = sol_mul(g, h), g.inverse()
+    for i in range(40):
+        gi, hi = (SolElement(e.t[i], e.x[i], e.y[i]) for e in (g, h))
+        for got, want in ((prod, sol_mul(gi, hi)), (inv, gi.inverse())):
+            assert (got.t[i], got.x[i], got.y[i]) == (want.t, want.x, want.y)
 
 
 @pytest.mark.parametrize("samples", [1, 7, 300])

@@ -45,12 +45,13 @@ def commands() -> List[List[str]]:
         ["verify", "--suite", "all", "--lambda", "2.5"],
         ["verify", "--suite", "all", "--tol-scale", "1e-3"],
     ]
-    for target, formats in (("flow", ("csv", "json")), ("leaf-metric", ("csv", "json")),
-                            ("orbit", ("csv", "json")), ("domain", ("json",)),
-                            ("limit-set", ("json",))):
-        for fmt in formats:
+    for target in ("flow", "leaf-metric", "orbit"):
+        for fmt in ("csv", "json"):
             cmds.append(["export", target, "--format", fmt,
                          "--out", f"{OUT}/{target}.{fmt}"])
+    # limit-set and domain write json alone and take no --format
+    for target in ("domain", "limit-set"):
+        cmds.append(["export", target, "--out", f"{OUT}/{target}.json"])
     cmds.append(["export", "leaf-metric", "--y1", "0.3", "--y2", "2.5",
                  "--t-range", "-1:1:0.125"])
     for A in ("2,1,1,1", "3,2,1,1", "5,4,1,1", "7,4,5,3"):
