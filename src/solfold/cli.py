@@ -31,7 +31,7 @@ from .kleinian import (MAX_BALL_ROWS, ToralGroupSpec, _ball_size, _normalize_row
                        intersecting_elements, lattice_iso_test,
                        limit_general_position, pseudo_limit_kernels,
                        sol_lattice_embed, toral_act, toral_element, word_ball)
-from .quotient import (CheckRow, check_row, heis_quotient_check,
+from .quotient import (CheckRow, _per_sample_draws, check_row, heis_quotient_check,
                        sol_quotient_check)
 from .sol import (STANDARD, SolElement, SolParams, flow_equivariance_defect,
                   flow_speed, leaf_embed, leaf_metric, leaf_separation,
@@ -475,15 +475,11 @@ def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
     the radius-2 ball, three ways, each once over the samples: toral_act, the
     reference, the solvable action and the projective one in the chart z3 = 1."""
     ball = word_ball(2)
-    # per sample: a word, then a point, (x1, x2) then (y1, y2); the scalar
-    # integers draw interleaves with the uniform ones, so each sample draws in turn
-    words = np.empty(samples, dtype=np.int64)
-    X = np.empty((samples, 4))
-    for i in range(samples):
-        words[i] = rng.integers(0, len(ball))
-        X[i, ::2] = rng.uniform(-3.0, 3.0, size=2)
-        X[i, 1::2] = rng.uniform(0.3, 4.0, size=2)
-    G = ball[words]
+    # per sample: a word, then a point, (x1, x2) then (y1, y2)
+    words, x, y = _per_sample_draws(rng, samples, (
+        ("integers", 0, len(ball), 1), ("uniform", -3.0, 3.0, 2), ("uniform", 0.3, 4.0, 2)))
+    X = np.stack((x, y), axis=2).reshape(samples, 4)
+    G = ball[words[:, 0]]
     z = ProductPoint.from_coords(X.T)
     direct = toral_act(spec, G.T, z).coords().T
     via_sol = sol_act(STANDARD, sol_lattice_embed(spec, *G.T), z).coords().T

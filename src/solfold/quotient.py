@@ -11,7 +11,7 @@ in the README.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,89 @@ def check_row(name: str, residual: float, threshold: float,
     return CheckRow(name, res, threshold, res <= threshold, claim)
 
 
+_Plan = Sequence[Tuple[str, float, float, int]]
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _draw_loop(rng: np.random.Generator, samples: int, plan: _Plan) -> List[np.ndarray]:
+    """For each sample in turn, each entry (kind, lo, hi, count) of plan as
+    rng.uniform(lo, hi, size=count) or rng.integers(lo, hi, size=count): one
+    (samples, count) array per entry."""
+    out = [np.empty((samples, count), dtype=float if kind == "uniform" else np.int64)
+           for kind, _, _, count in plan]
+    for i in range(samples):
+        for o, (kind, lo, hi, count) in zip(out, plan):
+            o[i] = getattr(rng, kind)(lo, hi, size=count)
+    return out
+
+
+def _per_sample_draws(rng: np.random.Generator, samples: int,
+                      plan: _Plan) -> List[np.ndarray]:
+    """The arrays _draw_loop(rng, samples, plan) draws, bit for bit, read
+    from one block of PCG64 words; the stream ends where the loop leaves it,
+    a carried 32-bit half included.
+
+    A uniform is NumPy's next_double of one word, lo + (hi - lo) * (w >> 11)
+    * 2**-53.  An integer in [lo, hi) is Lemire's lo + (x * r >> 32), r = hi - lo,
+    on a 32-bit half x: the low half of a fresh word, whose high half the next
+    integer takes.  A half that Lemire would reject, a carried half at entry or
+    another bit generator runs the loop instead, from the same state."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if (samples < 1 or state["bit_generator"] != "PCG64" or state["has_uint32"]
+            or not all(2 <= hi - lo <= 1 << 32
+                       for kind, lo, hi, _ in plan if kind == "integers")):
+        return _draw_loop(rng, samples, plan)
+    # one period of the layout, a row per sample and entry of half indices
+    # 2 word + (0 low, 1 high): a uniform takes a whole word, an integer one
+    # half; a sample that draws an odd count of halves leaves one carried, so
+    # the layout then repeats every two samples
+    period = 1 + sum(count for kind, _, _, count in plan if kind == "integers") % 2
+    layout: List[List[List[int]]] = [[] for _ in plan]
+    word, carry, last, ends = 0, None, None, []
+    for _ in range(period):
+        for rows, (kind, _, _, count) in zip(layout, plan):
+            row = []
+            for _ in range(count):
+                if kind == "integers" and carry is not None:
+                    row.append(2 * carry + 1)
+                    carry = None
+                    continue
+                row.append(2 * word)
+                if kind == "integers":
+                    carry = last = word
+                word += 1
+            rows.append(row)
+        ends.append((word, carry, last))
+    # the last sample is sample r of period q; the stream ends where it does
+    q, r = divmod(samples - 1, period)
+    used, carry, last = ends[r]
+    raw = bitgen.random_raw(q * word + used)
+    half = np.stack((raw & _MASK32, raw >> 32), axis=1).ravel()
+    starts = 2 * word * np.arange(q + 1)[:, None, None]
+    out = []
+    for rows, (kind, lo, hi, count) in zip(layout, plan):
+        # every period's positions, cut at the last sample
+        at = (np.array(rows, dtype=np.intp).reshape(period, count)
+              + starts).reshape((q + 1) * period, count)[:samples]
+        if kind == "uniform":
+            out.append(lo + (hi - lo) * ((raw[at >> 1] >> 11) * 2.0 ** -53))
+            continue
+        m = half[at] * np.uint64(hi - lo)
+        if ((m & _MASK32) < (2 ** 32 - (hi - lo)) % (hi - lo)).any():
+            bitgen.state = state
+            return _draw_loop(rng, samples, plan)
+        out.append((m >> 32).astype(np.int64) + lo)
+    if last is not None:
+        # the high half of the last fresh integer word, carried or taken
+        end = bitgen.state
+        end["has_uint32"] = int(carry is not None)
+        end["uinteger"] = int(raw[q * word + last]) >> 32
+        bitgen.state = end
+    return out
+
+
 def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
                        seed: int = 0) -> Tuple[CheckRow, ...]:
     """Sample-scale verification that the toral action respects the
@@ -51,14 +134,10 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     rng = np.random.default_rng(seed)
     ball = word_ball(2)
     ball = ball[ball.any(axis=1)]
-    # per sample: a point, (x1, x2) then (y1, y2), then ten words; the
-    # integers draw interleaves with the uniform ones, so each sample draws in turn
-    X = np.empty((samples, 4))
-    words = np.empty((samples, 10), dtype=np.int64)
-    for i in range(samples):
-        X[i, ::2] = rng.uniform(-3.0, 3.0, size=2)
-        X[i, 1::2] = rng.uniform(0.2, 5.0, size=2)
-        words[i] = rng.integers(0, len(ball), size=10)
+    # per sample: a point, (x1, x2) then (y1, y2), then ten words
+    x, y, words = _per_sample_draws(rng, samples, (
+        ("uniform", -3.0, 3.0, 2), ("uniform", 0.2, 5.0, 2), ("integers", 0, len(ball), 10)))
+    X = np.stack((x, y), axis=2).reshape(samples, 4)
     rep0 = fundamental_domain_reduce(spec, ProductPoint.from_coords(X.T))[1].coords()
     gz = toral_act(spec, ball[words.ravel()].T,
                    ProductPoint.from_coords(np.repeat(X, 10, axis=0).T))
@@ -102,14 +181,10 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
     # per sample: a point (Re z, Im z, Re w, Im w) of C x H, three coordinates
     # and then the height, an element, and ten words, whose ten size-3 integer
     # draws read the stream as one of size 30
-    Z = np.empty((samples, 4))
-    base = np.empty((samples, 3))
-    ell = np.empty((samples, 30), dtype=np.int64)
-    for i in range(samples):
-        Z[i, :3] = rng.uniform(-3.0, 3.0, size=3)
-        Z[i, 3] = rng.uniform(0.2, 5.0)
-        base[i] = rng.uniform(-4.0, 4.0, size=3)
-        ell[i] = rng.integers(-3, 4, size=30)
+    zxy, height, base, ell = _per_sample_draws(rng, samples, (
+        ("uniform", -3.0, 3.0, 3), ("uniform", 0.2, 5.0, 1), ("uniform", -4.0, 4.0, 3),
+        ("integers", -3, 4, 30)))
+    Z = np.hstack((zxy, height))
     # the reduction validates the closure condition d3 | d1 d2
     rep0 = np.array(heis_reduce_mod_integer_lattice(HeisElement(*base.T), moduli)[1].triple())
     ell = ell.reshape(-1, 3) * moduli

@@ -256,3 +256,100 @@ def test_heis_height_invariance_sees_a_moved_height(monkeypatch):
     row = {c.name: c for c in heis_quotient_check((1, 1, 1), 50, 0)}["height-invariance"]
     assert not row.passed
     assert row.residual > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the block draw of the per-sample streams against the loop it replaces
+
+# the plans of embed-agreement, the sol check and the heis check
+PLANS = {
+    "embed": (("integers", 0, 25, 1), ("uniform", -3.0, 3.0, 2), ("uniform", 0.3, 4.0, 2)),
+    "sol": (("uniform", -3.0, 3.0, 2), ("uniform", 0.2, 5.0, 2), ("integers", 0, 24, 10)),
+    "heis": (("uniform", -3.0, 3.0, 3), ("uniform", 0.2, 5.0, 1), ("uniform", -4.0, 4.0, 3),
+             ("integers", -3, 4, 30)),
+}
+
+
+def _loop(rng, samples, plan):
+    """The draws sample by sample, each entry a row of its (samples, count) array."""
+    rows = [[getattr(rng, kind)(lo, hi, size=count) for kind, lo, hi, count in plan]
+            for _ in range(samples)]
+    return [np.array([r[j] for r in rows]).reshape(samples, count)
+            for j, (_, _, _, count) in enumerate(plan)]
+
+
+def _assert_same_draws(got, want):
+    assert [(g.dtype, g.shape, g.flags.c_contiguous) for g in got] == \
+        [(w.dtype, w.shape, True) for w in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+def test_per_sample_draws_equal_the_loop(plan):
+    counts = (1, 2, 7, 299, 300)
+    for seed in range(200):
+        # the loop's draws and state after each count, drawn once per seed
+        rng, drawn, states = np.random.default_rng(seed), [], []
+        for n, more in zip(counts, np.diff((0,) + counts)):
+            drawn.append(_loop(rng, int(more), plan))
+            states.append(rng.bit_generator.state)
+        for i, n in enumerate(counts):
+            rng = np.random.default_rng(seed)
+            got = quotient._per_sample_draws(rng, n, plan)
+            _assert_same_draws(got, [np.concatenate(a) for a in zip(*drawn[:i + 1])])
+            assert rng.bit_generator.state == states[i], (seed, n)
+
+
+def _fallbacks(monkeypatch):
+    calls = []
+    loop = quotient._draw_loop
+
+    def counted(*args):
+        calls.append(args[1:])
+        return loop(*args)
+    monkeypatch.setattr(quotient, "_draw_loop", counted)
+    return calls
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 300])
+def test_per_sample_draws_fall_back_on_a_rejected_half(samples, monkeypatch):
+    # r = 3 2^30: Lemire rejects a half below 2^32 mod r = 2^30, a quarter of them
+    plan = (("uniform", 0.0, 1.0, 1), ("integers", -5, 3 * 2 ** 30 - 5, 3))
+    calls = _fallbacks(monkeypatch)
+    for seed in range(20):
+        got, want = (np.random.default_rng(seed) for _ in range(2))
+        _assert_same_draws(quotient._per_sample_draws(got, samples, plan),
+                           _loop(want, samples, plan))
+        assert got.bit_generator.state == want.bit_generator.state
+    assert calls
+
+
+@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+@pytest.mark.parametrize("samples", [1, 2, 7, 300])
+def test_per_sample_draws_fall_back_on_a_carried_half(plan, samples, monkeypatch):
+    calls = _fallbacks(monkeypatch)
+    got, want = (np.random.default_rng(3) for _ in range(2))
+    for rng in (got, want):
+        rng.integers(0, 5)          # leaves the high half of its word carried
+    _assert_same_draws(quotient._per_sample_draws(got, samples, plan),
+                       _loop(want, samples, plan))
+    assert got.bit_generator.state == want.bit_generator.state
+    assert calls == [(samples, plan)]
+
+
+@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+def test_per_sample_draws_fall_back_on_another_bit_generator(plan, monkeypatch):
+    calls = _fallbacks(monkeypatch)
+    got, want = (np.random.Generator(np.random.MT19937(4)) for _ in range(2))
+    _assert_same_draws(quotient._per_sample_draws(got, 9, plan), _loop(want, 9, plan))
+    assert got.bit_generator.state["state"]["key"].tolist() == \
+        want.bit_generator.state["state"]["key"].tolist()
+    assert calls == [(9, plan)]
+
+
+@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
+def test_per_sample_draws_read_one_block(plan, monkeypatch):
+    calls = _fallbacks(monkeypatch)
+    rng = np.random.default_rng(0)
+    quotient._per_sample_draws(rng, 300, plan)
+    assert calls == []

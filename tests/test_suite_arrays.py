@@ -1,11 +1,11 @@
 """The array rows of verify against their per-sample loops.
 
 The sol and heis suites compute ten rows on arrays, each from one block
-draw; the kleinian embed-agreement row and the two quotient checks draw per
-sample and compute every route on arrays.  The loops they replaced live on
-here as the reference: equal rows, residual bits included, the same rng
-stream position after every row, and a planted defect that each array row
-or route still catches.  The per-point finite-difference stencil, the
+draw; the kleinian embed-agreement row and the two quotient checks read
+their per-sample draws from one block of raw words and compute every route
+on arrays.  The loops they replaced live on here as the reference: equal
+rows, residual bits included, the same rng stream position after every row,
+and a planted defect that each array row or route still catches.  The per-point finite-difference stencil, the
 scalar distances and the one-word toral forms are kept too, against the
 one-call stencil, the array distances and the stacked toral forms.
 """
@@ -324,11 +324,14 @@ def test_sol_rows_equal_the_loop_at_the_lambda_bounds(lam):
 
 
 class _Recording:
-    """Wraps a Generator and notes its bit generator's state after every draw,
-    and counts the block draws, those whose size is a shape (n, k)."""
+    """Wraps a Generator and notes the values and its bit generator's state
+    after every draw, and counts the block draws, those whose size is a shape
+    (n, k).  Its bit_generator is the Generator's own, unrecorded."""
 
     def __init__(self, rng):
         self.rng = rng
+        self.bit_generator = rng.bit_generator
+        self.values = []
         self.states = []
         self.blocks = 0
 
@@ -337,6 +340,7 @@ class _Recording:
 
         def recorded(*args, **kwargs):
             out = draw(*args, **kwargs)
+            self.values += np.ravel(out).tolist()
             self.states.append(self.rng.bit_generator.state)
             self.blocks += np.ndim(kwargs.get("size")) == 1
             return out
@@ -981,19 +985,32 @@ def test_heis_quotient_rows_equal_the_loop(moduli):
 
 @pytest.mark.parametrize("samples", [1, 60, 300])
 def test_kleinian_and_quotient_rows_draw_as_the_loops_do(samples, monkeypatch):
-    # each row draws per sample: the same draws in the same order, so the
-    # stream stands where the loop leaves it after every draw
+    # each row draws its samples in one block: no Generator call, the values
+    # the per-sample loop draws in the loop's order, and the stream left
+    # where the loop leaves it
     spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
+    blocks, draws = [], quotient._per_sample_draws
+
+    def recorded(*args):
+        blocks.append(draws(*args))
+        return blocks[-1]
+    monkeypatch.setattr(cli, "_per_sample_draws", recorded)
+    monkeypatch.setattr(quotient, "_per_sample_draws", recorded)
     got, want = (_Recording(np.random.default_rng(5)) for _ in range(2))
     cli._embed_agreement(spec, got, samples)
     _embed_agreement_reference(spec, want, samples)
-    assert got.states == want.states and len(got.states) == 3 * samples
-    for check, reference, arg, draws in (
+    runs = [(got, want, 3)]
+    for check, reference, arg, draws_per_sample in (
             (sol_quotient_check, _sol_quotient_reference, spec, 3),
             (heis_quotient_check, _heis_quotient_reference, (2, 3, 6), 4)):
-        got, want = (_draw_states(lambda cfg, f=f: f(arg, samples, 5), None,
-                                  monkeypatch).states for f in (check, reference))
-        assert got == want and len(got) == draws * samples
+        runs.append(tuple(_draw_states(lambda cfg, f=f: f(arg, samples, 5), None,
+                                       monkeypatch) for f in (check, reference))
+                    + (draws_per_sample,))
+    assert len(blocks) == len(runs)
+    for (got, want, draws_per_sample), block in zip(runs, blocks):
+        assert got.states == [] and len(want.states) == draws_per_sample * samples
+        assert [v for row in zip(*block) for a in row for v in a.tolist()] == want.values
+        assert got.bit_generator.state == want.states[-1]
 
 
 # a planted defect in each array route fails its row

@@ -88,6 +88,14 @@ def commands() -> List[List[str]]:
         ["verify", "--suite", "sol", "--samples", "2000", "--seed", "5"],
         ["verify", "--suite", "heis", "--samples", "1", "--seed", "9"],
     ]
+    # the block draw of the per-sample streams: embed-agreement at an odd
+    # count on its two-sample layout and above the cap of 300, and the
+    # quotient checks one sample under it
+    cmds += [
+        ["verify", "--suite", "kleinian", "--samples", "9", "--seed", "2"],
+        ["verify", "--suite", "kleinian", "--samples", "301", "--seed", "6"],
+        ["verify", "--suite", "quotient", "--samples", "299", "--seed", "8"],
+    ]
     cmds += [
         ["export", "orbit", "--N", "91"],
         ["verify", "--suite", "kleinian", "--A", "2,1,1"],
