@@ -238,9 +238,9 @@ def _spec_or_error(A) -> ToralGroupSpec:
 
 def _check_lam_power(spec: ToralGroupSpec, n: int) -> None:
     """Exit 2 unless lam^n is a finite float, n the largest power of lam a
-    command takes: a limit-kernel denominator lam^N - 1, or the radius-8
-    ball of the discontinuity-stable row.  Where it overflows, the field is
-    A when lam^8 overflows too, else N."""
+    command takes: a limit-kernel denominator lam^N - 1, the radius-8 ball
+    of the discontinuity-stable row, or the lam^3 of a quotient reduction.
+    Where it overflows, the field is A when lam^8 overflows too, else N."""
     def finite(k: int) -> bool:
         try:
             spec.lam ** k
@@ -411,7 +411,6 @@ _TEST_BOX = ((0.1, 0.9), (1.0, 2.0), (0.1, 0.9), (1.0, 2.0))
 
 
 def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
-    rng = np.random.default_rng(cfg["seed"])
     samples, A = cfg["samples"], cfg["A"]
     spec = _spec_or_error(A)
     _check_lam_power(spec, max(cfg["N"], 8))
@@ -465,18 +464,17 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
                           "R/L run words decide conjugacy: matches carry an integer "
                           "conjugator, a trace or word mismatch refutes"))
 
-    rows.append(_embed_agreement(spec, rng, min(samples, 300)))
+    rows.append(_embed_agreement(spec, cfg["seed"], min(samples, 300)))
     return rows
 
 
-def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
-                     samples: int) -> CheckRow:
+def _embed_agreement(spec: ToralGroupSpec, seed: int, samples: int) -> CheckRow:
     """The toral action on samples points of H x H, each moved by a word of
     the radius-2 ball, three ways, each once over the samples: toral_act, the
     reference, the solvable action and the projective one in the chart z3 = 1."""
     ball = word_ball(2)
     # per sample: a word, then a point, (x1, x2) then (y1, y2)
-    words, x, y = _per_sample_draws(rng, samples, (
+    words, x, y = _per_sample_draws(seed, samples, (
         ("integers", 0, len(ball), 1), ("uniform", -3.0, 3.0, 2), ("uniform", 0.3, 4.0, 2)))
     X = np.stack((x, y), axis=2).reshape(samples, 4)
     G = ball[words[:, 0]]
@@ -497,6 +495,8 @@ def _embed_agreement(spec: ToralGroupSpec, rng: np.random.Generator,
 
 def _suite_quotient(cfg: Dict[str, object]) -> List[CheckRow]:
     spec = _spec_or_error(cfg["A"])
+    # the radius-2 words reach lam^2, and their reduction one power more
+    _check_lam_power(spec, 3)
     n, seed = min(cfg["samples"], 300), cfg["seed"]
     rows = (("sol", sol_quotient_check(spec, samples=n, seed=seed)),
             ("heis", heis_quotient_check((1, 1, 1), samples=n, seed=seed)))

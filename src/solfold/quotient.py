@@ -58,30 +58,23 @@ def _draw_loop(rng: np.random.Generator, samples: int, plan: _Plan) -> List[np.n
     return out
 
 
-def _per_sample_draws(rng: np.random.Generator, samples: int,
-                      plan: _Plan) -> List[np.ndarray]:
-    """The arrays _draw_loop(rng, samples, plan) draws, bit for bit, read
-    from one block of PCG64 words; the stream ends where the loop leaves it,
-    a carried 32-bit half included.
+def _per_sample_draws(seed: int, samples: int, plan: _Plan) -> List[np.ndarray]:
+    """The arrays _draw_loop(np.random.default_rng(seed), samples, plan)
+    draws, bit for bit, read from one block of words of PCG64(seed), the bit
+    generator that default_rng(seed) wraps.  Every integer entry has
+    2 <= hi - lo <= 2**32.
 
     A uniform is NumPy's next_double of one word, lo + (hi - lo) * (w >> 11)
     * 2**-53.  An integer in [lo, hi) is Lemire's lo + (x * r >> 32), r = hi - lo,
     on a 32-bit half x: the low half of a fresh word, whose high half the next
-    integer takes.  A half that Lemire would reject, a carried half at entry or
-    another bit generator runs the loop instead, from the same state."""
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if (samples < 1 or state["bit_generator"] != "PCG64" or state["has_uint32"]
-            or not all(2 <= hi - lo <= 1 << 32
-                       for kind, lo, hi, _ in plan if kind == "integers")):
-        return _draw_loop(rng, samples, plan)
+    integer takes.  A half that Lemire would reject runs the loop instead."""
     # one period of the layout, a row per sample and entry of half indices
     # 2 word + (0 low, 1 high): a uniform takes a whole word, an integer one
     # half; a sample that draws an odd count of halves leaves one carried, so
     # the layout then repeats every two samples
     period = 1 + sum(count for kind, _, _, count in plan if kind == "integers") % 2
     layout: List[List[List[int]]] = [[] for _ in plan]
-    word, carry, last, ends = 0, None, None, []
+    word, carry = 0, None
     for _ in range(period):
         for rows, (kind, _, _, count) in zip(layout, plan):
             row = []
@@ -92,35 +85,25 @@ def _per_sample_draws(rng: np.random.Generator, samples: int,
                     continue
                 row.append(2 * word)
                 if kind == "integers":
-                    carry = last = word
+                    carry = word
                 word += 1
             rows.append(row)
-        ends.append((word, carry, last))
-    # the last sample is sample r of period q; the stream ends where it does
-    q, r = divmod(samples - 1, period)
-    used, carry, last = ends[r]
-    raw = bitgen.random_raw(q * word + used)
+    periods = -(-samples // period)
+    raw = np.random.PCG64(seed).random_raw(periods * word)
     half = np.stack((raw & _MASK32, raw >> 32), axis=1).ravel()
-    starts = 2 * word * np.arange(q + 1)[:, None, None]
+    starts = 2 * word * np.arange(periods)[:, None, None]
     out = []
     for rows, (kind, lo, hi, count) in zip(layout, plan):
         # every period's positions, cut at the last sample
         at = (np.array(rows, dtype=np.intp).reshape(period, count)
-              + starts).reshape((q + 1) * period, count)[:samples]
+              + starts).reshape(periods * period, count)[:samples]
         if kind == "uniform":
             out.append(lo + (hi - lo) * ((raw[at >> 1] >> 11) * 2.0 ** -53))
             continue
         m = half[at] * np.uint64(hi - lo)
         if ((m & _MASK32) < (2 ** 32 - (hi - lo)) % (hi - lo)).any():
-            bitgen.state = state
-            return _draw_loop(rng, samples, plan)
+            return _draw_loop(np.random.default_rng(seed), samples, plan)
         out.append((m >> 32).astype(np.int64) + lo)
-    if last is not None:
-        # the high half of the last fresh integer word, carried or taken
-        end = bitgen.state
-        end["has_uint32"] = int(carry is not None)
-        end["uinteger"] = int(raw[q * word + last]) >> 32
-        bitgen.state = end
     return out
 
 
@@ -131,11 +114,10 @@ def sol_quotient_check(spec: ToralGroupSpec, samples: int = 1000,
     of the radius-2 ball."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     ball = word_ball(2)
     ball = ball[ball.any(axis=1)]
     # per sample: a point, (x1, x2) then (y1, y2), then ten words
-    x, y, words = _per_sample_draws(rng, samples, (
+    x, y, words = _per_sample_draws(seed, samples, (
         ("uniform", -3.0, 3.0, 2), ("uniform", 0.2, 5.0, 2), ("integers", 0, len(ball), 10)))
     X = np.stack((x, y), axis=2).reshape(samples, 4)
     rep0 = fundamental_domain_reduce(spec, ProductPoint.from_coords(X.T))[1].coords()
@@ -177,11 +159,10 @@ def heis_quotient_check(moduli: Tuple[int, int, int] = (1, 1, 1),
     """Sample-scale verification for an integer Heisenberg sublattice."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
     # per sample: a point (Re z, Im z, Re w, Im w) of C x H, three coordinates
     # and then the height, an element, and ten words, whose ten size-3 integer
     # draws read the stream as one of size 30
-    zxy, height, base, ell = _per_sample_draws(rng, samples, (
+    zxy, height, base, ell = _per_sample_draws(seed, samples, (
         ("uniform", -3.0, 3.0, 3), ("uniform", 0.2, 5.0, 1), ("uniform", -4.0, 4.0, 3),
         ("integers", -3, 4, 30)))
     Z = np.hstack((zxy, height))

@@ -866,7 +866,10 @@ _HUGE, _LARGE = 10 ** 100, 10 ** 30      # lam about 1e100 and 1e30
     # lam^8 is finite, lam^11 is not
     (f"verify --suite kleinian --samples 5 --A {_LARGE},{_LARGE - 1},1,1 --N 11", "N"),
     (f"export limit-set --A {_LARGE},{_LARGE - 1},1,1 --N 11", "N"),
-], ids=["verify-A", "export-A", "verify-N", "export-N"])
+    # the quotient reduction takes lam^3
+    (f"verify --suite quotient --A {10 ** 103},{10 ** 103 - 1},1,1", "A"),
+    (f"verify --suite quotient --A {10 ** 153},{10 ** 153 - 1},1,1", "A"),
+], ids=["verify-A", "export-A", "verify-N", "export-N", "quotient-103", "quotient-153"])
 def test_large_traces_whose_powers_overflow_are_config_errors(argv, field, capsys):
     """A power of lam beyond the floats exits 2, not in a traceback: with
     field A when lam^8 already overflows, else with field N."""
@@ -875,6 +878,20 @@ def test_large_traces_whose_powers_overflow_are_config_errors(argv, field, capsy
     assert rc == 2 and err == ""
     assert json.loads(out)["error"] == {
         "field": field, "message": f"{field} gives a power of lam that overflows a float"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 124586])
+def test_quotient_suite_at_large_traces_reports_or_names_A(seed, capsys):
+    """Traces 10^e up to the eigendata limit, 102.7 and 102.8 on either side
+    of lam^3's overflow: a report (exit 0 or 1) or exit 2 naming A."""
+    for e in [*range(100, 154), 102.7, 102.8]:
+        a = 10 ** e if isinstance(e, int) else int(10 ** e)
+        rc = main(["verify", "--suite", "quotient", "--seed", str(seed),
+                   "--A", f"{a},{a - 1},1,1"])
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert err == "" and (rc in (0, 1) and len(doc["checks"]) == 7
+                              or rc == 2 and doc["error"]["field"] == "A"), e
 
 
 def test_range_value_bound_is_inclusive():

@@ -288,16 +288,13 @@ def _assert_same_draws(got, want):
 def test_per_sample_draws_equal_the_loop(plan):
     counts = (1, 2, 7, 299, 300)
     for seed in range(200):
-        # the loop's draws and state after each count, drawn once per seed
-        rng, drawn, states = np.random.default_rng(seed), [], []
-        for n, more in zip(counts, np.diff((0,) + counts)):
+        # the loop's draws after each count, drawn once per seed
+        rng, drawn = np.random.default_rng(seed), []
+        for more in np.diff((0,) + counts):
             drawn.append(_loop(rng, int(more), plan))
-            states.append(rng.bit_generator.state)
         for i, n in enumerate(counts):
-            rng = np.random.default_rng(seed)
-            got = quotient._per_sample_draws(rng, n, plan)
+            got = quotient._per_sample_draws(seed, n, plan)
             _assert_same_draws(got, [np.concatenate(a) for a in zip(*drawn[:i + 1])])
-            assert rng.bit_generator.state == states[i], (seed, n)
 
 
 def _fallbacks(monkeypatch):
@@ -317,39 +314,26 @@ def test_per_sample_draws_fall_back_on_a_rejected_half(samples, monkeypatch):
     plan = (("uniform", 0.0, 1.0, 1), ("integers", -5, 3 * 2 ** 30 - 5, 3))
     calls = _fallbacks(monkeypatch)
     for seed in range(20):
-        got, want = (np.random.default_rng(seed) for _ in range(2))
-        _assert_same_draws(quotient._per_sample_draws(got, samples, plan),
-                           _loop(want, samples, plan))
-        assert got.bit_generator.state == want.bit_generator.state
+        _assert_same_draws(quotient._per_sample_draws(seed, samples, plan),
+                           _loop(np.random.default_rng(seed), samples, plan))
     assert calls
-
-
-@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
-@pytest.mark.parametrize("samples", [1, 2, 7, 300])
-def test_per_sample_draws_fall_back_on_a_carried_half(plan, samples, monkeypatch):
-    calls = _fallbacks(monkeypatch)
-    got, want = (np.random.default_rng(3) for _ in range(2))
-    for rng in (got, want):
-        rng.integers(0, 5)          # leaves the high half of its word carried
-    _assert_same_draws(quotient._per_sample_draws(got, samples, plan),
-                       _loop(want, samples, plan))
-    assert got.bit_generator.state == want.bit_generator.state
-    assert calls == [(samples, plan)]
-
-
-@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
-def test_per_sample_draws_fall_back_on_another_bit_generator(plan, monkeypatch):
-    calls = _fallbacks(monkeypatch)
-    got, want = (np.random.Generator(np.random.MT19937(4)) for _ in range(2))
-    _assert_same_draws(quotient._per_sample_draws(got, 9, plan), _loop(want, 9, plan))
-    assert got.bit_generator.state["state"]["key"].tolist() == \
-        want.bit_generator.state["state"]["key"].tolist()
-    assert calls == [(9, plan)]
 
 
 @pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
 def test_per_sample_draws_read_one_block(plan, monkeypatch):
     calls = _fallbacks(monkeypatch)
-    rng = np.random.default_rng(0)
-    quotient._per_sample_draws(rng, 300, plan)
+    quotient._per_sample_draws(0, 300, plan)
     assert calls == []
+
+
+@pytest.mark.parametrize("check, arg, seed, reference", [
+    (sol_quotient_check, SPEC, 124586, _sol_quotient_reference),
+    (heis_quotient_check, (1, 1, 1), 156929, _heis_quotient_reference),
+], ids=["sol", "heis"])
+def test_quotient_checks_fall_back_on_a_rejected_half_at_their_seed(check, arg, seed,
+                                                                    reference, monkeypatch):
+    # a production plan whose block holds a half Lemire rejects: the check
+    # draws through the loop once and still gives the loop's report
+    calls = _fallbacks(monkeypatch)
+    _assert_same_report(check(arg, 300, seed), reference(arg, 300, seed))
+    assert len(calls) == 1 and calls[0][0] == 300

@@ -326,11 +326,10 @@ def test_sol_rows_equal_the_loop_at_the_lambda_bounds(lam):
 class _Recording:
     """Wraps a Generator and notes the values and its bit generator's state
     after every draw, and counts the block draws, those whose size is a shape
-    (n, k).  Its bit_generator is the Generator's own, unrecorded."""
+    (n, k)."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.bit_generator = rng.bit_generator
         self.values = []
         self.states = []
         self.blocks = 0
@@ -347,7 +346,9 @@ class _Recording:
         return recorded
 
 
-def _draw_states(suite, cfg, monkeypatch):
+def _built(run, monkeypatch):
+    """The Generators that np.random.default_rng builds while run() runs,
+    each a _Recording."""
     made = []
     default_rng = np.random.default_rng
 
@@ -356,8 +357,8 @@ def _draw_states(suite, cfg, monkeypatch):
         return made[-1]
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", recording)
-        suite(cfg)
-    return made[0]
+        run()
+    return made
 
 
 @pytest.mark.parametrize("suite, reference, blocks", [
@@ -368,7 +369,7 @@ def _draw_states(suite, cfg, monkeypatch):
 def test_block_draws_leave_the_stream_where_the_loop_does(suite, reference, blocks,
                                                           samples, monkeypatch):
     cfg = _cfg(5, samples)
-    block, loop = (_draw_states(f, cfg, monkeypatch) for f in (suite, reference))
+    block, loop = (_built(lambda f=f: f(cfg), monkeypatch)[0] for f in (suite, reference))
     assert (block.blocks, loop.blocks) == (blocks, 0)
     block, loop = block.states, loop.states
     # each draw of the suite, block or per sample, ends where a draw of the
@@ -953,7 +954,7 @@ def test_embed_agreement_equals_the_loop(A):
     for seed in GRID_SEEDS:
         want = _embed_agreement_reference(spec, np.random.default_rng(seed), CAPPED[-1])
         for n in CAPPED:
-            got = cli._embed_agreement(spec, np.random.default_rng(seed), n)
+            got = cli._embed_agreement(spec, seed, n)
             assert _bits([got]) == _bits([want[n - 1]]), (seed, n)
     # the suite's own row, at more samples than it takes
     cfg = dict(_cfg(0, 500), A=A)
@@ -985,9 +986,8 @@ def test_heis_quotient_rows_equal_the_loop(moduli):
 
 @pytest.mark.parametrize("samples", [1, 60, 300])
 def test_kleinian_and_quotient_rows_draw_as_the_loops_do(samples, monkeypatch):
-    # each row draws its samples in one block: no Generator call, the values
-    # the per-sample loop draws in the loop's order, and the stream left
-    # where the loop leaves it
+    # each row draws its samples in one block: no Generator built, and the
+    # values the per-sample loop draws in the loop's order
     spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
     blocks, draws = [], quotient._per_sample_draws
 
@@ -996,27 +996,24 @@ def test_kleinian_and_quotient_rows_draw_as_the_loops_do(samples, monkeypatch):
         return blocks[-1]
     monkeypatch.setattr(cli, "_per_sample_draws", recorded)
     monkeypatch.setattr(quotient, "_per_sample_draws", recorded)
-    got, want = (_Recording(np.random.default_rng(5)) for _ in range(2))
-    cli._embed_agreement(spec, got, samples)
-    _embed_agreement_reference(spec, want, samples)
-    runs = [(got, want, 3)]
-    for check, reference, arg, draws_per_sample in (
-            (sol_quotient_check, _sol_quotient_reference, spec, 3),
-            (heis_quotient_check, _heis_quotient_reference, (2, 3, 6), 4)):
-        runs.append(tuple(_draw_states(lambda cfg, f=f: f(arg, samples, 5), None,
-                                       monkeypatch) for f in (check, reference))
-                    + (draws_per_sample,))
-    assert len(blocks) == len(runs)
-    for (got, want, draws_per_sample), block in zip(runs, blocks):
-        assert got.states == [] and len(want.states) == draws_per_sample * samples
-        assert [v for row in zip(*block) for a in row for v in a.tolist()] == want.values
-        assert got.bit_generator.state == want.states[-1]
+    assert _built(lambda: (cli._embed_agreement(spec, 5, samples),
+                           sol_quotient_check(spec, samples, 5),
+                           heis_quotient_check((2, 3, 6), samples, 5)), monkeypatch) == []
+    loops = [_Recording(np.random.default_rng(5))]
+    _embed_agreement_reference(spec, loops[0], samples)
+    loops += [_built(lambda f=f, arg=arg: f(arg, samples, 5), monkeypatch)[0]
+              for f, arg in ((_sol_quotient_reference, spec),
+                             (_heis_quotient_reference, (2, 3, 6)))]
+    assert len(blocks) == len(loops)
+    for loop, block, draws_per_sample in zip(loops, blocks, (3, 3, 4)):
+        assert len(loop.states) == draws_per_sample * samples
+        assert [v for row in zip(*block) for a in row for v in a.tolist()] == loop.values
 
 
 # a planted defect in each array route fails its row
 
 def _embed_row(spec):
-    return cli._embed_agreement(spec, np.random.default_rng(0), 60)
+    return cli._embed_agreement(spec, 0, 60)
 
 
 def test_embed_agreement_sees_a_projective_route_without_translation(monkeypatch):
