@@ -31,8 +31,7 @@ from .kleinian import (MAX_BALL_ROWS, ToralGroupSpec, _ball_size, _normalize_row
                        intersecting_elements, lattice_iso_test,
                        limit_general_position, pseudo_limit_kernels,
                        sol_lattice_embed, toral_act, toral_element, word_ball)
-from .quotient import (CheckRow, _per_sample_draws, check_row, heis_quotient_check,
-                       sol_quotient_check)
+from .quotient import CheckRow, check_row, heis_quotient_check, sol_quotient_check
 from .sol import (STANDARD, SolElement, SolParams, flow_equivariance_defect,
                   flow_speed, leaf_embed, leaf_metric, leaf_separation,
                   leaf_separation_numeric, normal_flow, rectify, rectify_inverse,
@@ -473,9 +472,12 @@ def _embed_agreement(spec: ToralGroupSpec, seed: int, samples: int) -> CheckRow:
     the radius-2 ball, three ways, each once over the samples: toral_act, the
     reference, the solvable action and the projective one in the chart z3 = 1."""
     ball = word_ball(2)
-    # per sample: a word, then a point, (x1, x2) then (y1, y2)
-    words, x, y = _per_sample_draws(seed, samples, (
-        ("integers", 0, len(ball), 1), ("uniform", -3.0, 3.0, 2), ("uniform", 0.3, 4.0, 2)))
+    rng = np.random.default_rng(seed)
+    # one block per entry, in this order: a word per point, the points'
+    # (x1, x2), then their (y1, y2)
+    words = rng.integers(0, len(ball), size=(samples, 1))
+    x = rng.uniform(-3.0, 3.0, size=(samples, 2))
+    y = rng.uniform(0.3, 4.0, size=(samples, 2))
     X = np.stack((x, y), axis=2).reshape(samples, 4)
     G = ball[words[:, 0]]
     z = ProductPoint.from_coords(X.T)

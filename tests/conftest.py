@@ -247,6 +247,36 @@ def _heis_reduce_reference(g, moduli=(1, 1, 1)):
 
 
 # ---------------------------------------------------------------------------
+# the block draws of embed-agreement and of the two quotient checks: each
+# builds default_rng(seed) and draws each entry as one block of shape
+# (samples, k), in the order given here
+
+def embed_agreement_draws(seed: int, samples: int):
+    """An index into the 25 words of word_ball(2) per point, the points'
+    (x1, x2), then their heights (y1, y2) in [0.3, 4)."""
+    rng = np.random.default_rng(seed)
+    return (rng.integers(0, 25, size=(samples, 1)), rng.uniform(-3.0, 3.0, size=(samples, 2)),
+            rng.uniform(0.3, 4.0, size=(samples, 2)))
+
+
+def sol_quotient_draws(seed: int, samples: int):
+    """The points' (x1, x2), their heights (y1, y2) in [0.2, 5), then ten
+    indices per point into the 24 nonzero words of word_ball(2)."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-3.0, 3.0, size=(samples, 2)), rng.uniform(0.2, 5.0, size=(samples, 2)),
+            rng.integers(0, 24, size=(samples, 10)))
+
+
+def heis_quotient_draws(seed: int, samples: int):
+    """The points' (Re z, Im z, Re w) of C x H, their heights Im w in
+    [0.2, 5), the elements (a, b, c), then ten integer words per sample,
+    entries in [-3, 4), as 30 columns."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(-3.0, 3.0, size=(samples, 3)), rng.uniform(0.2, 5.0, size=(samples, 1)),
+            rng.uniform(-4.0, 4.0, size=(samples, 3)), rng.integers(-3, 4, size=(samples, 30)))
+
+
+# ---------------------------------------------------------------------------
 # acceptance reporting
 
 class AcceptanceLog:

@@ -659,7 +659,7 @@ def test_verify_all_concatenates_the_single_suites(capsys):
         expected += [dict(r, name=f"{suite}/{r['name']}")
                      for r in json.loads(single)["checks"]]
     assert rc == 0
-    assert len(rows) == 28
+    assert len(rows) == 27
     assert rows == expected
 
 
@@ -890,7 +890,7 @@ def test_quotient_suite_at_large_traces_reports_or_names_A(seed, capsys):
                    "--A", f"{a},{a - 1},1,1"])
         out, err = capsys.readouterr()
         doc = json.loads(out)
-        assert err == "" and (rc in (0, 1) and len(doc["checks"]) == 7
+        assert err == "" and (rc in (0, 1) and len(doc["checks"]) == 6
                               or rc == 2 and doc["error"]["field"] == "A"), e
 
 

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+import solfold.cli as cli
 import solfold.quotient as quotient
 from solfold import (
     HeisElement,
+    MixedPoint,
+    ProductPoint,
     SolElement,
     ToralGroupSpec,
+    UpperHalfPoint,
     fundamental_domain_reduce,
     heis_act,
-    heis_commutator,
     heis_matrix,
     heis_mul,
     heis_quotient_check,
@@ -23,7 +26,7 @@ from solfold import (
     toral_compose,
     word_ball,
 )
-from conftest import rand_mixed, rand_product
+from conftest import heis_quotient_draws, rand_mixed, sol_quotient_draws
 from solfold.quotient import check_row
 
 SPEC = ToralGroupSpec.from_matrix([[2, 1], [1, 1]])
@@ -48,16 +51,15 @@ def _semidirect_relation_reference(spec):
 
 
 def _sol_quotient_reference(spec, samples, seed):
-    rng = np.random.default_rng(seed)
     ball = [g for g in map(tuple, word_ball(2).tolist()) if g != (0, 0, 0)]
     leaf_res = 0.0
     reduce_res = 0.0
     sign_violations = 0
-    for _ in range(samples):
-        z = rand_product(rng, 0.2, 5.0)
+    for (x1, x2), (y1, y2), idxs in zip(*sol_quotient_draws(seed, samples)):
+        z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
         s0 = rectify_inverse(z)[3]
         rep0 = fundamental_domain_reduce(spec, z)[1].coords()
-        for idx in rng.integers(0, len(ball), size=10):
+        for idx in idxs:
             gz = toral_act(spec, ball[int(idx)], z)
             leaf_res = max(leaf_res, abs(rectify_inverse(gz)[3] - s0))
             rep1 = fundamental_domain_reduce(spec, gz)[1].coords()
@@ -79,16 +81,16 @@ def _sol_quotient_reference(spec, samples, seed):
 
 
 def _heis_quotient_reference(moduli, samples, seed):
-    rng = np.random.default_rng(seed)
     d1, d2, d3 = moduli
     height_res = 0.0
     reduce_res = 0.0
-    for _ in range(samples):
-        m = rand_mixed(rng, 0.2, 5.0)
-        g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
+    zxy, heights, elements, words = heis_quotient_draws(seed, samples)
+    for (zr, zi, wx), (wy,), g, ells in zip(zxy, heights, elements,
+                                            words.reshape(samples, 10, 3)):
+        m = MixedPoint(complex(zr, zi), UpperHalfPoint(wx, wy))
+        g = HeisElement(*g)
         rep0 = heis_reduce_mod_integer_lattice(g, moduli)[1]
-        for i in range(10):
-            j, k, l = rng.integers(-3, 4, size=3)
+        for i, (j, k, l) in enumerate(ells):
             ell = HeisElement(d1 * int(j), d2 * int(k), d3 * int(l))
             if i == 0:
                 img = heis_matrix(ell) @ np.array([m.z, m.w.complex, 1.0])
@@ -98,15 +100,11 @@ def _heis_quotient_reference(moduli, samples, seed):
                              abs(rep1.a - rep0.a), abs(rep1.b - rep0.b),
                              abs(rep1.c - rep0.c))
 
-    comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
-    comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))
     return (
         check_row("height-invariance", height_res, 0.0,
                   "real translations leave the second-factor height unchanged"),
         check_row("reduction-invariance", reduce_res, 1e-12,
                   "cube representatives are constant on left cosets of the lattice"),
-        check_row("commutator", comm_res, 0.0,
-                  "the commutator of the two horizontal generators is the central generator"),
     )
 
 
@@ -219,7 +217,9 @@ def test_heis_quotient_report_passes():
     assert by_name["height-invariance"].residual == 0.0
     assert by_name["height-invariance"].threshold == 0.0
     assert by_name["reduction-invariance"].residual < 1e-12
-    assert by_name["commutator"].residual == 0.0
+    # the commutator of the horizontal generators is a row of the heis suite
+    cfg = {key: default for key, (_, default) in cli._FLAGS["verify"].items()}
+    assert {c.name: c for c in cli._suite_heis(cfg)}["commutator"].residual == 0.0
 
 
 def test_heis_quotient_nontrivial_moduli():
@@ -256,84 +256,3 @@ def test_heis_height_invariance_sees_a_moved_height(monkeypatch):
     row = {c.name: c for c in heis_quotient_check((1, 1, 1), 50, 0)}["height-invariance"]
     assert not row.passed
     assert row.residual > 0.0
-
-
-# ---------------------------------------------------------------------------
-# the block draw of the per-sample streams against the loop it replaces
-
-# the plans of embed-agreement, the sol check and the heis check
-PLANS = {
-    "embed": (("integers", 0, 25, 1), ("uniform", -3.0, 3.0, 2), ("uniform", 0.3, 4.0, 2)),
-    "sol": (("uniform", -3.0, 3.0, 2), ("uniform", 0.2, 5.0, 2), ("integers", 0, 24, 10)),
-    "heis": (("uniform", -3.0, 3.0, 3), ("uniform", 0.2, 5.0, 1), ("uniform", -4.0, 4.0, 3),
-             ("integers", -3, 4, 30)),
-}
-
-
-def _loop(rng, samples, plan):
-    """The draws sample by sample, each entry a row of its (samples, count) array."""
-    rows = [[getattr(rng, kind)(lo, hi, size=count) for kind, lo, hi, count in plan]
-            for _ in range(samples)]
-    return [np.array([r[j] for r in rows]).reshape(samples, count)
-            for j, (_, _, _, count) in enumerate(plan)]
-
-
-def _assert_same_draws(got, want):
-    assert [(g.dtype, g.shape, g.flags.c_contiguous) for g in got] == \
-        [(w.dtype, w.shape, True) for w in want]
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
-@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
-def test_per_sample_draws_equal_the_loop(plan):
-    counts = (1, 2, 7, 299, 300)
-    for seed in range(200):
-        # the loop's draws after each count, drawn once per seed
-        rng, drawn = np.random.default_rng(seed), []
-        for more in np.diff((0,) + counts):
-            drawn.append(_loop(rng, int(more), plan))
-        for i, n in enumerate(counts):
-            got = quotient._per_sample_draws(seed, n, plan)
-            _assert_same_draws(got, [np.concatenate(a) for a in zip(*drawn[:i + 1])])
-
-
-def _fallbacks(monkeypatch):
-    calls = []
-    loop = quotient._draw_loop
-
-    def counted(*args):
-        calls.append(args[1:])
-        return loop(*args)
-    monkeypatch.setattr(quotient, "_draw_loop", counted)
-    return calls
-
-
-@pytest.mark.parametrize("samples", [1, 2, 7, 300])
-def test_per_sample_draws_fall_back_on_a_rejected_half(samples, monkeypatch):
-    # r = 3 2^30: Lemire rejects a half below 2^32 mod r = 2^30, a quarter of them
-    plan = (("uniform", 0.0, 1.0, 1), ("integers", -5, 3 * 2 ** 30 - 5, 3))
-    calls = _fallbacks(monkeypatch)
-    for seed in range(20):
-        _assert_same_draws(quotient._per_sample_draws(seed, samples, plan),
-                           _loop(np.random.default_rng(seed), samples, plan))
-    assert calls
-
-
-@pytest.mark.parametrize("plan", PLANS.values(), ids=PLANS.keys())
-def test_per_sample_draws_read_one_block(plan, monkeypatch):
-    calls = _fallbacks(monkeypatch)
-    quotient._per_sample_draws(0, 300, plan)
-    assert calls == []
-
-
-@pytest.mark.parametrize("check, arg, seed, reference", [
-    (sol_quotient_check, SPEC, 124586, _sol_quotient_reference),
-    (heis_quotient_check, (1, 1, 1), 156929, _heis_quotient_reference),
-], ids=["sol", "heis"])
-def test_quotient_checks_fall_back_on_a_rejected_half_at_their_seed(check, arg, seed,
-                                                                    reference, monkeypatch):
-    # a production plan whose block holds a half Lemire rejects: the check
-    # draws through the loop once and still gives the loop's report
-    calls = _fallbacks(monkeypatch)
-    _assert_same_report(check(arg, 300, seed), reference(arg, 300, seed))
-    assert len(calls) == 1 and calls[0][0] == 300

@@ -1,13 +1,14 @@
 """The array rows of verify against their per-sample loops.
 
 The sol and heis suites compute ten rows on arrays, each from one block
-draw; the kleinian embed-agreement row and the two quotient checks read
-their per-sample draws from one block of raw words and compute every route
-on arrays.  The loops they replaced live on here as the reference: equal
-rows, residual bits included, the same rng stream position after every row,
-and a planted defect that each array row or route still catches.  The per-point finite-difference stencil, the
-scalar distances and the one-word toral forms are kept too, against the
-one-call stencil, the array distances and the stacked toral forms.
+draw; the kleinian embed-agreement row and the two quotient checks draw
+one block per entry, words included, and compute every route on arrays.
+The loops they replaced live on here as the reference: equal rows,
+residual bits included, the draws of the loop, and a planted defect that
+each array row or route still catches.  The per-point finite-difference
+stencil, the scalar distances and the one-word toral forms are kept too,
+against the one-call stencil, the array distances and the stacked toral
+forms.
 """
 
 import itertools
@@ -73,7 +74,8 @@ import solfold.quotient as quotient
 import solfold.sol
 from solfold import _fd, cli, heis_leaf_separation_numeric, leaf_separation_numeric
 from solfold.cli import ConfigError
-from conftest import _heis_reduce_reference, projective_act, rand_mixed, rand_product
+from conftest import (_heis_reduce_reference, embed_agreement_draws, heis_quotient_draws,
+                      projective_act, rand_mixed, rand_product, sol_quotient_draws)
 from solfold.geometry import SQRT2
 from solfold.quotient import check_row
 from solfold.sol import _leaf_param, phi
@@ -324,13 +326,14 @@ def test_sol_rows_equal_the_loop_at_the_lambda_bounds(lam):
 
 
 class _Recording:
-    """Wraps a Generator and notes the values and its bit generator's state
-    after every draw, and counts the block draws, those whose size is a shape
-    (n, k)."""
+    """Wraps the Generator of a seed and notes each draw's method and
+    arguments and its bit generator's state after the draw, and counts the
+    block draws, those whose size is a shape (n, k)."""
 
-    def __init__(self, rng):
+    def __init__(self, seed, rng):
+        self.seed = seed
         self.rng = rng
-        self.values = []
+        self.calls = []
         self.states = []
         self.blocks = 0
 
@@ -339,7 +342,7 @@ class _Recording:
 
         def recorded(*args, **kwargs):
             out = draw(*args, **kwargs)
-            self.values += np.ravel(out).tolist()
+            self.calls.append((name, args, kwargs))
             self.states.append(self.rng.bit_generator.state)
             self.blocks += np.ndim(kwargs.get("size")) == 1
             return out
@@ -353,7 +356,7 @@ def _built(run, monkeypatch):
     default_rng = np.random.default_rng
 
     def recording(seed):
-        made.append(_Recording(default_rng(seed)))
+        made.append(_Recording(seed, default_rng(seed)))
         return made[-1]
     with monkeypatch.context() as m:
         m.setattr(np.random, "default_rng", recording)
@@ -795,7 +798,7 @@ def test_array_distances_equal_the_scalar_ones_on_uniform_draws(rng):
 
 
 # ---------------------------------------------------------------------------
-# the embed-agreement and quotient rows against their per-sample loops
+# the embed-agreement and quotient rows against their per-point loops
 
 def _toral_element_reference(spec, k, n, m):
     """toral_element as the loop built it, one 3 x 3 matrix per word."""
@@ -830,15 +833,12 @@ def _points(X):
     return ProductPoint.from_coords(np.asarray(X, dtype=float).T)
 
 
-# Each loop draws sample by sample, so the draws of n samples are the first n
-# draws of any larger run: each reference returns its rows after every sample.
-
-def _embed_agreement_reference(spec, rng, samples):
-    worst, rows = 0.0, []
+def _embed_agreement_reference(spec, seed, samples):
+    worst = 0.0
     ball = word_ball(2).tolist()
-    for _ in range(samples):
-        g = ball[int(rng.integers(0, len(ball)))]
-        z = rand_product(rng, 0.3, 4.0)
+    for (w,), (x1, x2), (y1, y2) in zip(*embed_agreement_draws(seed, samples)):
+        g = ball[int(w)]
+        z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
         direct = _toral_act_reference(spec, g, z).coords()
         via_sol = sol_act(STANDARD, _sol_lattice_embed_reference(spec, *g), z).coords()
         M = _toral_element_reference(spec, *g)
@@ -847,35 +847,29 @@ def _embed_agreement_reference(spec, rng, samples):
         via_proj = np.array([w1.real, w1.imag, w2.real, w2.imag])
         worst = max(worst, float(np.abs(direct - via_sol).max()),
                     float(np.abs(direct - via_proj).max()))
-        rows.append(check_row("embed-agreement", worst, 1e-10,
-                              "projective, affine, and solvable descriptions of the "
-                              "action coincide"))
-    return rows
+    return check_row("embed-agreement", worst, 1e-10,
+                     "projective, affine, and solvable descriptions of the "
+                     "action coincide")
 
 
 def _sol_quotient_reference(spec, samples, seed):
-    rng = np.random.default_rng(seed)
     ball = [g for g in word_ball(2).tolist() if g != [0, 0, 0]]
     # each word acts as toral_act does: scale by lam^k, translate by P^{-1}(n, m)
     scale = np.array([spec.lam ** k for k, _, _ in ball])
     shift = np.array([spec.P_inv @ np.array([n, m], dtype=float) for _, n, m in ball])
-    base, rep0, words = [], [], []
-    for _ in range(samples):
-        z = rand_product(rng, 0.2, 5.0)
+    x, y, words = sol_quotient_draws(seed, samples)
+    base, rep0 = [], []
+    for (x1, x2), (y1, y2) in zip(x, y):
+        z = ProductPoint(UpperHalfPoint(x1, y1), UpperHalfPoint(x2, y2))
         base.append(z.coords())
         rep0.append(fundamental_domain_reduce(spec, z)[1].coords())
-        words.append(rng.integers(0, len(ball), size=10))
-    base, rep0, words = np.array(base), np.array(rep0), np.concatenate(words)
+    base, rep0, words = np.array(base), np.array(rep0), words.ravel()
 
     z = np.repeat(base, 10, axis=0)
     s, (u, v) = scale[words], shift[words].T
     gz = np.column_stack([s * z[:, 0] + u, s * z[:, 1], z[:, 2] / s + v, z[:, 3] / s])
     s0, s1 = (_leaf_param(Z[:, 1], Z[:, 3]) for Z in (base, gz))
     rep1 = fundamental_domain_reduce(spec, _points(gz))[1].coords().T
-    # the residuals after each sample: running maxima of each sample's own
-    leaf = np.abs(s1 - np.repeat(s0, 10)).reshape(samples, -1).max(axis=1)
-    reduce = np.abs(rep1 - np.repeat(rep0, 10, axis=0)).reshape(samples, -1).max(axis=1)
-    signs = ((gz[:, 1] <= 0) | (gz[:, 3] <= 0)).reshape(samples, -1).sum(axis=1)
 
     rel_res = 0.0
     t_gen = (1, 0, 0)
@@ -889,51 +883,43 @@ def _sol_quotient_reference(spec, samples, seed):
             rel_res = max(rel_res,
                           abs(lhs.t - rhs.t), abs(lhs.x - rhs.x), abs(lhs.y - rhs.y))
 
-    return [(
-        check_row("leaf-preservation", leaf_res, 1e-10,
+    return (
+        check_row("leaf-preservation", float(np.abs(s1 - np.repeat(s0, 10)).max()), 1e-10,
                   "the lattice action preserves each leaf parameter s"),
-        check_row("reduction-invariance", reduce_res, 1e-8,
-                  "fundamental-domain representatives are constant on orbits"),
+        check_row("reduction-invariance", float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max()),
+                  1e-8, "fundamental-domain representatives are constant on orbits"),
         check_row("semidirect-relation", rel_res, 1e-12,
                   "conjugating a translation by the cyclic generator applies the integer matrix"),
-        check_row("component-preservation", float(violations), 0.0,
+        check_row("component-preservation",
+                  float(np.count_nonzero((gz[:, 1] <= 0) | (gz[:, 3] <= 0))), 0.0,
                   "positive scaling preserves the four sign components of the imaginary parts"),
-    ) for leaf_res, reduce_res, violations in zip(
-        np.maximum.accumulate(leaf).tolist(), np.maximum.accumulate(reduce).tolist(),
-        np.cumsum(signs).tolist())]
+    )
 
 
 def _heis_quotient_reference(moduli, samples, seed):
-    rng = np.random.default_rng(seed)
     _heis_reduce_reference(HeisElement(0.0, 0.0, 0.0), moduli)
-    base, rep0, ell, heights = [], [], [], []
+    zxy, heights, elements, words = heis_quotient_draws(seed, samples)
+    base, rep0, ell = [], [], []
     height_res = 0.0
-    for _ in range(samples):
-        m = rand_mixed(rng, 0.2, 5.0)
-        g = HeisElement(*rng.uniform(-4.0, 4.0, size=3))
+    for (zr, zi, wx), (wy,), abc, ells in zip(zxy, heights, elements, words):
+        m = MixedPoint(complex(zr, zi), UpperHalfPoint(wx, wy))
+        g = HeisElement(*abc)
         base.append(g.triple())
         rep0.append(_heis_reduce_reference(g, moduli)[1].triple())
-        ell.append(rng.integers(-3, 4, size=30).reshape(10, 3) * moduli)
+        ell.append(ells.reshape(10, 3) * moduli)
         img = _heis_matrix_reference(HeisElement(*ell[-1][0])) @ np.array(
             [m.z, m.w.complex, 1.0])
         height_res = max(height_res, abs(img[1].imag - m.w.y))
-        heights.append(height_res)
     base, rep0, ell = np.array(base), np.array(rep0), np.concatenate(ell)
 
     moved = heis_mul(HeisElement(*ell.T), HeisElement(*np.repeat(base, 10, axis=0).T))
     rep1 = np.array(heis_reduce_mod_integer_lattice(moved, moduli)[1].triple()).T
-    reduce = np.abs(rep1 - np.repeat(rep0, 10, axis=0)).reshape(samples, -1).max(axis=1)
-
-    comm = heis_commutator(HeisElement(1, 0, 0), HeisElement(0, 1, 0))
-    comm_res = max(abs(comm.a - 0), abs(comm.b - 0), abs(comm.c - 1))
-    return [(
-        check_row("height-invariance", height, 0.0,
+    return (
+        check_row("height-invariance", height_res, 0.0,
                   "real translations leave the second-factor height unchanged"),
-        check_row("reduction-invariance", reduce_res, 1e-12,
-                  "cube representatives are constant on left cosets of the lattice"),
-        check_row("commutator", comm_res, 0.0,
-                  "the commutator of the two horizontal generators is the central generator"),
-    ) for height, reduce_res in zip(heights, np.maximum.accumulate(reduce).tolist())]
+        check_row("reduction-invariance", float(np.abs(rep1 - np.repeat(rep0, 10, axis=0)).max()),
+                  1e-12, "cube representatives are constant on left cosets of the lattice"),
+    )
 
 
 MATRICES = [((2, 1), (1, 1)), ((3, 2), (1, 1)), ((7, 4), (5, 3)), ((1000, 999), (1, 1))]
@@ -952,62 +938,55 @@ def _matrix_id(A):
 def test_embed_agreement_equals_the_loop(A):
     spec = ToralGroupSpec.from_matrix(A)
     for seed in GRID_SEEDS:
-        want = _embed_agreement_reference(spec, np.random.default_rng(seed), CAPPED[-1])
         for n in CAPPED:
-            got = cli._embed_agreement(spec, seed, n)
-            assert _bits([got]) == _bits([want[n - 1]]), (seed, n)
+            assert _bits([cli._embed_agreement(spec, seed, n)]) == _bits(
+                [_embed_agreement_reference(spec, seed, n)]), (seed, n)
     # the suite's own row, at more samples than it takes
     cfg = dict(_cfg(0, 500), A=A)
     assert _bits(cli._suite_kleinian(cfg)[-1:]) == _bits(
-        _embed_agreement_reference(spec, np.random.default_rng(0), 300)[-1:])
+        [_embed_agreement_reference(spec, 0, 300)])
 
 
 @pytest.mark.parametrize("A", MATRICES, ids=_matrix_id)
 def test_sol_quotient_rows_equal_the_loop(A):
     spec = ToralGroupSpec.from_matrix(A)
     for seed in GRID_SEEDS:
-        want = _sol_quotient_reference(spec, CAPPED[-1], seed)
         for n in CAPPED:
-            assert _bits(sol_quotient_check(spec, n, seed)) == _bits(want[n - 1]), (seed, n)
+            assert _bits(sol_quotient_check(spec, n, seed)) == _bits(
+                _sol_quotient_reference(spec, n, seed)), (seed, n)
     # the suite's own rows, at more samples than it takes
     rows = cli._suite_quotient(dict(_cfg(0, 500), A=A))
     assert _bits(rows[:4]) == _bits([replace(r, name=f"sol-{r.name}")
-                                      for r in _sol_quotient_reference(spec, 300, 0)[-1]])
+                                      for r in _sol_quotient_reference(spec, 300, 0)])
 
 
 @pytest.mark.parametrize("moduli", MODULI, ids=str)
 def test_heis_quotient_rows_equal_the_loop(moduli):
     for seed in GRID_SEEDS:
-        want = _heis_quotient_reference(moduli, GRID_SAMPLES[-1], seed)
         for n in GRID_SAMPLES:
-            assert _bits(heis_quotient_check(moduli, n, seed)) == _bits(want[n - 1]), \
-                (seed, n)
+            assert _bits(heis_quotient_check(moduli, n, seed)) == _bits(
+                _heis_quotient_reference(moduli, n, seed)), (seed, n)
 
 
 @pytest.mark.parametrize("samples", [1, 60, 300])
 def test_kleinian_and_quotient_rows_draw_as_the_loops_do(samples, monkeypatch):
-    # each row draws its samples in one block: no Generator built, and the
-    # values the per-sample loop draws in the loop's order
+    # each row builds one Generator from its seed and makes the draws of its
+    # loop, one block of shape (samples, k) per entry, in the loop's order
     spec = ToralGroupSpec.from_matrix(((3, 2), (1, 1)))
-    blocks, draws = [], quotient._per_sample_draws
-
-    def recorded(*args):
-        blocks.append(draws(*args))
-        return blocks[-1]
-    monkeypatch.setattr(cli, "_per_sample_draws", recorded)
-    monkeypatch.setattr(quotient, "_per_sample_draws", recorded)
-    assert _built(lambda: (cli._embed_agreement(spec, 5, samples),
-                           sol_quotient_check(spec, samples, 5),
-                           heis_quotient_check((2, 3, 6), samples, 5)), monkeypatch) == []
-    loops = [_Recording(np.random.default_rng(5))]
-    _embed_agreement_reference(spec, loops[0], samples)
-    loops += [_built(lambda f=f, arg=arg: f(arg, samples, 5), monkeypatch)[0]
-              for f, arg in ((_sol_quotient_reference, spec),
-                             (_heis_quotient_reference, (2, 3, 6)))]
-    assert len(blocks) == len(loops)
-    for loop, block, draws_per_sample in zip(loops, blocks, (3, 3, 4)):
-        assert len(loop.states) == draws_per_sample * samples
-        assert [v for row in zip(*block) for a in row for v in a.tolist()] == loop.values
+    pairs = [
+        (lambda: cli._embed_agreement(spec, 5, samples),
+         lambda: _embed_agreement_reference(spec, 5, samples)),
+        (lambda: sol_quotient_check(spec, samples, 5),
+         lambda: _sol_quotient_reference(spec, samples, 5)),
+        (lambda: heis_quotient_check((2, 3, 6), samples, 5),
+         lambda: _heis_quotient_reference((2, 3, 6), samples, 5)),
+    ]
+    for row, loop in pairs:
+        (block,), (want,) = _built(row, monkeypatch), _built(loop, monkeypatch)
+        assert block.seed == want.seed == 5
+        assert block.calls == want.calls
+        assert [len(kwargs["size"]) for _, _, kwargs in block.calls] == [2] * len(block.calls)
+        assert all(kwargs["size"][0] == samples for _, _, kwargs in block.calls)
 
 
 # a planted defect in each array route fails its row

@@ -65,8 +65,7 @@ def commands() -> List[List[str]]:
     for A in ("2,1,1,1", "3,2,1,1", "7,4,5,3"):
         cmds.append(["export", "domain", "--A", A])
     # the embed-agreement row and the quotient checks at sample counts and
-    # matrices off the defaults; 1000,999,1,1 fails embed-agreement (exit 1),
-    # and its residual must keep its bytes
+    # matrices off the defaults; 1000,999,1,1 fails embed-agreement (exit 1)
     cmds += [
         ["verify", "--suite", "kleinian", "--A", "7,4,5,3", "--samples", "7"],
         ["verify", "--suite", "quotient", "--A", "3,2,1,1", "--samples", "1"],
@@ -88,17 +87,14 @@ def commands() -> List[List[str]]:
         ["verify", "--suite", "sol", "--samples", "2000", "--seed", "5"],
         ["verify", "--suite", "heis", "--samples", "1", "--seed", "9"],
     ]
-    # the block draw of the per-sample streams: embed-agreement at an odd
-    # count on its two-sample layout and above the cap of 300, and the
-    # quotient checks one sample under it
+    # the block draws of embed-agreement at 9 samples and at 301, above the
+    # cap of 300, and of the quotient checks at 299, one under it
     cmds += [
         ["verify", "--suite", "kleinian", "--samples", "9", "--seed", "2"],
         ["verify", "--suite", "kleinian", "--samples", "301", "--seed", "6"],
         ["verify", "--suite", "quotient", "--samples", "299", "--seed", "8"],
     ]
-    # seeds whose quotient block holds a half Lemire rejects, so the draw
-    # falls back on the per-sample loop: the sol check at 124586, the heis
-    # check at 156929
+    # the quotient checks at two seeds off the default
     cmds += [["verify", "--suite", "quotient", "--seed", seed] for seed in ("124586", "156929")]
     cmds += [
         ["export", "orbit", "--N", "91"],
