@@ -313,7 +313,7 @@ def _suite_sol(cfg: Dict[str, object]) -> List[CheckRow]:
     worst = 0.0
     for t in (-1.0, 0.0, 1.0):
         for s in (-1.0, 0.0, 1.0):
-            ev = np.sort(shape_operator(t, s).eigenvalues)
+            ev = shape_operator(t, s).eigenvalues
             worst = max(worst, float(np.abs(ev - np.array([-1.0, -1.0, 0.0])).max()))
     rows.append(check_row("shape-spectrum", worst, 1e-6,
                           "principal curvatures of every leaf are -1, -1, 0"))
@@ -449,16 +449,12 @@ def _suite_kleinian(cfg: Dict[str, object]) -> List[CheckRow]:
                           "only finitely many elements move the test box onto itself"))
 
     (a, b), (c, d) = A
-    iso_bad = 0
-    r1 = lattice_iso_test(A, A)
-    iso_bad += 0 if r1.status == "found" else 1
-    r2 = lattice_iso_test(A, ((d, -b), (-c, a)))
-    iso_bad += 0 if r2.status == "found" else 1
-    r3 = lattice_iso_test(A, ((3, 2), (1, 1)) if a + d != 4 else ((2, 1), (1, 1)))
-    iso_bad += 0 if r3.status == "refuted" else 1
-    # a same-trace pair (trace 6) that is not conjugate
-    r4 = lattice_iso_test(((5, 4), (1, 1)), ((3, 2), (4, 3)))
-    iso_bad += 0 if r4.status == "refuted" else 1
+    # (A, B, the status a correct decision returns); the last pair has trace
+    # 6 and is not conjugate
+    iso_cases = ((A, A, "found"), (A, ((d, -b), (-c, a)), "found"),
+                 (A, ((3, 2), (1, 1)) if a + d != 4 else ((2, 1), (1, 1)), "refuted"),
+                 (((5, 4), (1, 1)), ((3, 2), (4, 3)), "refuted"))
+    iso_bad = sum(lattice_iso_test(P, Q).status != want for P, Q, want in iso_cases)
     rows.append(check_row("lattice-iso", float(iso_bad), 0.0,
                           "R/L run words decide conjugacy: matches carry an integer "
                           "conjugator, a trace or word mismatch refutes"))

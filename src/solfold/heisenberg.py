@@ -4,14 +4,15 @@ Elements are unipotent upper triangular coordinates (a, b, c).  Orbits of
 points foliate C x H; the vertical hyperbolic direction is normal to every
 leaf, and the rectifying chart identifies Heis x R with C x H.  The group
 law, the action and the chart also take array coordinates, one entry per
-element or point.
+element or point.  The integer word ball is one sorted (M, 3) int64 array,
+and the box-return count tests its columns at once, as the toral ones do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -143,9 +144,10 @@ def heis_reduce_mod_integer_lattice(
 _GENERATORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
 
-def heis_word_ball(n: int) -> List[HeisElement]:
+def heis_word_ball(n: int) -> np.ndarray:
     """Integer elements reachable by words of length at most n in the six
-    standard generators, in a deterministic order."""
+    standard generators, one per row of a C-contiguous (M, 3) int64 array,
+    rows sorted."""
     if n < 0:
         raise ValueError("word length bound must be nonnegative")
     seen = {(0, 0, 0)}
@@ -159,70 +161,40 @@ def heis_word_ball(n: int) -> List[HeisElement]:
                     seen.add(t)
                     new.append(t)
         frontier = new
-    return [HeisElement(*t) for t in sorted(seen)]
+    return np.array(sorted(seen), dtype=np.int64)
 
 
 UNIT_CUBE = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+_PAD = 1e-12
 
 
-def _interval_overlap(lo1, hi1, lo2, hi2, pad=1e-12):
-    return lo1 <= hi2 + pad and lo2 <= hi1 + pad
-
-
-def _box_meets_translate(g: HeisElement) -> bool:
-    """Whether g . K meets the unit cube K under left multiplication, exactly
-    up to padding.
+def factored_proper_discontinuity_check(ball: np.ndarray,
+                                        s: float = 0.0) -> Tuple[int, int]:
+    """Count the rows g of the (M, 3) ball with g K meeting K, K the unit
+    cube, in the group and through C x H at height e^s.
 
     g maps (a, b, c) to (g.a + a, g.b + b, g.c + c + g.a b), affine with unit
-    determinant, so images of boxes are polytopes with interval shadows.
+    determinant, so images of boxes are polytopes with interval shadows; each
+    route tests them on the ball's columns at once, overlaps padded outward
+    by 1e-12.  The c shadow is taken over the b kept inside the box by the
+    translation.  Through C x H the leaf coordinates are z = c + a q i and
+    w = b + q i: Im z translates by g.a q, and Re z |-> Re z + g.a Re w + g.c.
+    The action leaves the height alone, so the two counts agree; both are
+    returned so callers can assert the equality.
     """
     (a0, a1), (b0, b1), (c0, c1) = UNIT_CUBE
-    if not _interval_overlap(g.a + a0, g.a + a1, a0, a1):
-        return False
-    if not _interval_overlap(g.b + b0, g.b + b1, b0, b1):
-        return False
-    # b restricted to values kept inside the box by the translation
-    blo = max(b0, b0 - g.b)
-    bhi = min(b1, b1 - g.b)
-    vals = (g.a * blo, g.a * bhi)
-    clo = g.c + c0 + min(vals)
-    chi = g.c + c1 + max(vals)
-    return _interval_overlap(clo, chi, c0, c1)
-
-
-def _box_meets_translate_ambient(g: HeisElement, s: float) -> bool:
-    """Same intersection decided through the C x H picture at height e^s."""
     q = math.exp(s)
-    (a0, a1), (b0, b1), (c0, c1) = UNIT_CUBE
-    # leaf coordinates: z = c + a q i, w = b + q i
-    if g.b != 0.0 and not _interval_overlap(b0 + g.b, b1 + g.b, b0, b1):
-        return False
-    # Im z translates by g.a * q
-    if not _interval_overlap(q * (a0 + g.a), q * (a1 + g.a), q * a0, q * a1):
-        return False
-    blo = max(b0, b0 - g.b)
-    bhi = min(b1, b1 - g.b)
-    # Re z |-> Re z + g.a * Re w + g.c with Re w = b in the admissible range
-    vals = (g.a * blo, g.a * bhi)
-    lo = c0 + g.c + min(vals)
-    hi = c1 + g.c + max(vals)
-    return _interval_overlap(lo, hi, c0, c1)
-
-
-def factored_proper_discontinuity_check(
-        sample: Iterable[HeisElement],
-        s: float = 0.0) -> Tuple[int, int]:
-    """Count elements with g K meeting K, K the unit cube, in the group and
-    through C x H at height e^s.
-
-    The action on C x H leaves the height coordinate alone, so the two counts
-    agree; both are returned so callers can assert the equality.
-    """
-    count_group = 0
-    count_ambient = 0
-    for g in sample:
-        if _box_meets_translate(g):
-            count_group += 1
-        if _box_meets_translate_ambient(g, s):
-            count_ambient += 1
-    return count_group, count_ambient
+    ga, gb, gc = np.asarray(ball).T
+    b_meets = (gb + b0 <= b1 + _PAD) & (b0 <= gb + b1 + _PAD)
+    # the ends of the b range the translation keeps inside the box
+    ends = np.stack([np.maximum(b0, b0 - gb), np.minimum(b1, b1 - gb)])
+    # g.a b at those ends, which is g.a Re w in C x H
+    shear = ga * ends
+    group = ((ga + a0 <= a1 + _PAD) & (a0 <= ga + a1 + _PAD) & b_meets
+             & (gc + c0 + shear.min(axis=0) <= c1 + _PAD)
+             & (c0 <= gc + c1 + shear.max(axis=0) + _PAD))
+    ambient = ((q * (a0 + ga) <= q * a1 + _PAD) & (q * a0 <= q * (a1 + ga) + _PAD)
+               & b_meets
+               & (c0 + gc + shear.min(axis=0) <= c1 + _PAD)
+               & (c0 <= c1 + gc + shear.max(axis=0) + _PAD))
+    return int(np.count_nonzero(group)), int(np.count_nonzero(ambient))

@@ -424,9 +424,9 @@ def general_position_max(lines: Sequence[ProjectiveLine]) -> GeneralPositionResu
     """Largest subset with no three concurrent lines, by a float search over
     an arbitrary line list.
 
-    Exhaustive branch and bound up to 20 distinct lines; greedy seeding with
-    remove-and-extend local search above that, flagged non-exhaustive.  Both
-    the dedupe (sup-gap 1e-9) and the concurrency test (a triple product
+    Exhaustive branch and bound up to 20 distinct lines; above that one
+    greedy scan in index order, flagged non-exhaustive.  Both the dedupe
+    (sup-gap 1e-9) and the concurrency test (a triple product
     |d . (d_a x d_b)| <= 1e-8) decide by tolerance, so on a dense line list
     the answer can fall short: on the N = 16 limit lines of [[3, 2], [1, 1]]
     it returns 2.  limit_general_position decides the limit family exactly.
@@ -475,31 +475,15 @@ def general_position_max(lines: Sequence[ProjectiveLine]) -> GeneralPositionResu
         extend((), np.ones(nl, dtype=bool))
         return GeneralPositionResult(len(best), best, True)
 
-    def greedy(start: Tuple[int, ...]) -> Tuple[int, ...]:
-        """The start lines, then each line in index order that is concurrent
-        with no chosen pair."""
-        ok = np.ones(nl, dtype=bool)
-        chosen: List[int] = []
-        for i in start:
-            ok = add(chosen, ok, i)
-            chosen.append(i)
-        while ok.any():
-            i = int(np.argmax(ok))
-            ok = add(chosen, ok, i)
-            chosen.append(i)
-        return tuple(chosen)
-
-    best = greedy(())
-    improved = True
-    while improved:
-        improved = False
-        for drop in range(len(best)):
-            trial = greedy(tuple(x for i, x in enumerate(best) if i != drop))
-            if len(trial) > len(best):
-                best = trial
-                improved = True
-                break
-    return GeneralPositionResult(len(best), best, False)
+    # one greedy scan: each line in index order that is concurrent with no
+    # chosen pair
+    ok = np.ones(nl, dtype=bool)
+    chosen: List[int] = []
+    while ok.any():
+        i = int(np.argmax(ok))
+        ok = add(chosen, ok, i)
+        chosen.append(i)
+    return GeneralPositionResult(len(chosen), tuple(chosen), False)
 
 
 def limit_general_position(result: LimitKernelResult) -> GeneralPositionResult:

@@ -284,7 +284,7 @@ def test_criterion_08_factored_discontinuity_counts(acceptance_log):
     for n in range(1, 5):
         ball = heis_word_ball(n)
         count_group, count_ambient = factored_proper_discontinuity_check(ball)
-        brute = sum(cube_hit_by_grid(g.triple()) for g in ball)
+        brute = sum(cube_hit_by_grid(g) for g in ball.tolist())
         detail.append(f"N={n}: {count_group}")
         ok = ok and (count_group == count_ambient == brute)
     acceptance_log.record(8, "factored intersection counts agree exactly with "

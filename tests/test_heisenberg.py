@@ -329,22 +329,38 @@ def test_word_ball_small_values():
 
 
 def test_word_ball_matches_value_iteration_oracle():
-    for n in range(1, 5):
-        lib = {g.triple() for g in heis_word_ball(n)}
+    for n in range(1, 6):
+        lib = set(map(tuple, heis_word_ball(n).tolist()))
         assert lib == heis_ball_dp(n)
 
 
 def test_word_ball_is_sorted_and_duplicate_free():
-    ball = [g.triple() for g in heis_word_ball(3)]
-    assert ball == sorted(set(ball))
+    for n in range(0, 6):
+        ball = heis_word_ball(n)
+        assert ball.dtype == np.int64 and ball.shape == (len(ball), 3)
+        assert ball.flags["C_CONTIGUOUS"]
+        rows = list(map(tuple, ball.tolist()))
+        assert rows == sorted(set(rows))
 
 
 def test_factored_counts_match_grid_oracle():
     for n in range(1, 5):
         ball = heis_word_ball(n)
         count_group, count_ambient = factored_proper_discontinuity_check(ball)
-        expected = sum(cube_hit_by_grid(g.triple()) for g in ball)
+        expected = sum(cube_hit_by_grid(g) for g in ball.tolist())
         assert count_group == count_ambient == expected
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 2.0])
+def test_factored_check_decides_each_row_as_the_grid_oracle(s):
+    # one-row balls: each route's decision on each element, not only counts
+    ball = heis_word_ball(6)
+    bad = []
+    for i, row in enumerate(ball.tolist()):
+        hit = cube_hit_by_grid(row)
+        if factored_proper_discontinuity_check(ball[i:i + 1], s) != (hit, hit):
+            bad.append(row)
+    assert bad == []
 
 
 def test_factored_counts_agree_at_other_heights():

@@ -824,13 +824,6 @@ def _general_position_reference(lines, tol=1e-8):
                 return False
         return True
 
-    def greedy(start):
-        chosen = tuple(start)
-        for i in range(nl):
-            if i not in chosen and compatible(i, chosen):
-                chosen = chosen + (i,)
-        return chosen
-
     if nl <= 20:
         best = ()
 
@@ -846,16 +839,11 @@ def _general_position_reference(lines, tol=1e-8):
 
         extend((), 0)
         return GeneralPositionResult(len(best), best, True)
-    best = greedy(())
-    improved = True
-    while improved:
-        improved = False
-        for drop in range(len(best)):
-            trial = greedy(tuple(x for i, x in enumerate(best) if i != drop))
-            if len(trial) > len(best):
-                best, improved = trial, True
-                break
-    return GeneralPositionResult(len(best), best, False)
+    chosen = ()
+    for i in range(nl):
+        if compatible(i, chosen):
+            chosen = chosen + (i,)
+    return GeneralPositionResult(len(chosen), chosen, False)
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
